@@ -11,7 +11,10 @@ mkdir -p "$OUT"
 
 cargo build --release
 cargo clippy --workspace -- -D warnings
-cargo test -q
+# Every test in every crate: goldens, determinism, the scenario and trace
+# conformance suites, the property suites (codec, store, framing, FEC
+# bit-identity), the zero-allocation proofs, serve and the CLI contract.
+cargo test --workspace -q
 cargo bench --workspace --no-run
 cargo run --release -p wavelan-bench --bin repro -- --list
 cargo run --release -p wavelan-bench --bin repro -- --scale smoke --timing-json BENCH_PR2.json
@@ -26,11 +29,9 @@ else
     # committed tests/golden/repro_smoke.json proves it parses.
     cmp "$OUT/REPRO_SMOKE.json" tests/golden/repro_smoke.json
 fi
-# Scenario-scripting gate: the event-DAG conformance suite runs explicitly
-# (determinism, declaration-permutation stability, the ported capture
-# tests, and the malformed-script paths), then one scripted scenario's
-# transcript is pinned byte-for-byte against its golden file.
-cargo test -q --test scenario_dag --test scenario_capture --test scenario_negative
+# Scenario-scripting gate: one scripted scenario's transcript is pinned
+# byte-for-byte against its golden file (the event-DAG conformance suite
+# runs in the workspace tests above).
 cargo run --release -p wavelan-bench --bin repro -- --scenario list
 cargo run --release -p wavelan-bench --bin repro -- --scenario walk-by --scale smoke > "$OUT/SCENARIO_WALKBY.txt"
 cmp "$OUT/SCENARIO_WALKBY.txt" tests/golden/scenario_walkby_smoke.txt
@@ -51,18 +52,14 @@ cargo run --release -p wavelan-bench --bin repro -- --check-json "$OUT/SWEEP_GRI
 # Trace-pipeline gate: export one artifact's columnar trace, re-analyze it
 # offline, and require the offline report to match the live run's JSON
 # byte-for-byte. The `trace-info` header summary is pinned against a golden
-# snapshot (format version, spec hash, seed, per-stream tallies), the
-# streaming conformance suites run explicitly (all 18 artifacts
-# streamed==buffered, jobs-invariance, export→reanalyze identity, codec
-# property tests, the constant-memory proof), and the streamed-vs-buffered
-# capture throughput lands in BENCH_PR9.json.
+# snapshot (format version, spec hash, seed, per-stream tallies), and the
+# streamed-vs-buffered capture throughput lands in BENCH_PR9.json. The
+# streaming conformance suites run in the workspace tests above.
 cargo run --release -p wavelan-bench --bin repro -- table2 --scale smoke --seed 1996 --trace-out "$OUT/TRACE_TABLE2.wltc" --format json > "$OUT/TRACE_LIVE.json"
 cargo run --release -p wavelan-bench --bin repro -- reanalyze "$OUT/TRACE_TABLE2.wltc" --format json > "$OUT/TRACE_REANALYZED.json"
 cmp "$OUT/TRACE_LIVE.json" "$OUT/TRACE_REANALYZED.json"
 cargo run --release -p wavelan-bench --bin repro -- trace-info "$OUT/TRACE_TABLE2.wltc" > "$OUT/TRACE_INFO.txt"
 cmp "$OUT/TRACE_INFO.txt" tests/golden/trace_header_smoke.txt
-cargo test -q --test trace_stream --test stream_memory
-cargo test -q -p wavelan-analysis --test tracecodec_props
 cargo run --release -p wavelan-bench --bin repro -- table2 --scale smoke --capture-bench BENCH_PR9.json
 cargo run --release -p wavelan-bench --bin repro -- --check-json BENCH_PR9.json
 
@@ -71,14 +68,6 @@ cargo run --release -p wavelan-bench --bin repro -- --check-json BENCH_PR9.json
 # with the vendored JSON parser.
 cargo run --release -p wavelan-bench --bin repro -- --validate --scale smoke --format json > FIDELITY.json
 cargo run --release -p wavelan-bench --bin repro -- --check-json FIDELITY.json
-
-# Store/serve conformance: the wavelan-store unit + corruption property
-# suite (WLST round-trip, truncation, single-byte damage, version skew),
-# the serve crate's HTTP/keep-alive/ring unit tests, and the repro CLI
-# exit-code contract.
-cargo test -q -p wavelan-store
-cargo test -q -p wavelan-serve
-cargo test -q -p wavelan-bench --test cli
 
 # Serve-latency gate: cold-vs-cached /run plus the closed-loop load
 # harness (uncapped keep-alive burst for the ceiling, paced steps at

@@ -18,7 +18,6 @@
 
 use crate::crc32::crc32;
 use crate::{MacAddr, ParseError};
-use bytes::{BufMut, BytesMut};
 
 /// Bytes of destination + source + ethertype.
 pub const ETHERNET_HEADER_LEN: usize = 14;
@@ -79,18 +78,40 @@ impl EthernetFrame {
     /// Serializes a frame: header, payload (padded to the 46-byte minimum),
     /// and a freshly computed FCS.
     pub fn build(dst: MacAddr, src: MacAddr, ethertype: EtherType, payload: &[u8]) -> Vec<u8> {
-        let padded_len = payload.len().max(MIN_PAYLOAD);
-        let mut buf =
-            BytesMut::with_capacity(ETHERNET_HEADER_LEN + padded_len + ETHERNET_TRAILER_LEN);
-        buf.put_slice(dst.as_bytes());
-        buf.put_slice(src.as_bytes());
-        buf.put_u16(ethertype.to_u16());
-        buf.put_slice(payload);
-        buf.put_bytes(0, padded_len - payload.len());
-        let fcs = crc32(&buf);
+        let mut out = Vec::with_capacity(EthernetFrame::wire_len(payload.len()));
+        EthernetFrame::write_with(dst, src, ethertype, &mut out, |out| {
+            out.extend_from_slice(payload)
+        });
+        out
+    }
+
+    /// Appends a frame to `out` in place: the header, whatever
+    /// `write_payload` appends, zero padding up to the 46-byte minimum, and
+    /// the FCS over everything appended here (bytes already in `out` — a
+    /// modem header, say — are left out of the FCS).
+    pub fn write_with(
+        dst: MacAddr,
+        src: MacAddr,
+        ethertype: EtherType,
+        out: &mut Vec<u8>,
+        write_payload: impl FnOnce(&mut Vec<u8>),
+    ) {
+        let start = out.len();
+        out.extend_from_slice(dst.as_bytes());
+        out.extend_from_slice(src.as_bytes());
+        out.extend_from_slice(&ethertype.to_u16().to_be_bytes());
+        write_payload(out);
+        let payload_len = out.len() - start - ETHERNET_HEADER_LEN;
+        out.resize(out.len() + MIN_PAYLOAD.saturating_sub(payload_len), 0);
+        let fcs = crc32(&out[start..]);
         // The FCS is transmitted least-significant-byte first (802.3 bit order).
-        buf.put_u32_le(fcs);
-        buf.to_vec()
+        out.extend_from_slice(&fcs.to_le_bytes());
+    }
+
+    /// On-wire length of a frame carrying `payload_len` payload bytes:
+    /// header, padded payload and FCS.
+    pub fn wire_len(payload_len: usize) -> usize {
+        ETHERNET_HEADER_LEN + payload_len.max(MIN_PAYLOAD) + ETHERNET_TRAILER_LEN
     }
 
     /// Parses a frame, tolerating body damage. Only an outright short buffer

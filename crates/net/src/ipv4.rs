@@ -8,7 +8,6 @@
 
 use crate::checksum::{internet_checksum, Checksum};
 use crate::ParseError;
-use bytes::{BufMut, BytesMut};
 use std::net::Ipv4Addr;
 
 /// Length of an option-less IPv4 header.
@@ -53,21 +52,27 @@ impl Ipv4Header {
     /// Serializes the header (20 bytes) with a correct checksum and appends
     /// `payload` after it.
     pub fn build(&self, payload: &[u8]) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(IPV4_HEADER_LEN + payload.len());
-        buf.put_u8(0x45); // version 4, IHL 5
-        buf.put_u8(0); // DSCP/ECN
-        buf.put_u16(self.total_len);
-        buf.put_u16(self.ident);
-        buf.put_u16(0x4000); // flags: don't-fragment, offset 0
-        buf.put_u8(self.ttl);
-        buf.put_u8(self.protocol);
-        buf.put_u16(0); // checksum placeholder
-        buf.put_slice(&self.src.octets());
-        buf.put_slice(&self.dst.octets());
-        let ck = internet_checksum(&buf[..IPV4_HEADER_LEN]);
-        buf[10..12].copy_from_slice(&ck.to_be_bytes());
-        buf.put_slice(payload);
-        buf.to_vec()
+        let mut out = Vec::with_capacity(IPV4_HEADER_LEN + payload.len());
+        self.write_header(&mut out);
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// Appends the 20-byte header, checksum filled in, to `out`.
+    pub(crate) fn write_header(&self, out: &mut Vec<u8>) {
+        let mut h = [0u8; IPV4_HEADER_LEN];
+        h[0] = 0x45; // version 4, IHL 5; h[1] = DSCP/ECN 0
+        h[2..4].copy_from_slice(&self.total_len.to_be_bytes());
+        h[4..6].copy_from_slice(&self.ident.to_be_bytes());
+        h[6..8].copy_from_slice(&0x4000u16.to_be_bytes()); // don't-fragment, offset 0
+        h[8] = self.ttl;
+        h[9] = self.protocol;
+        // h[10..12]: checksum, computed over the header with this slot zero.
+        h[12..16].copy_from_slice(&self.src.octets());
+        h[16..20].copy_from_slice(&self.dst.octets());
+        let ck = internet_checksum(&h);
+        h[10..12].copy_from_slice(&ck.to_be_bytes());
+        out.extend_from_slice(&h);
     }
 
     /// Parses the header from the front of `bytes`; returns the header and the

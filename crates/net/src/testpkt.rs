@@ -77,29 +77,45 @@ impl TestPacket {
 
     /// Renders the 1024-byte body: 256 big-endian copies of [`TestPacket::word`].
     pub fn body(&self) -> Vec<u8> {
-        let w = self.word().to_be_bytes();
         let mut body = Vec::with_capacity(TEST_BODY_BYTES);
-        for _ in 0..TEST_BODY_WORDS {
-            body.extend_from_slice(&w);
-        }
+        self.write_body(&mut body);
         body
+    }
+
+    /// Appends the body to `out`.
+    fn write_body(&self, out: &mut Vec<u8>) {
+        let w = self.word().to_be_bytes();
+        let start = out.len();
+        out.resize(start + TEST_BODY_BYTES, 0);
+        for word in out[start..].chunks_exact_mut(4) {
+            word.copy_from_slice(&w);
+        }
     }
 
     /// Builds the complete on-wire Ethernet frame (header, IP, UDP, body,
     /// FCS) from `src` to `dst`. The IP identification field carries the low
     /// 16 bits of the sequence number, as a secondary recovery hint.
     pub fn build_frame(&self, src: Endpoint, dst: Endpoint) -> Vec<u8> {
-        let body = self.body();
-        let udp = UdpHeader::new(TEST_PORT, TEST_PORT, body.len());
+        let mut frame = Vec::with_capacity(TestPacket::frame_len());
+        self.write_frame(src, dst, &mut frame);
+        frame
+    }
+
+    /// [`TestPacket::build_frame`] in place: appends the frame to `out`
+    /// without any intermediate buffer, so a caller reusing `out` allocates
+    /// nothing.
+    pub fn write_frame(&self, src: Endpoint, dst: Endpoint, out: &mut Vec<u8>) {
+        let udp = UdpHeader::new(TEST_PORT, TEST_PORT, TEST_BODY_BYTES);
         let ip = Ipv4Header::udp(
             src.ip,
             dst.ip,
             (self.seq & 0xFFFF) as u16,
             usize::from(udp.length),
         );
-        let udp_bytes = udp.build(&ip, &body);
-        let ip_bytes = ip.build(&udp_bytes);
-        EthernetFrame::build(dst.mac, src.mac, EtherType::Ipv4, &ip_bytes)
+        EthernetFrame::write_with(dst.mac, src.mac, EtherType::Ipv4, out, |out| {
+            ip.write_header(out);
+            udp.write_with(&ip, out, |out| self.write_body(out));
+        });
     }
 
     /// Total frame length on the wire (constant for all test packets):

@@ -2,7 +2,6 @@
 
 use crate::ipv4::Ipv4Header;
 use crate::ParseError;
-use bytes::{BufMut, BytesMut};
 
 /// Length of the UDP header.
 pub const UDP_HEADER_LEN: usize = 8;
@@ -35,20 +34,33 @@ impl UdpHeader {
     /// pseudo-header, per RFC 768. A computed checksum of zero is transmitted
     /// as `0xFFFF`.
     pub fn build(&self, ip: &Ipv4Header, payload: &[u8]) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(UDP_HEADER_LEN + payload.len());
-        buf.put_u16(self.src_port);
-        buf.put_u16(self.dst_port);
-        buf.put_u16(self.length);
-        buf.put_u16(0); // checksum placeholder
-        buf.put_slice(payload);
+        let mut out = Vec::with_capacity(UDP_HEADER_LEN + payload.len());
+        self.write_with(ip, &mut out, |out| out.extend_from_slice(payload));
+        out
+    }
+
+    /// [`UdpHeader::build`] in place: appends the header, whatever
+    /// `write_payload` appends, and then fills in the checksum over the
+    /// pseudo-header and the datagram just written.
+    pub(crate) fn write_with(
+        &self,
+        ip: &Ipv4Header,
+        out: &mut Vec<u8>,
+        write_payload: impl FnOnce(&mut Vec<u8>),
+    ) {
+        let start = out.len();
+        out.extend_from_slice(&self.src_port.to_be_bytes());
+        out.extend_from_slice(&self.dst_port.to_be_bytes());
+        out.extend_from_slice(&self.length.to_be_bytes());
+        out.extend_from_slice(&[0, 0]); // checksum placeholder
+        write_payload(out);
         let mut ck = ip.pseudo_header_checksum(self.length);
-        ck.update(&buf);
+        ck.update(&out[start..]);
         let value = match ck.finish() {
             0 => 0xFFFF,
             v => v,
         };
-        buf[6..8].copy_from_slice(&value.to_be_bytes());
-        buf.to_vec()
+        out[start + 6..start + 8].copy_from_slice(&value.to_be_bytes());
     }
 
     /// Parses the header from the front of `bytes` and verifies the checksum

@@ -5,9 +5,33 @@ use wavelan_net::checksum::{internet_checksum, verify, Checksum};
 use wavelan_net::crc32::crc32;
 use wavelan_net::ethernet::{EtherType, EthernetFrame, MIN_PAYLOAD};
 use wavelan_net::ipv4::Ipv4Header;
-use wavelan_net::testpkt::{Endpoint, TestPacket};
+use wavelan_net::testpkt::{Endpoint, TestPacket, TEST_PORT};
 use wavelan_net::udp::UdpHeader;
 use wavelan_net::MacAddr;
+
+/// Arbitrary link and IP addresses.
+fn endpoint() -> impl Strategy<Value = Endpoint> {
+    (any::<[u8; 6]>(), any::<u32>()).prop_map(|(mac, ip)| Endpoint {
+        mac: MacAddr(mac),
+        ip: std::net::Ipv4Addr::from(ip),
+    })
+}
+
+/// The test frame composed layer by layer from whole buffers: the oracle
+/// for the in-place writer.
+fn layered_test_frame(seq: u32, src: Endpoint, dst: Endpoint) -> Vec<u8> {
+    let body = TestPacket { seq }.body();
+    let udp = UdpHeader::new(TEST_PORT, TEST_PORT, body.len());
+    let ip = Ipv4Header::udp(
+        src.ip,
+        dst.ip,
+        (seq & 0xFFFF) as u16,
+        usize::from(udp.length),
+    );
+    let udp_bytes = udp.build(&ip, &body);
+    let ip_bytes = ip.build(&udp_bytes);
+    EthernetFrame::build(dst.mac, src.mac, EtherType::Ipv4, &ip_bytes)
+}
 
 proptest! {
     /// CRC-32 detects every single-bit error, at any position and length.
@@ -129,6 +153,46 @@ proptest! {
         prop_assert_eq!(pudp.src_port, sport);
         prop_assert_eq!(pudp.dst_port, dport);
         prop_assert_eq!(&wire[off + poff..], &payload[..]);
+    }
+
+    /// `write_frame` appends exactly the layered composition's bytes, after
+    /// whatever the buffer already held, and `frame_len` is their length.
+    #[test]
+    fn write_frame_matches_layered_composition(
+        seq in any::<u32>(),
+        src in endpoint(),
+        dst in endpoint(),
+        prefix in proptest::collection::vec(any::<u8>(), 0..4),
+    ) {
+        let mut out = prefix.clone();
+        TestPacket { seq }.write_frame(src, dst, &mut out);
+        prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+        let written = &out[prefix.len()..];
+        prop_assert_eq!(written, &layered_test_frame(seq, src, dst)[..]);
+        prop_assert_eq!(written.len(), TestPacket::frame_len());
+        prop_assert_eq!(TestPacket { seq }.build_frame(src, dst), written.to_vec());
+    }
+
+    /// An Ethernet frame written in place around a payload of any length
+    /// (padded below the minimum) equals the built one, covers only its
+    /// own bytes with the FCS, and is `wire_len` long.
+    #[test]
+    fn ethernet_write_with_matches_build(
+        dst in any::<[u8; 6]>(),
+        src in any::<[u8; 6]>(),
+        et in any::<u16>(),
+        payload_len in 0usize..=1500,
+        fill in any::<u8>(),
+        prefix in proptest::collection::vec(any::<u8>(), 0..4),
+    ) {
+        let (dst, src, et) = (MacAddr(dst), MacAddr(src), EtherType::from_u16(et));
+        let payload = vec![fill; payload_len];
+        let mut out = prefix.clone();
+        EthernetFrame::write_with(dst, src, et, &mut out, |out| out.extend_from_slice(&payload));
+        let written = &out[prefix.len()..];
+        prop_assert_eq!(written, &EthernetFrame::build(dst, src, et, &payload)[..]);
+        prop_assert_eq!(written.len(), EthernetFrame::wire_len(payload_len));
+        prop_assert_eq!(EthernetFrame::check_fcs(written), Ok(true));
     }
 
     /// Every test packet's frame parses cleanly and its body majority word is

@@ -96,20 +96,22 @@ impl FloorPlan {
     /// Materials crossed by the straight path from `a` to `b`, in arbitrary
     /// order. A wall is counted once per crossing segment.
     pub fn materials_crossed(&self, a: Point, b: Point) -> Vec<Material> {
-        let path = Segment::new(a, b);
-        self.walls
-            .iter()
-            .filter(|w| w.segment.intersects(&path))
-            .map(|w| w.material)
-            .collect()
+        self.walls_crossed(a, b).map(|w| w.material).collect()
     }
 
     /// Total wall attenuation along the path, dB.
     pub fn path_attenuation_db(&self, a: Point, b: Point) -> f64 {
-        self.materials_crossed(a, b)
-            .iter()
-            .map(|m| m.attenuation_db())
+        self.walls_crossed(a, b)
+            .map(|w| w.material.attenuation_db())
             .sum()
+    }
+
+    /// The walls the straight path from `a` to `b` crosses, in wall order.
+    fn walls_crossed(&self, a: Point, b: Point) -> impl Iterator<Item = &Wall> {
+        let path = Segment::new(a, b);
+        self.walls
+            .iter()
+            .filter(move |w| w.segment.intersects(&path))
     }
 }
 

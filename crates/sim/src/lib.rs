@@ -23,8 +23,10 @@
 //! * [`propagation`] — path loss + wall attenuation + two-ray ripple +
 //!   deterministic lognormal shadowing: slow-scale received power,
 //! * [`event`] — the discrete-event queue (u64 nanoseconds of virtual time),
-//! * [`medium`] — the shared radio channel: concurrent transmissions,
-//!   ambient interferers, carrier sense, and per-reception emission lists,
+//! * [`medium`] — the shared radio channel: concurrent transmissions and
+//!   ambient interferers,
+//! * [`frame`] — on-air frames as `Copy` recipes, written out only when a
+//!   record is logged,
 //! * [`station`] — a WaveLAN host: PHY + MAC + CSMA/CA + trace capture,
 //! * [`runner`] — scenario assembly and trial execution,
 //! * [`trace`] — the packet trace format,
@@ -33,6 +35,8 @@
 
 pub mod event;
 pub mod floorplan;
+pub mod frame;
+mod gains;
 pub mod geometry;
 pub mod medium;
 pub mod propagation;

@@ -8,10 +8,10 @@
 //! interference timeline its receiver experienced.
 
 use crate::floorplan::FloorPlan;
+use crate::frame::FrameRecipe;
 use crate::geometry::Point;
 use crate::propagation::Propagation;
-use std::collections::BTreeMap;
-use wavelan_phy::interference::{DutyCycle, Emission, Interferer};
+use wavelan_phy::interference::{DutyCycle, Interferer};
 use wavelan_phy::InterferenceKind;
 
 /// How an ambient source's power at a victim receiver is determined.
@@ -55,11 +55,12 @@ impl AmbientSource {
         }
     }
 
-    /// The per-packet interferer view for a receiver at `rx`.
-    pub fn interferer_at(&self, rx: Point, prop: &Propagation, plan: &FloorPlan) -> Interferer {
+    /// The per-packet interferer view for a receiver where this source's
+    /// power is `power_dbm` (see [`AmbientSource::power_at`]).
+    pub fn interferer(&self, power_dbm: f64) -> Interferer {
         Interferer {
             kind: self.kind,
-            power_dbm: self.power_at(rx, prop, plan),
+            power_dbm,
             duty: self.duty,
             burst_sigma_db: self.burst_sigma_db,
         }
@@ -67,7 +68,7 @@ impl AmbientSource {
 }
 
 /// One WaveLAN packet in flight (or recently completed).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Transmission {
     /// Transmitting station index.
     pub src: usize,
@@ -75,16 +76,30 @@ pub struct Transmission {
     pub start_ns: u64,
     /// End of the packet, ns.
     pub end_ns: u64,
-    /// On-air bytes (network ID + Ethernet frame).
-    pub wire: Vec<u8>,
-    /// Test sequence number, if this is a test packet (ground truth).
-    pub seq: Option<u32>,
+    /// The on-air frame (network ID + Ethernet frame), as a recipe: its
+    /// bytes are written only when a record of it is logged.
+    pub frame: FrameRecipe,
+    /// On-air length, bytes ([`FrameRecipe::wire_len`]).
+    pub wire_len: u32,
 }
 
 impl Transmission {
+    /// `frame` put on the air by station `src` at `start_ns`; it stays on the
+    /// air for its length at 2 Mb/s.
+    pub fn new(src: usize, start_ns: u64, frame: FrameRecipe) -> Transmission {
+        let wire_len = frame.wire_len() as u32;
+        Transmission {
+            src,
+            start_ns,
+            end_ns: start_ns + bits_to_ns(u64::from(wire_len) * 8),
+            frame,
+            wire_len,
+        }
+    }
+
     /// Length on the air, bits.
     pub fn len_bits(&self) -> u64 {
-        self.wire.len() as u64 * 8
+        u64::from(self.wire_len) * 8
     }
 
     /// Whether this transmission is on the air at instant `t`.
@@ -118,7 +133,9 @@ pub fn bits_to_ns(bits: u64) -> u64 {
 /// pruned as virtual time advances.
 #[derive(Debug, Default)]
 pub struct Medium {
-    transmissions: BTreeMap<usize, Transmission>,
+    /// Tracked transmissions in ascending id order (ids are handed out in
+    /// order and pruning keeps it), so a reused buffer holds them all.
+    transmissions: Vec<(usize, Transmission)>,
     next_id: usize,
 }
 
@@ -132,13 +149,17 @@ impl Medium {
     pub fn begin(&mut self, tx: Transmission) -> usize {
         let id = self.next_id;
         self.next_id += 1;
-        self.transmissions.insert(id, tx);
+        self.transmissions.push((id, tx));
         id
     }
 
     /// Looks up a transmission by id.
     pub fn get(&self, id: usize) -> Option<&Transmission> {
-        self.transmissions.get(&id)
+        let index = self
+            .transmissions
+            .binary_search_by_key(&id, |(id, _)| *id)
+            .ok()?;
+        Some(&self.transmissions[index].1)
     }
 
     /// All transmissions other than `exclude_id` overlapping `[start, end)`.
@@ -150,7 +171,7 @@ impl Medium {
     ) -> impl Iterator<Item = (usize, &Transmission)> {
         self.transmissions
             .iter()
-            .filter(move |(id, t)| **id != exclude_id && t.start_ns < end_ns && t.end_ns > start_ns)
+            .filter(move |(id, t)| *id != exclude_id && t.start_ns < end_ns && t.end_ns > start_ns)
             .map(|(id, t)| (*id, t))
     }
 
@@ -166,95 +187,41 @@ impl Medium {
     /// window (a half-duplex radio cannot receive while transmitting).
     pub fn station_transmitting_during(&self, s: usize, start_ns: u64, end_ns: u64) -> bool {
         self.transmissions
-            .values()
-            .any(|t| t.src == s && t.start_ns < end_ns && t.end_ns > start_ns)
+            .iter()
+            .any(|(_, t)| t.src == s && t.start_ns < end_ns && t.end_ns > start_ns)
     }
 
     /// Drops transmissions that ended more than `horizon_ns` before `now` —
     /// nothing still in flight can overlap them.
     pub fn prune(&mut self, now_ns: u64, horizon_ns: u64) {
         let cutoff = now_ns.saturating_sub(horizon_ns);
-        self.transmissions.retain(|_, t| t.end_ns >= cutoff);
+        self.transmissions.retain(|(_, t)| t.end_ns >= cutoff);
     }
 
     /// Number of transmissions currently tracked.
     pub fn tracked(&self) -> usize {
         self.transmissions.len()
     }
-
-    /// Builds the WaveLAN-kind interference emissions a receiver at `rx_pos`
-    /// experiences from other transmissions while receiving packet
-    /// `packet_id` (window `[start, end)`).
-    #[allow(clippy::too_many_arguments)] // a reception is genuinely this wide
-    pub fn wavelan_emissions(
-        &self,
-        packet_id: usize,
-        start_ns: u64,
-        end_ns: u64,
-        rx_pos: Point,
-        rx_station: usize,
-        prop: &Propagation,
-        plan: &FloorPlan,
-        station_pos: &[Point],
-    ) -> Vec<Emission> {
-        let mut out = Vec::new();
-        self.wavelan_emissions_into(
-            packet_id,
-            start_ns,
-            end_ns,
-            rx_pos,
-            rx_station,
-            prop,
-            plan,
-            station_pos,
-            &mut out,
-        );
-        out
-    }
-
-    /// [`Medium::wavelan_emissions`], appending into a caller-owned buffer
-    /// so the per-packet hot path can reuse its allocation.
-    #[allow(clippy::too_many_arguments)] // a reception is genuinely this wide
-    pub fn wavelan_emissions_into(
-        &self,
-        packet_id: usize,
-        start_ns: u64,
-        end_ns: u64,
-        rx_pos: Point,
-        rx_station: usize,
-        prop: &Propagation,
-        plan: &FloorPlan,
-        station_pos: &[Point],
-        out: &mut Vec<Emission>,
-    ) {
-        for (_, t) in self.overlapping(start_ns, end_ns, packet_id) {
-            if t.src == rx_station {
-                continue; // own transmissions are handled as half-duplex
-            }
-            if let Some((s_bit, e_bit)) = t.overlap_bits(start_ns, end_ns) {
-                let power = prop.wavelan_rx_dbm(station_pos[t.src], rx_pos, plan);
-                out.push(Emission {
-                    start_bit: s_bit,
-                    end_bit: e_bit,
-                    raw_dbm: power,
-                    kind: InterferenceKind::WaveLan,
-                });
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::station::FrameKind;
+    use wavelan_mac::network_id::NetworkId;
+    use wavelan_net::testpkt::Endpoint;
 
     fn tx(src: usize, start: u64, end: u64) -> Transmission {
+        let frame = FrameRecipe {
+            kind: FrameKind::Sized { bytes: 80 },
+            src: Endpoint::station(1),
+            dst: Endpoint::station(2),
+            network_id: NetworkId::TESTBED,
+            seq: 0,
+        };
         Transmission {
-            src,
-            start_ns: start,
             end_ns: end,
-            wire: vec![0u8; 100],
-            seq: None,
+            ..Transmission::new(src, start, frame)
         }
     }
 
@@ -328,7 +295,7 @@ mod tests {
         let near = positioned.power_at(Point::new(1.0, 0.0), &prop, &plan);
         let far = positioned.power_at(Point::new(10.0, 0.0), &prop, &plan);
         assert!(near > far);
-        let i = positioned.interferer_at(Point::new(1.0, 0.0), &prop, &plan);
+        let i = positioned.interferer(near);
         assert_eq!(i.power_dbm, near);
         assert_eq!(i.kind, InterferenceKind::NarrowbandInBand);
     }

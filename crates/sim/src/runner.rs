@@ -3,20 +3,20 @@
 
 use crate::event::{Event, EventQueue};
 use crate::floorplan::FloorPlan;
+use crate::frame::FrameRecipe;
+use crate::gains::LinkGains;
 use crate::geometry::Point;
-use crate::medium::{bits_to_ns, AmbientSource, Medium, Transmission};
+use crate::medium::{ns_to_bits, AmbientSource, Medium, Transmission};
 use crate::propagation::Propagation;
-use crate::station::{FrameKind, RxReservation, Station, StationConfig, StationId, Traffic};
+use crate::station::{RxReservation, Station, StationConfig, StationId, Traffic};
 use crate::trace::{BufferSink, GroundTruth, RecordView, Trace, TraceSink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wavelan_mac::csma::{MacStats, TxAction};
-use wavelan_mac::network_id::wrap_with_network_id;
 use wavelan_mac::threshold::Thresholds;
-use wavelan_net::testpkt::TestPacket;
 use wavelan_phy::agc::power_to_level_units;
 use wavelan_phy::baseband::gaussian;
-use wavelan_phy::interference::Emission;
+use wavelan_phy::interference::{Emission, InterferenceKind};
 use wavelan_phy::link::{LinkModel, PacketOutcome};
 use wavelan_phy::scratch::RxScratch;
 
@@ -127,9 +127,10 @@ pub struct SimScratch {
     pub rx: RxScratch,
     /// Emission assembly buffer reused across packet resolutions.
     emissions: Vec<Emission>,
-    /// Delivered-bytes assembly buffer for trace records: each record's
-    /// corrupted bytes are built here and lent to the sink as a
-    /// [`RecordView`], so streaming capture allocates nothing per packet.
+    /// Delivered-bytes assembly buffer for trace records: a logged
+    /// reception's frame is written here from its recipe, corrupted and
+    /// truncated in place, and lent to the sink as a [`RecordView`], so
+    /// streaming capture allocates nothing per packet.
     record_bytes: Vec<u8>,
 }
 
@@ -293,7 +294,8 @@ struct Runner<'s> {
     medium: Medium,
     queue: EventQueue,
     rng: StdRng,
-    positions: Vec<Point>,
+    /// Received powers between the current placements.
+    gains: LinkGains,
     /// The station whose completed transmissions drive the stop condition.
     primary: usize,
     /// TxEnd events resolved for the primary station.
@@ -426,7 +428,7 @@ impl Scenario {
             medium: Medium::new(),
             queue: EventQueue::new(),
             rng: StdRng::seed_from_u64(self.seed),
-            positions: self.stations.iter().map(|s| s.pos).collect(),
+            gains: LinkGains::new(self),
             primary,
             primary_completed: 0,
             capture_margin_db: self.capture_margin_db,
@@ -517,7 +519,7 @@ impl Runner<'_> {
     fn on_directive(&mut self, now: u64, index: usize) {
         match self.directives[index].op {
             DirectiveOp::MoveStation { station, to } => {
-                self.positions[station] = to;
+                self.gains.move_station(self.scenario, station, to);
             }
             DirectiveOp::SetCaptureMargin { margin_db } => {
                 self.capture_margin_db = margin_db;
@@ -605,20 +607,14 @@ impl Runner<'_> {
     /// threshold. This is the mechanism of Figure 3's collision curve and of
     /// the Section 7.4 threshold-25 unmasking.
     fn carrier_busy(&mut self, now: u64, idx: usize) -> bool {
-        let me = &self.stations[idx];
-        let threshold = me.config.thresholds;
-        let my_pos = self.positions[idx];
+        let threshold = self.stations[idx].config.thresholds;
         let jitter_sigma = self.scenario.link.agc.jitter_sigma_units;
         let mut busy = false;
         for (_, t) in self.medium.active_at(now) {
             if t.src == idx {
                 continue;
             }
-            let power = self.scenario.propagation.wavelan_rx_dbm(
-                self.positions[t.src],
-                my_pos,
-                &self.scenario.floorplan,
-            );
+            let power = self.gains.wavelan_dbm(t.src, idx);
             let sensed = power_to_level_units(power) + gaussian(&mut self.rng, jitter_sigma);
             if threshold.senses_carrier(sensed.round().clamp(0.0, 63.0) as u8) {
                 busy = true;
@@ -647,13 +643,13 @@ impl Runner<'_> {
                 station.pending_seq = None;
                 station.packets_transmitted += 1;
                 let peer = station.peer().expect("transmitting station has a peer");
-                let src_ep = station.config.endpoint;
-                let network_id = station.config.network_id;
-                let dst_ep = self.stations[peer].config.endpoint;
-                let eth = match self.stations[idx].config.frame {
-                    FrameKind::Test => TestPacket { seq }.build_frame(src_ep, dst_ep),
-                    FrameKind::Chatter => chatter_frame(src_ep, seq),
-                    FrameKind::Sized { bytes } => sized_frame(src_ep, dst_ep, seq, bytes),
+                let config = &self.stations[idx].config;
+                let frame = FrameRecipe {
+                    kind: config.frame,
+                    src: config.endpoint,
+                    dst: self.stations[peer].config.endpoint,
+                    network_id: config.network_id,
+                    seq,
                 };
                 // Ground truth for the capture conformance suite: did this
                 // transmission actually begin while a foreign one was on the
@@ -661,23 +657,12 @@ impl Runner<'_> {
                 if self.medium.active_at(now).any(|(_, t)| t.src != idx) {
                     self.overlap_count += 1;
                 }
-                let wire = wrap_with_network_id(network_id, &eth);
-                let len_bits = wire.len() as u64 * 8;
-                let tx = Transmission {
-                    src: idx,
-                    start_ns: now,
-                    end_ns: now + bits_to_ns(len_bits),
-                    wire,
-                    seq: Some(seq),
-                };
-                let end = tx.end_ns;
-                let start = tx.start_ns;
-                let src = tx.src;
+                let tx = Transmission::new(idx, now, frame);
                 let id = self.medium.begin(tx);
-                self.queue.schedule(end, Event::TxEnd { tx: id });
+                self.queue.schedule(tx.end_ns, Event::TxEnd { tx: id });
                 for r in 0..self.stations.len() {
-                    if r != src {
-                        self.offer_reservation(r, id, start, end, src);
+                    if r != idx {
+                        self.offer_reservation(r, id, tx.start_ns, tx.end_ns, idx);
                     }
                 }
             }
@@ -700,7 +685,7 @@ impl Runner<'_> {
     }
 
     fn on_tx_end(&mut self, now: u64, tx_id: usize) {
-        let Some(tx) = self.medium.get(tx_id).cloned() else {
+        let Some(&tx) = self.medium.get(tx_id) else {
             return;
         };
         for r in 0..self.stations.len() {
@@ -759,11 +744,7 @@ impl Runner<'_> {
         {
             return;
         }
-        let signal_dbm = self.scenario.propagation.wavelan_rx_dbm(
-            self.positions[src],
-            self.positions[r],
-            &self.scenario.floorplan,
-        );
+        let signal_dbm = self.gains.wavelan_dbm(src, r);
         // The receive threshold masks weak packets at acquisition ("cleanly
         // filter": they simply never latch). The sensed level carries the
         // AGC's per-packet jitter, which is what makes the threshold
@@ -825,29 +806,29 @@ impl Runner<'_> {
         {
             return;
         }
-        let plan = &self.scenario.floorplan;
-        let prop = &self.scenario.propagation;
-        let rx_pos = self.positions[r];
-        let signal_dbm = prop.wavelan_rx_dbm(self.positions[tx.src], rx_pos, plan);
+        let signal_dbm = self.gains.wavelan_dbm(tx.src, r);
         let len_bits = tx.len_bits();
         let capture_at_ns = capture_cut_ns;
 
         // Interference: other WaveLAN transmissions plus ambient sources,
-        // assembled into the reusable scratch buffer.
+        // assembled into the reusable scratch buffer. The receiver's own
+        // transmissions are handled as half-duplex above.
         self.scratch.emissions.clear();
-        self.medium.wavelan_emissions_into(
-            tx_id,
-            tx.start_ns,
-            tx.end_ns,
-            rx_pos,
-            r,
-            prop,
-            plan,
-            &self.positions,
-            &mut self.scratch.emissions,
-        );
+        for (_, t) in self.medium.overlapping(tx.start_ns, tx.end_ns, tx_id) {
+            if t.src == r {
+                continue;
+            }
+            if let Some((start_bit, end_bit)) = t.overlap_bits(tx.start_ns, tx.end_ns) {
+                self.scratch.emissions.push(Emission {
+                    start_bit,
+                    end_bit,
+                    raw_dbm: self.gains.wavelan_dbm(t.src, r),
+                    kind: InterferenceKind::WaveLan,
+                });
+            }
+        }
         for (i, src) in self.scenario.ambient.iter().enumerate() {
-            let interferer = src.interferer_at(rx_pos, prop, plan);
+            let interferer = src.interferer(self.gains.ambient_dbm(i, r));
             // Phase-continuous in absolute time, with a stable per-source
             // offset so multiple sources don't cycle in lockstep.
             let offset = self
@@ -856,7 +837,7 @@ impl Runner<'_> {
                 .wrapping_mul(0x9E37_79B9)
                 .wrapping_add(i as u64 * 7919);
             interferer.emissions_at_into(
-                crate::medium::ns_to_bits(tx.start_ns).wrapping_add(offset),
+                ns_to_bits(tx.start_ns).wrapping_add(offset),
                 len_bits,
                 &mut self.rng,
                 &mut self.scratch.emissions,
@@ -890,7 +871,7 @@ impl Runner<'_> {
         // Apply the capture cut-off: the receiver abandoned this packet when
         // the stronger one started.
         if let Some(cap_ns) = capture_at_ns {
-            let cap_bit = crate::medium::ns_to_bits(cap_ns.saturating_sub(tx.start_ns));
+            let cap_bit = ns_to_bits(cap_ns.saturating_sub(tx.start_ns));
             let already = reception.truncated_at_bit.unwrap_or(len_bits);
             reception.truncated_at_bit = Some(already.min(cap_bit));
             reception.error_bits.retain(|&b| b < already.min(cap_bit));
@@ -905,7 +886,8 @@ impl Runner<'_> {
             let delivered_bits = reception.delivered_bits(len_bits);
             let bytes = &mut self.scratch.record_bytes;
             bytes.clear();
-            bytes.extend_from_slice(&tx.wire[..(delivered_bits / 8) as usize]);
+            tx.frame.write(bytes);
+            bytes.truncate((delivered_bits / 8) as usize);
             for &bit in &reception.error_bits {
                 let byte = (bit / 8) as usize;
                 if byte < bytes.len() {
@@ -920,14 +902,14 @@ impl Runner<'_> {
             let view = RecordView {
                 time_ns: tx.start_ns,
                 bytes: &self.scratch.record_bytes,
-                wire_len: tx.wire.len() as u32,
+                wire_len: tx.wire_len,
                 level: reception.metrics.level.value(),
                 silence: reception.metrics.silence.value(),
                 quality: reception.metrics.quality,
                 antenna: reception.metrics.antenna,
                 truth: Some(GroundTruth {
                     src_station: tx.src,
-                    seq: tx.seq,
+                    seq: Some(tx.frame.seq),
                     corrupted_bits,
                     truncated: reception.truncated_at_bit.is_some(),
                 }),
@@ -940,43 +922,6 @@ impl Runner<'_> {
             .rx
             .recycle_error_buf(std::mem::take(&mut reception.error_bits));
     }
-}
-
-/// Builds a broadcast chatter frame: what the paper's outsider stations were
-/// overheard sending ("ARP packets or inter-bridge routing packets"). A
-/// 512-byte body — bridge routing updates, not minimum-size ARPs — carrying
-/// the sequence number, broadcast destination, ARP ethertype.
-fn chatter_frame(src: wavelan_net::testpkt::Endpoint, seq: u32) -> Vec<u8> {
-    let mut body = [0u8; 512];
-    body[..4].copy_from_slice(&seq.to_be_bytes());
-    body[4..10].copy_from_slice(src.mac.as_bytes());
-    wavelan_net::EthernetFrame::build(
-        wavelan_net::MacAddr::BROADCAST,
-        src.mac,
-        wavelan_net::EtherType::Arp,
-        &body,
-    )
-}
-
-/// Builds a test-style unicast frame with an explicit body size — the
-/// variable-length packets of the pulsed-interference sweeps
-/// ([`FrameKind::Sized`]). The sequence number leads the body; delivery
-/// accounting rides on the transmission's ground truth, not the payload.
-fn sized_frame(
-    src: wavelan_net::testpkt::Endpoint,
-    dst: wavelan_net::testpkt::Endpoint,
-    seq: u32,
-    bytes: u16,
-) -> Vec<u8> {
-    let mut body = vec![0u8; usize::from(bytes.max(46))];
-    body[..4].copy_from_slice(&seq.to_be_bytes());
-    body[4..10].copy_from_slice(src.mac.as_bytes());
-    wavelan_net::EthernetFrame::build(
-        dst.mac,
-        src.mac,
-        wavelan_net::EtherType::Other(0x88B5),
-        &body,
-    )
 }
 
 /// Exposes the per-receiver transmitted-packet count the way the paper's
@@ -1248,7 +1193,7 @@ mod scripted_tests {
         let result = scenario.run_scripted(&directives, 500_000_000, &mut scratch);
         assert_eq!(result.packets_transmitted[tx], 30);
         let delivered = result.packets_delivered[rx];
-        assert!(delivered >= 10 && delivered <= 20, "delivered {delivered}");
+        assert!((10..=20).contains(&delivered), "delivered {delivered}");
     }
 
     #[test]
@@ -1287,6 +1232,6 @@ mod scripted_tests {
         let result = scenario.run_scripted(&directives, 600_000_000, &mut scratch);
         let sent = result.packets_transmitted[tx];
         // ~100 ms of periodic sending at 6.1 ms — and nothing after the stop.
-        assert!(sent >= 15 && sent <= 19, "sent {sent}");
+        assert!((15..=19).contains(&sent), "sent {sent}");
     }
 }

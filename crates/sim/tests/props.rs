@@ -1,8 +1,13 @@
 //! Property-based tests for the simulator substrates.
 
 use proptest::prelude::*;
+use wavelan_mac::network_id::{wrap_with_network_id, NetworkId};
+use wavelan_net::testpkt::{Endpoint, TestPacket};
+use wavelan_net::{EtherType, EthernetFrame, MacAddr};
 use wavelan_phy::Material;
+use wavelan_sim::frame::FrameRecipe;
 use wavelan_sim::geometry::{Point, Segment};
+use wavelan_sim::station::FrameKind;
 use wavelan_sim::trace::{GroundTruth, Trace, TraceRecord};
 use wavelan_sim::tracefile::{read_trace, write_trace};
 use wavelan_sim::{FloorPlan, Propagation};
@@ -43,7 +48,67 @@ fn record_strategy() -> impl Strategy<Value = TraceRecord> {
         )
 }
 
+/// Arbitrary link and IP addresses.
+fn endpoint() -> impl Strategy<Value = Endpoint> {
+    (any::<[u8; 6]>(), any::<u32>()).prop_map(|(mac, ip)| Endpoint {
+        mac: MacAddr(mac),
+        ip: std::net::Ipv4Addr::from(ip),
+    })
+}
+
+/// Every frame kind, with sized bodies of 0..=1500 bytes.
+fn frame_kind() -> impl Strategy<Value = FrameKind> {
+    (0u8..4, 0u16..=1500).prop_map(|(pick, bytes)| match pick {
+        0 => FrameKind::Test,
+        1 => FrameKind::Chatter,
+        _ => FrameKind::Sized { bytes },
+    })
+}
+
+/// A recipe's frame composed from whole buffers — the layered builders
+/// plus the modem's network-ID wrapper: the oracle for the in-place writer.
+fn layered_frame(r: &FrameRecipe) -> Vec<u8> {
+    let tagged = |len: usize| {
+        let mut body = vec![0u8; len.max(46)];
+        body[..4].copy_from_slice(&r.seq.to_be_bytes());
+        body[4..10].copy_from_slice(r.src.mac.as_bytes());
+        body
+    };
+    let eth = match r.kind {
+        FrameKind::Test => TestPacket { seq: r.seq }.build_frame(r.src, r.dst),
+        FrameKind::Chatter => {
+            EthernetFrame::build(MacAddr::BROADCAST, r.src.mac, EtherType::Arp, &tagged(512))
+        }
+        FrameKind::Sized { bytes } => EthernetFrame::build(
+            r.dst.mac,
+            r.src.mac,
+            EtherType::Other(0x88B5),
+            &tagged(usize::from(bytes)),
+        ),
+    };
+    wrap_with_network_id(r.network_id, &eth)
+}
+
 proptest! {
+    /// A frame recipe writes exactly the layered composition's bytes, after
+    /// whatever the buffer already held, and `wire_len` is their length.
+    #[test]
+    fn recipe_writes_the_layered_frame(
+        kind in frame_kind(),
+        src in endpoint(),
+        dst in endpoint(),
+        network_id in any::<u16>(),
+        seq in any::<u32>(),
+        prefix in proptest::collection::vec(any::<u8>(), 0..4),
+    ) {
+        let recipe = FrameRecipe { kind, src, dst, network_id: NetworkId(network_id), seq };
+        let mut out = prefix.clone();
+        recipe.write(&mut out);
+        prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+        prop_assert_eq!(&out[prefix.len()..], &layered_frame(&recipe)[..]);
+        prop_assert_eq!(out.len() - prefix.len(), recipe.wire_len());
+    }
+
     /// The WLTR trace format round-trips arbitrary traces bit-exactly.
     #[test]
     fn tracefile_round_trip(
