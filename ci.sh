@@ -3,27 +3,27 @@
 # `cargo test` surfaces via tests/golden_repro.rs — fails the run.
 set -eux
 
-# Regenerated run artifacts land under out/ (gitignored); only the
-# benchmark records (BENCH_*.json, FIDELITY.json) are committed at the
-# repo root.
+# Regenerated run artifacts land under out/ (gitignored); of the files the
+# gate writes, only FIDELITY.json is committed at the repo root.
 OUT=out
 mkdir -p "$OUT"
 
 cargo build --release
+cargo build --release -p wavelan-bench
+REPRO=./target/release/repro
 cargo clippy --workspace -- -D warnings
 # Every test in every crate: goldens, determinism, the scenario and trace
-# conformance suites, the property suites (codec, store, framing, FEC
-# bit-identity), the zero-allocation proofs, serve and the CLI contract.
+# conformance suites (buffered == streamed capture included), the property
+# suites (codec, store, framing, HTTP heads, FEC bit-identity), the
+# zero-allocation proofs, the ablation effect directions, serve and the CLI
+# contract.
 cargo test --workspace -q
-cargo bench --workspace --no-run
-cargo run --release -p wavelan-bench --bin repro -- --list
-cargo run --release -p wavelan-bench --bin repro -- --scale smoke --timing-json BENCH_PR2.json
-cargo run --release -p wavelan-bench --bin repro -- --scale smoke --format json > "$OUT/REPRO_SMOKE.json"
-# Validate the JSON outputs parse (the in-tree round-trip tests cover the
+"$REPRO" --list
+"$REPRO" --scale smoke --format json > "$OUT/REPRO_SMOKE.json"
+# Validate the JSON output parses (the in-tree round-trip tests cover the
 # parser itself; jq is a belt-and-braces check where available).
 if command -v jq >/dev/null 2>&1; then
     jq . "$OUT/REPRO_SMOKE.json" > /dev/null
-    jq . BENCH_PR2.json > /dev/null
 else
     # The golden test diffs the same document; a byte-identical match to the
     # committed tests/golden/repro_smoke.json proves it parses.
@@ -32,93 +32,113 @@ fi
 # Scenario-scripting gate: one scripted scenario's transcript is pinned
 # byte-for-byte against its golden file (the event-DAG conformance suite
 # runs in the workspace tests above).
-cargo run --release -p wavelan-bench --bin repro -- --scenario list
-cargo run --release -p wavelan-bench --bin repro -- --scenario walk-by --scale smoke > "$OUT/SCENARIO_WALKBY.txt"
+"$REPRO" --scenario list
+"$REPRO" --scenario walk-by --scale smoke > "$OUT/SCENARIO_WALKBY.txt"
 cmp "$OUT/SCENARIO_WALKBY.txt" tests/golden/scenario_walkby_smoke.txt
 
 # Parameter-sweep gate: the smoke preset's JSON document is pinned against
 # its golden file (ranking, sensitivity, per-point seeds — any drift in
 # sweep determinism shows up as a byte diff), then the 100-point oven grid
-# runs at smoke scale with its throughput recorded alongside the other
-# benchmark records. tests/sweep_determinism.rs covers jobs- and
-# axis-order-invariance under `cargo test` above.
-cargo run --release -p wavelan-bench --bin repro -- sweep --space list
-cargo run --release -p wavelan-bench --bin repro -- sweep --space oven-smoke --format json > "$OUT/SWEEP_SMOKE.json"
+# runs at smoke scale and its document must parse.
+# tests/sweep_determinism.rs covers jobs- and axis-order-invariance under
+# `cargo test` above.
+"$REPRO" sweep --space list
+"$REPRO" sweep --space oven-smoke --format json > "$OUT/SWEEP_SMOKE.json"
 cmp "$OUT/SWEEP_SMOKE.json" tests/golden/sweep_smoke.json
-cargo run --release -p wavelan-bench --bin repro -- sweep --space oven-grid --format json --timing-json BENCH_PR8.json > "$OUT/SWEEP_GRID.json"
-cargo run --release -p wavelan-bench --bin repro -- --check-json BENCH_PR8.json
-cargo run --release -p wavelan-bench --bin repro -- --check-json "$OUT/SWEEP_GRID.json"
+"$REPRO" sweep --space oven-grid --format json > "$OUT/SWEEP_GRID.json"
+"$REPRO" --check-json "$OUT/SWEEP_GRID.json"
 
 # Trace-pipeline gate: export one artifact's columnar trace, re-analyze it
 # offline, and require the offline report to match the live run's JSON
 # byte-for-byte. The `trace-info` header summary is pinned against a golden
-# snapshot (format version, spec hash, seed, per-stream tallies), and the
-# streamed-vs-buffered capture throughput lands in BENCH_PR9.json. The
+# snapshot (format version, spec hash, seed, per-stream tallies). The
 # streaming conformance suites run in the workspace tests above.
-cargo run --release -p wavelan-bench --bin repro -- table2 --scale smoke --seed 1996 --trace-out "$OUT/TRACE_TABLE2.wltc" --format json > "$OUT/TRACE_LIVE.json"
-cargo run --release -p wavelan-bench --bin repro -- reanalyze "$OUT/TRACE_TABLE2.wltc" --format json > "$OUT/TRACE_REANALYZED.json"
+"$REPRO" table2 --scale smoke --seed 1996 --trace-out "$OUT/TRACE_TABLE2.wltc" --format json > "$OUT/TRACE_LIVE.json"
+"$REPRO" reanalyze "$OUT/TRACE_TABLE2.wltc" --format json > "$OUT/TRACE_REANALYZED.json"
 cmp "$OUT/TRACE_LIVE.json" "$OUT/TRACE_REANALYZED.json"
-cargo run --release -p wavelan-bench --bin repro -- trace-info "$OUT/TRACE_TABLE2.wltc" > "$OUT/TRACE_INFO.txt"
+"$REPRO" trace-info "$OUT/TRACE_TABLE2.wltc" > "$OUT/TRACE_INFO.txt"
 cmp "$OUT/TRACE_INFO.txt" tests/golden/trace_header_smoke.txt
-cargo run --release -p wavelan-bench --bin repro -- table2 --scale smoke --capture-bench BENCH_PR9.json
-cargo run --release -p wavelan-bench --bin repro -- --check-json BENCH_PR9.json
 
 # Paper-fidelity gate: every Table 2-14 / Figure 1-3 expectation must be
 # within tolerance (exit 1 on any fail verdict), and the report must parse
 # with the vendored JSON parser.
-cargo run --release -p wavelan-bench --bin repro -- --validate --scale smoke --format json > FIDELITY.json
-cargo run --release -p wavelan-bench --bin repro -- --check-json FIDELITY.json
+"$REPRO" --validate --scale smoke --format json > FIDELITY.json
+"$REPRO" --check-json FIDELITY.json
 
-# Serve-latency gate: cold-vs-cached /run plus the closed-loop load
-# harness (uncapped keep-alive burst for the ceiling, paced steps at
-# fractions of it, p50/p95/p99 per step, saturation search) through an
-# in-process daemon. The run aborts if the cached response's bytes differ
-# from the cold ones; the profile lands in BENCH_SERVE.json.
-cargo run --release -p wavelan-bench --bin repro -- tdma --scale smoke --serve-bench BENCH_SERVE.json
-cargo run --release -p wavelan-bench --bin repro -- --check-json BENCH_SERVE.json
-SAT=$(tr ',' '\n' < BENCH_SERVE.json | grep '"saturation_qps"' | tr -dc '0-9.')
-awk -v v="$SAT" 'BEGIN { exit !(v > 0) }' || {
-    echo "serve load harness found no sustainable throughput" >&2
-    exit 1
-}
-
-# FEC hot-path gate: regenerate the decode-heavy artifacts' throughput and
-# fail if either regresses below 10x the PR5-era baseline (fec 1,079.6 and
-# harq 1,154.8 pkt/s — generous slack under the ≥20x this PR landed, so
-# host noise cannot flap the gate while a real kernel regression still
-# trips it). The `fec_hotpath` criterion bench compiles under the
-# `cargo bench --no-run` gate above.
-cargo run --release -p wavelan-bench --bin repro -- fec harq --scale smoke --timing-json BENCH_PR7.json
-cargo run --release -p wavelan-bench --bin repro -- --check-json BENCH_PR7.json
+# FEC hot-path gate: fail if either decode-heavy artifact's smoke-scale
+# throughput (the per-artifact `[name: S s, N packets, R pkt/s]` stderr
+# line) falls to 10x the PR5-era baseline (fec 1,079.6 and harq 1,154.8
+# pkt/s) — generous slack under the >=20x measured since, so host noise
+# cannot flap the gate while a real kernel regression still trips it. The
+# printed rate is rounded to whole pkt/s, so it must exceed the floor.
+"$REPRO" fec harq --scale smoke 2> "$OUT/FEC_TIMING.txt" > /dev/null
 for artifact in fec harq; do
-    # Field extraction robust to the serializer's layout (it compacts
-    # short objects onto one line): split the entry on commas first.
-    pps=$(grep -A 4 "\"artifact\": \"$artifact\"" BENCH_PR7.json \
-        | tr ',' '\n' | grep '"pkt_per_sec"' | head -n 1 | tr -dc '0-9.')
+    pps=$(sed -n "s/^\[$artifact: .*, \([0-9.]*\) pkt\/s\]\$/\1/p" "$OUT/FEC_TIMING.txt")
     floor=$([ "$artifact" = fec ] && echo 10796 || echo 11548)
-    awk -v v="$pps" -v floor="$floor" 'BEGIN { exit !(v >= floor) }' || {
+    awk -v v="$pps" -v floor="$floor" 'BEGIN { exit !(v != "" && v > floor) }' || {
         echo "FEC hot-path regression: $artifact at $pps pkt/s (floor $floor)" >&2
         exit 1
     }
 done
 
-# Daemon smoke test: boot `repro serve` as a real separate process on an
-# ephemeral port, poll /healthz, fetch one artifact and one sweep and
-# byte-compare both to the CLI's JSON, check /metrics parses, then confirm
-# SIGTERM drains with exit 0.
-REPRO=./target/release/repro
-ADDR_FILE=$(mktemp)
-"$REPRO" serve --addr 127.0.0.1:0 --addr-file "$ADDR_FILE" --workers 2 &
-SERVE_PID=$!
-ADDR=
-for _ in $(seq 1 100); do
-    ADDR=$(cat "$ADDR_FILE" 2>/dev/null || true)
-    if [ -n "$ADDR" ] && "$REPRO" --http-get "http://$ADDR/healthz" >/dev/null 2>&1; then
-        break
-    fi
-    sleep 0.1
-done
-test -n "$ADDR"
+# Benchmark gate: every workload of benchmark/run.sh at smoke scale. Its
+# last line must report "correct":true with no failed check — every
+# serve-zipf response is byte-checked against the CLI's bytes — and
+# serve-zipf must complete requests (throughput_per_s > 0).
+benchmark/run.sh --quick > "$OUT/BENCH_QUICK.txt"
+LAST=$(tail -n 1 "$OUT/BENCH_QUICK.txt")
+echo "$LAST" | grep -q '^{"correct":true,' || {
+    echo "benchmark run is not correct: $LAST" >&2
+    exit 1
+}
+echo "$LAST" | grep -q '"failed":0,' || {
+    echo "benchmark checks failed: $LAST" >&2
+    exit 1
+}
+ZIPF=$(awk '/^== serve-zipf/ { f = 1 } f && /^\{/ { print; exit }' "$OUT/BENCH_QUICK.txt")
+echo "$ZIPF" | grep -q '"failed":0,' || {
+    echo "serve-zipf had failed requests: $ZIPF" >&2
+    exit 1
+}
+QPS=$(echo "$ZIPF" | sed -n 's/.*"throughput_per_s":{"value":\([0-9.e+-]*\),.*/\1/p')
+awk -v v="$QPS" 'BEGIN { exit !(v != "" && v > 0) }' || {
+    echo "serve-zipf completed no requests: $ZIPF" >&2
+    exit 1
+}
+
+# Polls /healthz until the daemon answers. $1 is the daemon's address or
+# the --addr-file it writes its address to; the address is left in $ADDR.
+wait_healthy() {
+    for _ in $(seq 1 100); do
+        if [ -f "$1" ]; then ADDR=$(cat "$1"); else ADDR=$1; fi
+        if [ -n "$ADDR" ] && "$REPRO" --http-get "http://$ADDR/healthz" >/dev/null 2>&1; then
+            return 0
+        fi
+        sleep 0.1
+    done
+    echo "daemon at $1 never became healthy" >&2
+    return 1
+}
+
+# Boots `repro serve` as a separate process on an ephemeral port with any
+# extra flags, and waits until it answers.
+start_daemon() {
+    ADDR_FILE=$(mktemp)
+    "$REPRO" serve --addr 127.0.0.1:0 --addr-file "$ADDR_FILE" --workers 2 "$@" &
+    SERVE_PID=$!
+    wait_healthy "$ADDR_FILE"
+}
+
+# SIGTERM must drain the daemon with exit 0.
+stop_daemon() {
+    kill -TERM "$SERVE_PID"
+    wait "$SERVE_PID"
+    rm -f "$ADDR_FILE"
+}
+
+# Daemon smoke test: fetch one artifact and one sweep and byte-compare
+# both to the CLI's JSON, check /metrics parses, then drain.
+start_daemon
 "$REPRO" --http-get "http://$ADDR/run/tdma?seed=1996&scale=smoke" > "$OUT/SERVE_RUN.json"
 "$REPRO" --check-json "$OUT/SERVE_RUN.json"
 "$REPRO" --scale smoke --seed 1996 --format json tdma > "$OUT/CLI_RUN.json"
@@ -127,85 +147,25 @@ cmp "$OUT/SERVE_RUN.json" "$OUT/CLI_RUN.json"
 cmp "$OUT/SERVE_SWEEP.json" "$OUT/SWEEP_SMOKE.json"
 "$REPRO" --http-get "http://$ADDR/metrics" > "$OUT/SERVE_METRICS.json"
 "$REPRO" --check-json "$OUT/SERVE_METRICS.json"
-kill -TERM "$SERVE_PID"
-wait "$SERVE_PID"
-rm -f "$ADDR_FILE"
+stop_daemon
 
 # Store-tier smoke: restart survival. Compute one off-default key (seed 7
 # is not warmed at startup, so the warm daemon cannot answer from L1)
-# through a daemon with a persistent store, kill the daemon, restart it
+# through a daemon with a persistent store, stop the daemon, restart it
 # against the same directory, and require the re-served bytes to come from
 # the disk tier (l2_hits moves — no recompute) and to match both the cold
 # response and the CLI byte-for-byte.
 STORE_DIR=$(mktemp -d)
-ADDR_FILE=$(mktemp)
-"$REPRO" serve --addr 127.0.0.1:0 --addr-file "$ADDR_FILE" --workers 2 --store "$STORE_DIR" &
-SERVE_PID=$!
-ADDR=
-for _ in $(seq 1 100); do
-    ADDR=$(cat "$ADDR_FILE" 2>/dev/null || true)
-    if [ -n "$ADDR" ] && "$REPRO" --http-get "http://$ADDR/healthz" >/dev/null 2>&1; then
-        break
-    fi
-    sleep 0.1
-done
-test -n "$ADDR"
+start_daemon --store "$STORE_DIR"
 "$REPRO" --http-get "http://$ADDR/run/tdma?seed=7&scale=smoke" > "$OUT/STORE_COLD.json"
-kill -TERM "$SERVE_PID"
-wait "$SERVE_PID"
-rm -f "$ADDR_FILE"
-ADDR_FILE=$(mktemp)
-"$REPRO" serve --addr 127.0.0.1:0 --addr-file "$ADDR_FILE" --workers 2 --store "$STORE_DIR" &
-SERVE_PID=$!
-ADDR=
-for _ in $(seq 1 100); do
-    ADDR=$(cat "$ADDR_FILE" 2>/dev/null || true)
-    if [ -n "$ADDR" ] && "$REPRO" --http-get "http://$ADDR/healthz" >/dev/null 2>&1; then
-        break
-    fi
-    sleep 0.1
-done
-test -n "$ADDR"
+stop_daemon
+start_daemon --store "$STORE_DIR"
 "$REPRO" --http-get "http://$ADDR/run/tdma?seed=7&scale=smoke" > "$OUT/STORE_WARM.json"
 "$REPRO" --http-get "http://$ADDR/metrics" > "$OUT/STORE_METRICS.json"
-kill -TERM "$SERVE_PID"
-wait "$SERVE_PID"
-rm -f "$ADDR_FILE"
+stop_daemon
 cmp "$OUT/STORE_COLD.json" "$OUT/STORE_WARM.json"
 "$REPRO" --scale smoke --seed 7 --format json tdma > "$OUT/STORE_CLI.json"
 cmp "$OUT/STORE_WARM.json" "$OUT/STORE_CLI.json"
 L2_HITS=$(tr ',' '\n' < "$OUT/STORE_METRICS.json" | grep '"l2_hits"' | tr -dc '0-9')
 test "$L2_HITS" -ge 1
 rm -rf "$STORE_DIR"
-
-# Ring smoke: two real daemons consistent-hash the key space. Every
-# registry artifact must come back byte-identical to the CLI no matter
-# which node takes the request, and at least one request must have been
-# proxied between the peers.
-NODE_A=127.0.0.1:18961
-NODE_B=127.0.0.1:18962
-"$REPRO" serve --addr "$NODE_A" --peers "$NODE_A,$NODE_B" --workers 2 &
-PID_A=$!
-"$REPRO" serve --addr "$NODE_B" --peers "$NODE_A,$NODE_B" --workers 2 &
-PID_B=$!
-for node in "$NODE_A" "$NODE_B"; do
-    for _ in $(seq 1 100); do
-        if "$REPRO" --http-get "http://$node/healthz" >/dev/null 2>&1; then
-            break
-        fi
-        sleep 0.1
-    done
-    "$REPRO" --http-get "http://$node/healthz" >/dev/null
-done
-for artifact in $("$REPRO" --list | awk '/^artifacts/{f=1;next} /^ *$/{f=0} f{print $1}'); do
-    "$REPRO" --scale smoke --seed 1996 --format json "$artifact" > "$OUT/RING_CLI.json"
-    "$REPRO" --http-get "http://$NODE_A/run/$artifact?seed=1996&scale=smoke" > "$OUT/RING_A.json"
-    "$REPRO" --http-get "http://$NODE_B/run/$artifact?seed=1996&scale=smoke" > "$OUT/RING_B.json"
-    cmp "$OUT/RING_A.json" "$OUT/RING_CLI.json"
-    cmp "$OUT/RING_B.json" "$OUT/RING_CLI.json"
-done
-PROXIED_A=$("$REPRO" --http-get "http://$NODE_A/metrics" | tr ',' '\n' | grep '"peer_proxied"' | tr -dc '0-9')
-PROXIED_B=$("$REPRO" --http-get "http://$NODE_B/metrics" | tr ',' '\n' | grep '"peer_proxied"' | tr -dc '0-9')
-test "$((PROXIED_A + PROXIED_B))" -ge 1
-kill -TERM "$PID_A" "$PID_B"
-wait "$PID_A" "$PID_B"

@@ -2,20 +2,17 @@
 //!
 //! ```text
 //! repro [--scale smoke|reduced|paper] [--seed N] [--jobs N]
-//!       [--format text|json] [--timing-json PATH] [--serve-bench PATH]
-//!       [--list] [artifact ...]
+//!       [--format text|json] [--list] [artifact ...]
 //! repro <artifact> --trace-out FILE [--scale S] [--seed N] [--format F]
-//! repro <artifact> --capture-bench PATH [--scale S] [--seed N] [--jobs N]
 //! repro reanalyze FILE [--format text|json]
 //! repro trace-info FILE
 //! repro --scenario NAME [--scale S] [--seed N] [--jobs N] [--format F]
 //! repro --validate [--seeds N] [--scale smoke|reduced|paper] [--seed N]
 //!       [--jobs N] [--format text|json]
 //! repro sweep --space NAME|PATH [--points N] [--scale S] [--seed N]
-//!       [--jobs N] [--format text|json] [--timing-json PATH]
+//!       [--jobs N] [--format text|json]
 //! repro serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
 //!       [--timeout-ms N] [--jobs N] [--addr-file PATH] [--store DIR]
-//!       [--peers HOST:PORT,...]
 //! repro --http-get URL
 //! repro --check-json PATH
 //! ```
@@ -50,9 +47,7 @@
 //! `reanalyze FILE` re-runs the paper's classifier over such a file offline
 //! — no simulator involved — and reproduces the originating run's report
 //! byte-for-byte (the CI gate `cmp`s the two). `trace-info FILE` prints the
-//! file's header and stream skeleton without re-analyzing. `--capture-bench
-//! PATH` times the buffered vs streamed capture paths for one artifact and
-//! writes the comparison as JSON (the BENCH_PR9 numbers).
+//! file's header and stream skeleton without re-analyzing.
 //!
 //! `--validate` runs the paper-fidelity harness (`wavelan-validate`)
 //! instead of regenerating artifacts: every expectation for Tables 2–14
@@ -69,11 +64,9 @@
 //! per core; `--jobs 1` is fully serial). Trial seeds derive purely from
 //! `(experiment id, trial index, base seed)` and results merge in
 //! declaration order, so stdout is bit-identical at any worker count —
-//! only the wall-clock report on stderr changes.
-//!
-//! `--timing-json PATH` additionally writes the per-artifact wall-clock
-//! numbers (the same data as the stderr lines) as a JSON document, for
-//! machine consumption by CI perf tracking.
+//! only the wall-clock report on stderr changes: one
+//! `[artifact: S s, N packets, R pkt/s]` line per artifact. Repeatable
+//! measurements with medians and quartiles live in `benchmark/run.sh`.
 //!
 //! `--check-json PATH` parses a JSON file with the vendored round-trip
 //! parser and exits 0 if it is well-formed (2 otherwise) — the CI gate
@@ -86,27 +79,14 @@
 //! with `--addr 127.0.0.1:0`, where the kernel picks the port. `--store
 //! DIR` attaches the persistent result tier: computed responses are
 //! written to `DIR` as content-addressed WLST entries, and a restarted
-//! daemon re-serves them byte-identically without recomputing. `--peers
-//! HOST:PORT,...` (requires an explicit `--addr` that appears in the list)
-//! joins a serving group: the nodes consistent-hash the key space and
-//! proxy misses to the owning node, so any node answers any request.
+//! daemon re-serves them byte-identically without recomputing.
 //!
 //! `--http-get URL` is a minimal HTTP GET client (body to stdout, exit 0
 //! only on HTTP 200) so CI can poke the daemon without `curl`.
 //!
-//! `--serve-bench PATH` extends `--timing-json` with a serve-latency
-//! section: it boots an in-process daemon, measures a cold `/run`
-//! (simulates) versus a cached one (memory) for the first artifact of the
-//! run, then drives a closed-loop load harness over a keep-alive
-//! connection pool — an uncapped burst to find the ceiling, then paced
-//! steps at fractions of it, recording achieved QPS and p50/p95/p99
-//! latency per step and the saturation point (the highest target the
-//! daemon met within 90%). The BENCH_SERVE numbers.
-//!
 //! Unknown flags, unknown artifacts, and malformed values all exit 2 with
 //! a usage message.
 
-use serde::{Serialize, SerializeStruct, Serializer};
 use std::time::{Duration, Instant};
 use wavelan_analysis::json::to_string_pretty;
 use wavelan_bench::{run_report, RunDocument, ARTIFACTS};
@@ -115,19 +95,16 @@ use wavelan_core::{registry, Executor, Scale};
 /// One-line usage summary, printed with every usage error (exit 2).
 const USAGE: &str = "\
 usage: repro [--scale smoke|reduced|paper] [--seed N] [--jobs N]
-             [--format text|json] [--timing-json PATH] [--serve-bench PATH]
-             [--list] [artifact ...]
+             [--format text|json] [--list] [artifact ...]
        repro <artifact> --trace-out FILE [--scale S] [--seed N] [--format F]
-       repro <artifact> --capture-bench PATH [--scale S] [--seed N] [--jobs N]
        repro reanalyze FILE [--format text|json]
        repro trace-info FILE
        repro --scenario NAME [--scale S] [--seed N] [--jobs N] [--format F]
        repro --validate [--seeds N] [--scale S] [--seed N] [--jobs N] [--format F]
        repro sweep --space NAME|PATH [--points N] [--scale S] [--seed N]
-             [--jobs N] [--format text|json] [--timing-json PATH]
+             [--jobs N] [--format text|json]
        repro serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
              [--timeout-ms N] [--jobs N] [--addr-file PATH] [--store DIR]
-             [--peers HOST:PORT,...]
        repro --http-get URL
        repro --check-json PATH
 run `repro --list` for artifact names and `repro --help` for details";
@@ -147,114 +124,6 @@ enum Format {
     Text,
     /// One JSON document of serde-serialized [`wavelan_analysis::Report`]s.
     Json,
-}
-
-/// One timed artifact, for the `--timing-json` report.
-struct Timing {
-    artifact: String,
-    seconds: f64,
-    packets: u64,
-}
-
-impl Serialize for Timing {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("Timing", 4)?;
-        s.serialize_field("artifact", &self.artifact)?;
-        s.serialize_field("seconds", &self.seconds)?;
-        s.serialize_field("packets", &self.packets)?;
-        s.serialize_field(
-            "pkt_per_sec",
-            &(self.packets as f64 / self.seconds.max(1e-9)),
-        )?;
-        s.end()
-    }
-}
-
-/// The whole `--timing-json` document; `--serve-bench` adds the `serve`
-/// section.
-struct TimingDoc {
-    scale: &'static str,
-    seed: u64,
-    jobs: usize,
-    artifacts: Vec<Timing>,
-    total: Timing,
-    serve: Option<ServeBench>,
-}
-
-impl Serialize for TimingDoc {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("TimingDoc", 6)?;
-        s.serialize_field("scale", &self.scale)?;
-        s.serialize_field("seed", &self.seed)?;
-        s.serialize_field("jobs", &self.jobs)?;
-        s.serialize_field("artifacts", &self.artifacts)?;
-        s.serialize_field("total", &self.total)?;
-        if let Some(serve) = &self.serve {
-            s.serialize_field("serve", serve)?;
-        }
-        s.end()
-    }
-}
-
-/// Cold-vs-cached serve latency plus the closed-loop load profile for
-/// one artifact, from an in-process daemon (`--serve-bench`).
-struct ServeBench {
-    artifact: String,
-    scale: &'static str,
-    seed: u64,
-    cold_seconds: f64,
-    cached_seconds: f64,
-    /// `cold_seconds / cached_seconds` — how much the result cache buys.
-    speedup: f64,
-    /// Response body length, identical cold and cached.
-    body_bytes: usize,
-    /// Throughput of the uncapped warm burst — the harness ceiling.
-    max_qps: f64,
-    /// Paced closed-loop steps at fractions of `max_qps`.
-    load: Vec<LoadStep>,
-    /// Highest target QPS the daemon met within 90% (0 if none did).
-    saturation_qps: f64,
-}
-
-impl Serialize for ServeBench {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("ServeBench", 10)?;
-        s.serialize_field("artifact", &self.artifact)?;
-        s.serialize_field("scale", &self.scale)?;
-        s.serialize_field("seed", &self.seed)?;
-        s.serialize_field("cold_seconds", &self.cold_seconds)?;
-        s.serialize_field("cached_seconds", &self.cached_seconds)?;
-        s.serialize_field("speedup", &self.speedup)?;
-        s.serialize_field("body_bytes", &self.body_bytes)?;
-        s.serialize_field("max_qps", &self.max_qps)?;
-        s.serialize_field("load", &self.load)?;
-        s.serialize_field("saturation_qps", &self.saturation_qps)?;
-        s.end()
-    }
-}
-
-/// One paced step of the closed-loop load harness: requests issued at
-/// `target_qps` over keep-alive connections, latencies recorded.
-struct LoadStep {
-    target_qps: f64,
-    achieved_qps: f64,
-    requests: usize,
-    p50_us: f64,
-    p95_us: f64,
-    p99_us: f64,
-}
-
-impl Serialize for LoadStep {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("LoadStep", 6)?;
-        s.serialize_field("target_qps", &self.target_qps)?;
-        s.serialize_field("achieved_qps", &self.achieved_qps)?;
-        s.serialize_field("requests", &self.requests)?;
-        s.serialize_field("p50_us", &self.p50_us)?;
-        s.serialize_field("p95_us", &self.p95_us)?;
-        s.serialize_field("p99_us", &self.p99_us)?;
-        s.end()
-    }
 }
 
 /// Prints the registry listing for `--list`, plus the scripted scenario
@@ -312,10 +181,7 @@ fn main() {
     let mut validate = false;
     let mut scenario: Option<String> = None;
     let mut seeds = 3u64;
-    let mut timing_json_path: Option<String> = None;
-    let mut serve_bench_path: Option<String> = None;
     let mut trace_out_path: Option<String> = None;
-    let mut capture_bench_path: Option<String> = None;
     let mut artifacts: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -390,32 +256,11 @@ fn main() {
                     .filter(|n| *n > 0)
                     .unwrap_or_else(|| usage_error("--seeds needs a positive number"))
             }
-            "--timing-json" => {
-                timing_json_path = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage_error("--timing-json needs a path")),
-                )
-            }
-            "--serve-bench" => {
-                serve_bench_path = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage_error("--serve-bench needs a path")),
-                )
-            }
             "--trace-out" => {
                 trace_out_path = Some(
                     it.next()
                         .cloned()
                         .unwrap_or_else(|| usage_error("--trace-out needs a path")),
-                )
-            }
-            "--capture-bench" => {
-                capture_bench_path = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage_error("--capture-bench needs a path")),
                 )
             }
             "--help" | "-h" => {
@@ -493,12 +338,6 @@ fn main() {
         }
         run_trace_export(&artifacts[0], &path, scale, seed, format);
     }
-    if let Some(path) = capture_bench_path {
-        if artifacts.len() != 1 {
-            usage_error("--capture-bench times exactly one artifact (name it explicitly)");
-        }
-        run_capture_bench(&artifacts[0], &path, scale, seed, jobs);
-    }
 
     let exec = Executor::new(jobs);
     eprintln!("[executor: {} worker(s)]", exec.jobs());
@@ -509,7 +348,6 @@ fn main() {
     }
     let total_start = Instant::now();
     let mut total_packets = 0u64;
-    let mut timings: Vec<Timing> = Vec::new();
     let mut reports = Vec::new();
     for artifact in &artifacts {
         let start = Instant::now();
@@ -529,11 +367,6 @@ fn main() {
             packets as f64 / elapsed.max(1e-9)
         );
         total_packets += packets;
-        timings.push(Timing {
-            artifact: artifact.clone(),
-            seconds: elapsed,
-            packets,
-        });
     }
     if format == Format::Json {
         let doc = RunDocument {
@@ -550,71 +383,6 @@ fn main() {
         total_packets,
         total_packets as f64 / total.max(1e-9)
     );
-    if timing_json_path.is_some() || serve_bench_path.is_some() {
-        let mut doc = TimingDoc {
-            scale: scale.name(),
-            seed,
-            jobs: exec.jobs(),
-            artifacts: timings,
-            total: Timing {
-                artifact: String::from("total"),
-                seconds: total,
-                packets: total_packets,
-            },
-            serve: None,
-        };
-        if let Some(path) = timing_json_path {
-            write_json_or_die(&path, &to_string_pretty(&doc));
-            eprintln!("[timing report written to {path}]");
-        }
-        if let Some(path) = serve_bench_path {
-            let artifact = artifacts.first().expect("run loop requires artifacts");
-            doc.serve = Some(bench_serve(artifact, scale, seed).unwrap_or_else(|why| {
-                eprintln!("serve benchmark failed: {why}");
-                std::process::exit(1);
-            }));
-            write_json_or_die(&path, &to_string_pretty(&doc));
-            eprintln!("[serve benchmark written to {path}]");
-        }
-    }
-}
-
-/// One sweep's wall-clock record, for `sweep --timing-json` (CI throughput
-/// tracking — points per second is the headline).
-struct SweepTiming {
-    space: String,
-    space_hash: String,
-    sampling: String,
-    scale: &'static str,
-    seed: u64,
-    jobs: usize,
-    points: usize,
-    total_packets: u64,
-    seconds: f64,
-}
-
-impl Serialize for SweepTiming {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("SweepTiming", 11)?;
-        s.serialize_field("space", &self.space)?;
-        s.serialize_field("space_hash", &self.space_hash)?;
-        s.serialize_field("sampling", &self.sampling)?;
-        s.serialize_field("scale", &self.scale)?;
-        s.serialize_field("seed", &self.seed)?;
-        s.serialize_field("jobs", &self.jobs)?;
-        s.serialize_field("points", &self.points)?;
-        s.serialize_field("total_packets", &self.total_packets)?;
-        s.serialize_field("seconds", &self.seconds)?;
-        s.serialize_field(
-            "points_per_sec",
-            &(self.points as f64 / self.seconds.max(1e-9)),
-        )?;
-        s.serialize_field(
-            "pkt_per_sec",
-            &(self.total_packets as f64 / self.seconds.max(1e-9)),
-        )?;
-        s.end()
-    }
 }
 
 /// The `repro sweep` subcommand: expand a parameter space and run it over
@@ -630,7 +398,6 @@ fn sweep_main(args: &[String]) -> ! {
     let mut seed = 1996u64;
     let mut jobs = 0usize;
     let mut format = Format::Text;
-    let mut timing_json_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -675,13 +442,6 @@ fn sweep_main(args: &[String]) -> ! {
                     Some("json") => Format::Json,
                     other => usage_error(&format!("unknown format {other:?} (text or json)")),
                 }
-            }
-            "--timing-json" => {
-                timing_json_path = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage_error("--timing-json needs a path")),
-                )
             }
             flag => usage_error(&format!("unknown sweep flag {flag}")),
         }
@@ -733,21 +493,6 @@ fn sweep_main(args: &[String]) -> ! {
     match format {
         Format::Text => print!("{}", doc.render_text()),
         Format::Json => print!("{}", to_string_pretty(&doc)),
-    }
-    if let Some(path) = timing_json_path {
-        let timing = SweepTiming {
-            space: doc.space.clone(),
-            space_hash: format!("{:016x}", doc.space_hash),
-            sampling: doc.sampling.to_string(),
-            scale: scale.name(),
-            seed,
-            jobs: exec.jobs(),
-            points: doc.points.len(),
-            total_packets: doc.total_packets,
-            seconds,
-        };
-        write_json_or_die(&path, &to_string_pretty(&timing));
-        eprintln!("[sweep timing written to {path}]");
     }
     std::process::exit(0);
 }
@@ -878,89 +623,6 @@ fn trace_info_main(args: &[String]) -> ! {
     }
 }
 
-/// Buffered-vs-streamed capture throughput for one artifact, as JSON
-/// (`--capture-bench` — the BENCH_PR9 numbers).
-struct CaptureBench {
-    artifact: String,
-    scale: &'static str,
-    seed: u64,
-    jobs: usize,
-    packets: u64,
-    buffered_seconds: f64,
-    streamed_seconds: f64,
-    buffered_pkt_per_sec: f64,
-    streamed_pkt_per_sec: f64,
-    /// `buffered_seconds / streamed_seconds` — above 1.0 means streaming
-    /// is faster.
-    streamed_speedup: f64,
-}
-
-impl Serialize for CaptureBench {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("CaptureBench", 10)?;
-        s.serialize_field("artifact", &self.artifact)?;
-        s.serialize_field("scale", &self.scale)?;
-        s.serialize_field("seed", &self.seed)?;
-        s.serialize_field("jobs", &self.jobs)?;
-        s.serialize_field("packets", &self.packets)?;
-        s.serialize_field("buffered_seconds", &self.buffered_seconds)?;
-        s.serialize_field("streamed_seconds", &self.streamed_seconds)?;
-        s.serialize_field("buffered_pkt_per_sec", &self.buffered_pkt_per_sec)?;
-        s.serialize_field("streamed_pkt_per_sec", &self.streamed_pkt_per_sec)?;
-        s.serialize_field("streamed_speedup", &self.streamed_speedup)?;
-        s.end()
-    }
-}
-
-/// `<artifact> --capture-bench PATH`: time the buffered and streamed
-/// capture paths (same trials, same seeds), assert their reports agree, and
-/// write the comparison as JSON.
-fn run_capture_bench(artifact: &str, path: &str, scale: Scale, seed: u64, jobs: usize) -> ! {
-    use wavelan_core::{capture_report, CaptureMode};
-    let entry = registry::find(artifact).expect("validated by caller");
-    let exec = Executor::new(jobs);
-    eprintln!("[executor: {} worker(s)]", exec.jobs());
-    let time = |mode: CaptureMode| {
-        let start = Instant::now();
-        let report = capture_report(entry, scale, seed, &exec, mode);
-        (start.elapsed().as_secs_f64(), report)
-    };
-    let (buffered_seconds, buffered) = time(CaptureMode::Buffered);
-    let (streamed_seconds, streamed) = time(CaptureMode::Streamed);
-    if buffered.render() != streamed.render() {
-        eprintln!("capture paths disagree: buffered and streamed reports differ");
-        std::process::exit(1);
-    }
-    let packets = buffered.packets;
-    let bench = CaptureBench {
-        artifact: artifact.to_string(),
-        scale: scale.name(),
-        seed,
-        jobs: exec.jobs(),
-        packets,
-        buffered_seconds,
-        streamed_seconds,
-        buffered_pkt_per_sec: packets as f64 / buffered_seconds.max(1e-9),
-        streamed_pkt_per_sec: packets as f64 / streamed_seconds.max(1e-9),
-        streamed_speedup: buffered_seconds / streamed_seconds.max(1e-9),
-    };
-    eprintln!(
-        "[capture {artifact}: buffered {:.3}s, streamed {:.3}s, {:.2}x]",
-        buffered_seconds, streamed_seconds, bench.streamed_speedup
-    );
-    write_json_or_die(path, &to_string_pretty(&bench));
-    eprintln!("[capture benchmark written to {path}]");
-    std::process::exit(0);
-}
-
-/// Writes a JSON document or exits 2 with the I/O error.
-fn write_json_or_die(path: &str, json: &str) {
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(2);
-    }
-}
-
 /// `--http-get URL`: fetch, print the body, exit 0 only on HTTP 200.
 fn http_get(url: &str) -> ! {
     if wavelan_serve::client::split_url(url).is_none() {
@@ -982,179 +644,6 @@ fn http_get(url: &str) -> ! {
             std::process::exit(1);
         }
     }
-}
-
-/// `--serve-bench`: boots an in-process daemon on an ephemeral port and
-/// measures one artifact's `/run` cold (simulating) and cached (memory).
-fn bench_serve(artifact: &str, scale: Scale, seed: u64) -> Result<ServeBench, String> {
-    use wavelan_serve::{client, Config, Server};
-    let server = Server::bind(
-        "127.0.0.1:0",
-        Config {
-            workers: 2,
-            ..Config::default()
-        },
-    )
-    .map_err(|e| format!("bind: {e}"))?;
-    let addr = server
-        .local_addr()
-        .map_err(|e| format!("addr: {e}"))?
-        .to_string();
-    let handle = server.shutdown_handle();
-    let daemon = std::thread::spawn(move || server.run());
-    let ready =
-        (0..200).any(
-            |_| match client::get(&addr, "/healthz", Duration::from_millis(250)) {
-                Ok(r) if r.status == 200 => true,
-                _ => {
-                    std::thread::sleep(Duration::from_millis(10));
-                    false
-                }
-            },
-        );
-    if !ready {
-        handle.request();
-        let _ = daemon.join();
-        return Err(String::from("daemon never became healthy"));
-    }
-    let path = format!("/run/{artifact}?seed={seed}&scale={}", scale.name());
-    let fetch = |label: &str| -> Result<(f64, String), String> {
-        let start = Instant::now();
-        let response = client::get(&addr, &path, Duration::from_secs(600))
-            .map_err(|e| format!("{label} fetch: {e}"))?;
-        let elapsed = start.elapsed().as_secs_f64();
-        if response.status != 200 {
-            return Err(format!("{label} fetch: HTTP {}", response.status));
-        }
-        Ok((elapsed, response.body))
-    };
-    let result = fetch("cold")
-        .and_then(|(cold_seconds, cold_body)| {
-            let (cached_seconds, cached_body) = fetch("cached")?;
-            if cold_body != cached_body {
-                return Err(String::from("cached body differs from cold body"));
-            }
-            Ok(ServeBench {
-                artifact: artifact.to_string(),
-                scale: scale.name(),
-                seed,
-                cold_seconds,
-                cached_seconds,
-                speedup: cold_seconds / cached_seconds.max(1e-9),
-                body_bytes: cold_body.len(),
-                max_qps: 0.0,
-                load: Vec::new(),
-                saturation_qps: 0.0,
-            })
-        })
-        .and_then(|bench| run_load_harness(&addr, &path, bench));
-    handle.request();
-    let _ = daemon.join();
-    let bench = result?;
-    eprintln!(
-        "[serve: {artifact} cold {:.4}s, cached {:.6}s, {:.0}x; \
-         max {:.0} qps, saturation {:.0} qps]",
-        bench.cold_seconds, bench.cached_seconds, bench.speedup, bench.max_qps, bench.saturation_qps
-    );
-    Ok(bench)
-}
-
-/// The closed-loop section of `--serve-bench`: an uncapped warm burst
-/// over keep-alive connections finds the throughput ceiling, then paced
-/// steps at fractions of it record achieved QPS and latency percentiles.
-/// Saturation is the highest target the daemon met within 90%.
-fn run_load_harness(addr: &str, path: &str, mut bench: ServeBench) -> Result<ServeBench, String> {
-    const WINDOW: Duration = Duration::from_millis(400);
-    const FRACTIONS: [f64; 5] = [0.25, 0.5, 0.75, 0.9, 1.05];
-    let burst = load_window(addr, path, 0.0, WINDOW)?;
-    if burst.is_empty() {
-        return Err(String::from("uncapped burst completed no requests"));
-    }
-    bench.max_qps = burst.len() as f64 / WINDOW.as_secs_f64();
-    for fraction in FRACTIONS {
-        let target_qps = bench.max_qps * fraction;
-        let mut lat = load_window(addr, path, target_qps, WINDOW)?;
-        let achieved_qps = lat.len() as f64 / WINDOW.as_secs_f64();
-        lat.sort_by(|a, b| a.total_cmp(b));
-        if achieved_qps >= 0.9 * target_qps {
-            bench.saturation_qps = bench.saturation_qps.max(target_qps);
-        }
-        bench.load.push(LoadStep {
-            target_qps,
-            achieved_qps,
-            requests: lat.len(),
-            p50_us: percentile(&lat, 50.0),
-            p95_us: percentile(&lat, 95.0),
-            p99_us: percentile(&lat, 99.0),
-        });
-    }
-    Ok(bench)
-}
-
-/// Issues closed-loop requests over a small keep-alive connection pool
-/// for `window`, pacing to `target_qps` (0 = uncapped), and returns the
-/// per-request latencies in microseconds. Reconnects once per request if
-/// the server retires a connection (per-connection request cap).
-fn load_window(
-    addr: &str,
-    path: &str,
-    target_qps: f64,
-    window: Duration,
-) -> Result<Vec<f64>, String> {
-    use wavelan_serve::client::Conn;
-    const POOL: usize = 2;
-    let timeout = Duration::from_secs(10);
-    let mut pool = Vec::with_capacity(POOL);
-    for _ in 0..POOL {
-        pool.push(Conn::connect(addr, timeout).map_err(|e| format!("load connect: {e}"))?);
-    }
-    let interval = if target_qps > 0.0 {
-        Duration::from_secs_f64(1.0 / target_qps)
-    } else {
-        Duration::ZERO
-    };
-    let start = Instant::now();
-    let mut latencies = Vec::new();
-    let mut sent = 0usize;
-    loop {
-        let now = start.elapsed();
-        if now >= window {
-            break;
-        }
-        if !interval.is_zero() {
-            let due = interval.mul_f64(sent as f64);
-            if due > now {
-                std::thread::sleep(due - now);
-                if start.elapsed() >= window {
-                    break;
-                }
-            }
-        }
-        let conn = &mut pool[sent % POOL];
-        let issued = Instant::now();
-        let response = match conn.request(path) {
-            Ok(r) => r,
-            Err(_) => {
-                *conn = Conn::connect(addr, timeout).map_err(|e| format!("load reconnect: {e}"))?;
-                conn.request(path).map_err(|e| format!("load fetch: {e}"))?
-            }
-        };
-        if response.status != 200 {
-            return Err(format!("load fetch: HTTP {}", response.status));
-        }
-        latencies.push(issued.elapsed().as_secs_f64() * 1e6);
-        sent += 1;
-    }
-    Ok(latencies)
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice (0 if empty).
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// The `repro serve` subcommand: parse flags, install signal handlers,
@@ -1218,20 +707,8 @@ fn serve_main(args: &[String]) -> ! {
                         .unwrap_or_else(|| usage_error("--store needs a directory")),
                 ))
             }
-            "--peers" => {
-                config.peers = it
-                    .next()
-                    .map(|s| s.split(',').map(str::to_string).collect())
-                    .unwrap_or_else(|| usage_error("--peers needs HOST:PORT,..."))
-            }
             flag => usage_error(&format!("unknown serve flag {flag}")),
         }
-    }
-    if !config.peers.is_empty() {
-        if !config.peers.iter().any(|p| p == &addr) {
-            usage_error("--peers requires an explicit --addr that appears in the peer list");
-        }
-        config.self_addr = Some(addr.clone());
     }
     signals::install();
     let server = Server::bind(&addr, config).unwrap_or_else(|e| {

@@ -143,15 +143,29 @@ fn serve_rejects_unknown_flags() {
 }
 
 #[test]
-fn serve_store_and_peers_flag_errors_exit_two() {
-    // Flags without values.
+fn serve_store_flag_without_value_exits_two() {
     assert_eq!(repro(&["serve", "--store"]).status.code(), Some(2));
-    assert_eq!(repro(&["serve", "--peers"]).status.code(), Some(2));
-    // A peer ring the daemon is not a member of must be refused before
-    // binding anything: --peers requires an explicit --addr in the list.
-    let out = repro(&["serve", "--peers", "127.0.0.1:1,127.0.0.1:2"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("--addr"));
+}
+
+/// `--timing-json`, `--serve-bench`, `--capture-bench` and `--peers` are
+/// not flags of any subcommand: each is a usage error before any run.
+#[test]
+fn removed_flags_are_unknown() {
+    for args in [
+        &["--timing-json", "t.json", "tdma"][..],
+        &["--serve-bench", "s.json", "tdma"],
+        &["tdma", "--capture-bench", "c.json"],
+        &["sweep", "--space", "oven-smoke", "--timing-json", "t.json"],
+        &["serve", "--peers", "127.0.0.1:1,127.0.0.1:2"],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            stderr(&out).contains("unknown"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
 }
 
 /// Pins the usage text: every subcommand and flag the scripting surface
@@ -167,11 +181,8 @@ fn usage_text_lists_every_subcommand_and_flag() {
         "--seed N",
         "--jobs N",
         "--format text|json",
-        "--timing-json PATH",
-        "--serve-bench PATH",
         "--list",
         "--trace-out FILE",
-        "--capture-bench PATH",
         "repro reanalyze FILE",
         "repro trace-info FILE",
         "--scenario NAME",
@@ -187,10 +198,23 @@ fn usage_text_lists_every_subcommand_and_flag() {
         "--timeout-ms N",
         "--addr-file PATH",
         "--store DIR",
-        "--peers HOST:PORT,...",
         "--http-get URL",
         "--check-json PATH",
     ] {
-        assert!(usage.contains(needle), "usage must mention {needle:?}:\n{usage}");
+        assert!(
+            usage.contains(needle),
+            "usage must mention {needle:?}:\n{usage}"
+        );
+    }
+    for gone in [
+        "--timing-json",
+        "--serve-bench",
+        "--capture-bench",
+        "--peers",
+    ] {
+        assert!(
+            !usage.contains(gone),
+            "usage still mentions {gone:?}:\n{usage}"
+        );
     }
 }

@@ -1,5 +1,5 @@
 //! A minimal blocking HTTP/1.1 client, for the CI smoke test, the serve
-//! benchmark, the ring proxy path, and the integration tests — the same
+//! benchmark, and the integration tests — the same
 //! no-dependency constraint as the server, so `repro --http-get` works
 //! where `curl` is absent.
 //!
@@ -9,9 +9,8 @@
 //!   to EOF — simplest possible, used where a single request is the point.
 //! - [`Conn`]: a persistent connection that frames responses by
 //!   `Content-Length`, so many requests ride one socket — what the
-//!   closed-loop load harness and the ring proxy use.
+//!   keep-alive and pipelining tests use.
 
-use crate::http::PROXIED_HEADER;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -28,33 +27,13 @@ pub struct HttpResponse {
 /// Fetches `path` (e.g. `/healthz`) from `addr` (`host:port`), with
 /// `timeout` applied to connect, read, and write independently.
 pub fn get(addr: &str, path: &str, timeout: Duration) -> std::io::Result<HttpResponse> {
-    get_with_headers(addr, path, timeout, &[])
-}
-
-/// [`get`] with the ring-proxy marker header set, so the receiving peer
-/// computes locally instead of proxying again (loop prevention).
-pub fn get_proxied(addr: &str, path: &str, timeout: Duration) -> std::io::Result<HttpResponse> {
-    get_with_headers(addr, path, timeout, &[(PROXIED_HEADER, "1")])
-}
-
-/// One-shot `Connection: close` fetch with extra request headers.
-fn get_with_headers(
-    addr: &str,
-    path: &str,
-    timeout: Duration,
-    extra: &[(&str, &str)],
-) -> std::io::Result<HttpResponse> {
     let sock_addr = addr
         .parse::<std::net::SocketAddr>()
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
     let mut stream = TcpStream::connect_timeout(&sock_addr, timeout)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
-    let mut request = format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n");
-    for (name, value) in extra {
-        request.push_str(&format!("{name}: {value}\r\n"));
-    }
-    request.push_str("\r\n");
+    let request = format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
     stream.write_all(request.as_bytes())?;
     let mut raw = String::new();
     stream.read_to_string(&mut raw)?;

@@ -42,13 +42,6 @@
 //! hash, so editing an experiment invalidates its stored results instead
 //! of serving stale bytes.
 //!
-//! With `Config::peers`, N daemons **consistent-hash the key space**
-//! ([`wavelan_store::HashRing`]): a miss on a key another node owns is
-//! proxied to that owner (marked so it can never proxy onward) and cached
-//! L1-only here — the owner's disk is the durable copy. Any node answers
-//! any request with identical bytes; a proxy failure falls back to local
-//! compute.
-//!
 //! Misses run on a detached compute thread (each request gets its own
 //! [`Executor`], the same deterministic trial fan-out the CLI uses) so the
 //! worker can enforce the **per-request deadline**: a run that outlives it
@@ -68,7 +61,7 @@ pub mod http;
 pub mod metrics;
 pub mod signals;
 
-use http::{read_request, read_request_from, write_response, ReadOutcome, Request};
+use http::{read_request_from, write_response, ReadOutcome, Request};
 use metrics::{Metrics, SnapshotContext};
 use serde::{Serialize, SerializeStruct, Serializer};
 use std::collections::VecDeque;
@@ -83,7 +76,7 @@ use std::time::{Duration, Instant};
 use wavelan_analysis::json::to_string_pretty;
 use wavelan_analysis::RunDocument;
 use wavelan_core::{registry, registry_spec_hashes, sweep, Executor, Scale};
-use wavelan_store::{HashRing, StoreKey, TieredStore};
+use wavelan_store::{StoreKey, TieredStore};
 
 /// Tuning knobs for a [`Server`].
 #[derive(Debug, Clone)]
@@ -108,12 +101,6 @@ pub struct Config {
     /// memory-only. Paper-default keys found here are warmed into L1 at
     /// bind.
     pub store_dir: Option<PathBuf>,
-    /// Every node of the serving group (`host:port`, this node included).
-    /// Empty means standalone. Non-empty requires [`Config::self_addr`].
-    pub peers: Vec<String>,
-    /// This node's own entry in [`Config::peers`] — how it recognizes the
-    /// keys it owns.
-    pub self_addr: Option<String>,
 }
 
 impl Default for Config {
@@ -125,8 +112,6 @@ impl Default for Config {
             request_timeout: Duration::from_secs(30),
             jobs_per_run: 1,
             store_dir: None,
-            peers: Vec::new(),
-            self_addr: None,
         }
     }
 }
@@ -162,8 +147,6 @@ struct State {
     available: Condvar,
     metrics: Metrics,
     tier: TieredStore,
-    ring: Option<HashRing>,
-    self_node: Option<String>,
     workers: usize,
     queue_depth: usize,
     request_timeout: Duration,
@@ -229,26 +212,6 @@ impl Server {
         if config.store_dir.is_some() {
             tier.warm(&paper_default_keys());
         }
-        let (ring, self_node) = if config.peers.is_empty() {
-            (None, None)
-        } else {
-            let ring = HashRing::new(&config.peers).ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidInput, "peer list is empty")
-            })?;
-            let self_addr = config.self_addr.clone().ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "peers configured without this node's own address",
-                )
-            })?;
-            if !ring.nodes().contains(&self_addr) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("own address {self_addr:?} is not in the peer list"),
-                ));
-            }
-            (Some(ring), Some(self_addr))
-        };
         Ok(Server {
             listener,
             state: Arc::new(State {
@@ -261,8 +224,6 @@ impl Server {
                 available: Condvar::new(),
                 metrics: Metrics::new(),
                 tier,
-                ring,
-                self_node,
                 workers,
                 queue_depth: config.queue_depth,
                 request_timeout: config.request_timeout,
@@ -355,7 +316,7 @@ fn admit(state: &Arc<State>, stream: TcpStream) {
         // the 429 bytes before the client reads them.
         let mut stream = stream;
         let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
-        let _ = read_request(&mut stream);
+        let _ = read_request_from(&mut stream, &mut Vec::new());
         respond(
             state,
             &mut stream,
@@ -413,7 +374,7 @@ fn worker_loop(state: &Arc<State>) {
 
 /// What a compute endpoint produced.
 enum Computed {
-    /// The response body (from a tier, a ring peer, or a finished run).
+    /// The response body (from a tier or a finished run).
     Body(Arc<String>),
     /// The per-request deadline passed before the run finished.
     DeadlineExceeded,
@@ -510,7 +471,6 @@ fn handle_request(
                 workers: state.workers,
                 queue_depth: state.queue_depth,
                 tier: state.tier.snapshot(),
-                peers: state.ring.as_ref().map(HashRing::len).unwrap_or(0),
             });
             respond(state, stream, 200, "metrics", started, true, close, |_| {
                 ("application/json", to_string_pretty(&snapshot))
@@ -572,7 +532,7 @@ fn handle_run(
     let spec_hash = wavelan_core::spec_hash(&experiment.spec());
     let jobs = state.jobs_per_run;
     let (seed, scale) = (params.seed, params.scale);
-    let computed = lookup_or_compute(state, &key, spec_hash, request, started, move || {
+    let computed = lookup_or_compute(state, &key, spec_hash, started, move || {
         let exec = Executor::new(jobs);
         let report = experiment.run(scale, seed, &exec);
         to_string_pretty(&RunDocument {
@@ -606,7 +566,7 @@ fn handle_validate(
     let (seed, scale, seeds) = (params.seed, params.scale, params.seeds);
     // The fidelity report spans every artifact; no single scenario spec
     // identifies it, so its entries carry spec hash 0.
-    let computed = lookup_or_compute(state, &key, 0, request, started, move || {
+    let computed = lookup_or_compute(state, &key, 0, started, move || {
         let exec = Executor::new(jobs);
         let config = wavelan_validate::Config {
             scale,
@@ -684,7 +644,7 @@ fn handle_sweep(
     let jobs = state.jobs_per_run;
     let seed = params.seed;
     // The canonical space hash *is* the sweep's spec identity.
-    let computed = lookup_or_compute(state, &key, space_hash, request, started, move || {
+    let computed = lookup_or_compute(state, &key, space_hash, started, move || {
         let exec = Executor::new(jobs);
         let doc = space
             .run(scale, seed, &exec)
@@ -744,21 +704,17 @@ impl RunParams {
     }
 }
 
-/// Serves `key` from the result tier; on a miss, proxies to the ring peer
-/// owning the key (when one exists and this request wasn't itself
-/// proxied), and otherwise runs `produce` on a detached compute thread
-/// under the request deadline.
+/// Serves `key` from the result tier; on a miss, runs `produce` on a
+/// detached compute thread under the request deadline.
 ///
 /// The detached thread inserts into the tier itself, so a response
 /// abandoned at the deadline still warms the store for the next attempt —
 /// and a panicking run unwinds that thread alone, reported back here as
-/// [`Computed::Panicked`]. Proxied bodies are cached L1-only: the owning
-/// node's disk is the durable copy.
+/// [`Computed::Panicked`].
 fn lookup_or_compute<F>(
     state: &Arc<State>,
     key: &StoreKey,
     spec_hash: u64,
-    request: &Request,
     started: Instant,
     produce: F,
 ) -> Computed
@@ -771,29 +727,6 @@ where
     }
     state.metrics.cache_miss();
     let deadline = started + state.request_timeout;
-    if let (Some(ring), Some(self_node)) = (&state.ring, &state.self_node) {
-        // A proxied request is computed here no matter who owns the key —
-        // the owner forwarding to the owner would loop forever.
-        if !request.is_proxied() {
-            let owner = ring.owner(key.hash());
-            if owner != self_node {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if !remaining.is_zero() {
-                    match client::get_proxied(owner, &request.target, remaining) {
-                        Ok(resp) if resp.status == 200 => {
-                            let body = Arc::new(resp.body);
-                            state.tier.insert_l1_only(key, Arc::clone(&body));
-                            state.metrics.peer_proxy();
-                            return Computed::Body(body);
-                        }
-                        // Peer down or erroring: compute locally rather
-                        // than fail the request.
-                        Ok(_) | Err(_) => {}
-                    }
-                }
-            }
-        }
-    }
     let (tx, rx) = mpsc::channel::<Result<Arc<String>, String>>();
     {
         // The thread outlives a timed-out request on purpose; it owns a

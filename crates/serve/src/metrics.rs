@@ -99,8 +99,6 @@ pub struct Metrics {
     in_flight: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-    /// Misses answered by proxying to the owning ring peer.
-    peer_proxied: AtomicU64,
     status: Mutex<BTreeMap<u16, u64>>,
     latency: Mutex<BTreeMap<String, Histogram>>,
 }
@@ -116,7 +114,6 @@ impl Metrics {
             in_flight: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
-            peer_proxied: AtomicU64::new(0),
             status: Mutex::new(BTreeMap::new()),
             latency: Mutex::new(BTreeMap::new()),
         }
@@ -165,11 +162,6 @@ impl Metrics {
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a miss served by proxying to the owning ring peer.
-    pub fn peer_proxy(&self) {
-        self.peer_proxied.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Cache hits so far.
     pub fn cache_hits(&self) -> u64 {
         self.cache_hits.load(Ordering::Relaxed)
@@ -191,7 +183,6 @@ impl Metrics {
             in_flight: self.in_flight.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            peer_proxied: self.peer_proxied.load(Ordering::Relaxed),
             status: self.status.lock().unwrap().clone(),
             latency: self.latency.lock().unwrap().clone(),
             ctx,
@@ -216,8 +207,6 @@ pub struct SnapshotContext {
     /// The result tier's own counters (L1/L2 hits, evictions, persist
     /// errors, warming).
     pub tier: TierSnapshot,
-    /// Ring peers this daemon proxies to (0 when running standalone).
-    pub peers: usize,
 }
 
 /// A serializable point-in-time view of [`Metrics`].
@@ -235,10 +224,8 @@ pub struct Snapshot {
     pub in_flight: u64,
     /// Responses served from the result tier (L1 or L2).
     pub cache_hits: u64,
-    /// Responses no tier could answer (computed or proxied).
+    /// Responses no tier could answer (computed).
     pub cache_misses: u64,
-    /// Misses answered by proxying to the owning ring peer.
-    pub peer_proxied: u64,
     /// Served responses by status code.
     pub status: BTreeMap<u16, u64>,
     /// Latency histograms by routing label (`run:table2`, `validate`,
@@ -250,11 +237,10 @@ pub struct Snapshot {
 
 impl Serialize for Snapshot {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("Snapshot", 14)?;
+        let mut s = serializer.serialize_struct("Snapshot", 11)?;
         s.serialize_field("uptime_seconds", &self.uptime_seconds)?;
         s.serialize_field("workers", &self.ctx.workers)?;
         s.serialize_field("queue_depth", &self.ctx.queue_depth)?;
-        s.serialize_field("peers", &(self.ctx.peers as u64))?;
         s.serialize_field("admitted", &self.admitted)?;
         s.serialize_field("completed", &self.completed)?;
         s.serialize_field("rejected", &self.rejected)?;
@@ -278,7 +264,6 @@ impl Serialize for Snapshot {
         store.insert("read_errors", tier.read_errors);
         store.insert("warmed", tier.warmed);
         store.insert("disk_enabled", u64::from(tier.disk_enabled));
-        store.insert("peer_proxied", self.peer_proxied);
         s.serialize_field("store", &SortedMap(&store))?;
         s.serialize_field("status", &SortedMap(&self.status))?;
         s.serialize_field("latency", &SortedMap(&self.latency))?;
@@ -310,7 +295,6 @@ mod tests {
         m.complete(200, "run:table2", Duration::from_millis(3), true);
         m.reject();
         m.complete(429, "admission", Duration::ZERO, false);
-        m.peer_proxy();
         let snap = m.snapshot(SnapshotContext {
             workers: 4,
             queue_depth: 64,
@@ -326,7 +310,6 @@ mod tests {
                 l1_entries: 1,
                 l1_capacity: 256,
             },
-            peers: 2,
         });
         let json = wavelan_analysis::json::to_string_pretty(&snap);
         let value = wavelan_analysis::json::parse(&json).expect("well-formed");
@@ -343,10 +326,8 @@ mod tests {
             store.get("l2_hits"),
             Some(&wavelan_analysis::json::Value::Number("3".into()))
         );
-        assert_eq!(
-            store.get("peer_proxied"),
-            Some(&wavelan_analysis::json::Value::Number("1".into()))
-        );
+        assert!(store.get("peer_proxied").is_none(), "no peer counter");
+        assert!(value.get("peers").is_none(), "no peer count");
         let latency = value.get("latency").expect("latency map");
         assert!(latency.get("run:table2").is_some());
         assert!(latency.get("admission").is_some());

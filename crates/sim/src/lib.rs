@@ -29,9 +29,8 @@
 //!   record is logged,
 //! * [`station`] — a WaveLAN host: PHY + MAC + CSMA/CA + trace capture,
 //! * [`runner`] — scenario assembly and trial execution,
-//! * [`trace`] — the packet trace format,
-//! * [`tracefile`] — versioned binary persistence for traces (capture once,
-//!   analyze many times).
+//! * [`trace`] — the packet trace format (persisted by the WLTC codec in
+//!   `wavelan-analysis::tracecodec`).
 
 pub mod event;
 pub mod floorplan;
@@ -43,7 +42,6 @@ pub mod propagation;
 pub mod runner;
 pub mod station;
 pub mod trace;
-pub mod tracefile;
 
 pub use floorplan::{FloorPlan, Wall};
 pub use geometry::{Point, Segment};

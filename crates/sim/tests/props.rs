@@ -8,45 +8,7 @@ use wavelan_phy::Material;
 use wavelan_sim::frame::FrameRecipe;
 use wavelan_sim::geometry::{Point, Segment};
 use wavelan_sim::station::FrameKind;
-use wavelan_sim::trace::{GroundTruth, Trace, TraceRecord};
-use wavelan_sim::tracefile::{read_trace, write_trace};
 use wavelan_sim::{FloorPlan, Propagation};
-
-/// Strategy for arbitrary trace records.
-fn record_strategy() -> impl Strategy<Value = TraceRecord> {
-    (
-        any::<u64>(),
-        proptest::collection::vec(any::<u8>(), 0..300),
-        0u32..=2000,
-        any::<u8>(),
-        any::<u8>(),
-        1u8..=15,
-        0u8..=1,
-        proptest::option::of((
-            any::<u16>(),
-            proptest::option::of(any::<u32>()),
-            any::<u32>(),
-            any::<bool>(),
-        )),
-    )
-        .prop_map(
-            |(time_ns, bytes, wire_len, level, silence, quality, antenna, truth)| TraceRecord {
-                time_ns,
-                bytes,
-                wire_len,
-                level,
-                silence,
-                quality,
-                antenna,
-                truth: truth.map(|(src, seq, corrupted_bits, truncated)| GroundTruth {
-                    src_station: usize::from(src),
-                    seq,
-                    corrupted_bits,
-                    truncated,
-                }),
-            },
-        )
-}
 
 /// Arbitrary link and IP addresses.
 fn endpoint() -> impl Strategy<Value = Endpoint> {
@@ -107,23 +69,6 @@ proptest! {
         prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
         prop_assert_eq!(&out[prefix.len()..], &layered_frame(&recipe)[..]);
         prop_assert_eq!(out.len() - prefix.len(), recipe.wire_len());
-    }
-
-    /// The WLTR trace format round-trips arbitrary traces bit-exactly.
-    #[test]
-    fn tracefile_round_trip(
-        records in proptest::collection::vec(record_strategy(), 0..40),
-        transmitted in any::<u64>(),
-        dropped in any::<u64>(),
-    ) {
-        let trace = Trace {
-            records,
-            packets_transmitted: transmitted,
-            packets_dropped_by_mac: dropped,
-        };
-        let mut buf = Vec::new();
-        write_trace(&trace, &mut buf).unwrap();
-        prop_assert_eq!(read_trace(&buf[..]).unwrap(), trace);
     }
 
     /// Segment intersection is symmetric.

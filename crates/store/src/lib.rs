@@ -23,22 +23,15 @@
 //! - [`tier::TieredStore`] — L1 in front of an optional L2, with atomic
 //!   hit/miss/evict/persist-error counters ([`tier::TierSnapshot`]) and
 //!   startup warming of a chosen key set.
-//!
-//! [`ring::HashRing`] is the multi-node story: N daemons construct the
-//! same ring from the same `--peers` list (order-insensitive) and agree on
-//! which node owns each key, so misses proxy to the owner instead of
-//! recomputing everywhere.
 
 pub mod disk;
 pub mod error;
 pub mod lru;
-pub mod ring;
 pub mod tier;
 
 pub use disk::DiskStore;
 pub use error::StoreError;
 pub use lru::ShardedLru;
-pub use ring::HashRing;
 pub use tier::{TierSnapshot, TieredStore};
 
 /// FNV-1a 64-bit — the workspace's standard content hash (the same
@@ -109,7 +102,7 @@ impl StoreKey {
     }
 
     /// FNV-1a of the canonical string — the content address the disk file
-    /// name and the hash ring both use.
+    /// name uses.
     pub fn hash(&self) -> u64 {
         fnv64(self.canonical().as_bytes())
     }

@@ -133,12 +133,6 @@ impl TieredStore {
         }
     }
 
-    /// Stores a body in L1 only — for results this node does not own
-    /// (proxied from a ring peer): the owner's disk is the durable copy.
-    pub fn insert_l1_only(&self, key: &StoreKey, body: Arc<String>) {
-        self.l1.insert(key.canonical(), body);
-    }
-
     /// Pre-loads `keys` (each with its expected spec hash) from disk into
     /// L1, returning how many were found. Damaged or stale entries are
     /// skipped silently — they'll heal on first real lookup.
@@ -287,21 +281,6 @@ mod tests {
         // The warmed key now answers from L1.
         assert!(tier.get(&keep, 10).is_some());
         assert_eq!(tier.snapshot().l1_hits, 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn insert_l1_only_leaves_disk_untouched() {
-        let dir = scratch_dir("l1only");
-        let tier = TieredStore::with_disk(16, &dir).expect("open");
-        let key = StoreKey::run("proxied", 1996, "smoke");
-        tier.insert_l1_only(&key, Arc::new("peer body".into()));
-        assert!(tier.get(&key, 0).is_some(), "L1 serves it");
-        assert_eq!(
-            tier.disk().expect("disk").get(&key).expect("clean read"),
-            None,
-            "nothing persisted"
-        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

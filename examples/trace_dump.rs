@@ -1,5 +1,5 @@
 //! Trace capture and dissection: run a noisy trial, persist the promiscuous
-//! trace to disk in the WLTR binary format, reload it, and print a
+//! trace to disk in the WLTC columnar format, reload it, and print a
 //! tcpdump-style dissection of interesting packets — plus the burst-level
 //! error characterization that drives FEC/interleaver choices.
 //!
@@ -7,13 +7,17 @@
 //! cargo run --release --example trace_dump
 //! ```
 
+use std::fs::File;
+use std::io::{BufReader, BufWriter};
+use wavelan_repro::analysis::tracecodec::{TraceMeta, TraceReader, TraceWriter};
 use wavelan_repro::analysis::{analyze, burst_report, ExpectedSeries, PacketClass};
 use wavelan_repro::experiments::calibration;
 use wavelan_repro::mac::network_id::{strip_network_id, NetworkId};
 use wavelan_repro::net::testpkt::Endpoint;
 use wavelan_repro::net::EthernetFrame;
 use wavelan_repro::sim::runner::attach_tx_count;
-use wavelan_repro::sim::{tracefile, Point, Propagation, ScenarioBuilder, StationConfig};
+use wavelan_repro::sim::trace::{Trace, TraceRecord};
+use wavelan_repro::sim::{Point, Propagation, ScenarioBuilder, StationConfig};
 
 fn main() {
     // ── Capture: a link under intermediate SS-phone interference. ──
@@ -37,12 +41,50 @@ fn main() {
     attach_tx_count(&mut result, rx, tx);
     let trace = result.trace(rx).clone();
 
-    // ── Persist and reload. ──
-    let path = std::env::temp_dir().join("wavelan_demo.wltr");
-    tracefile::save(&trace, &path).expect("write trace");
+    // ── Persist and reload: one WLTC stream for the receiver's log. ──
+    let path = std::env::temp_dir().join("wavelan_demo.wltc");
+    let meta = TraceMeta {
+        artifact: String::from("trace_dump"),
+        scale: String::from("demo"),
+        seed: 7,
+        spec_hash: 0,
+        packet_budget: 600,
+    };
+    let file = BufWriter::new(File::create(&path).expect("create trace file"));
+    let mut writer = TraceWriter::new(file, &meta).expect("write header");
+    writer.begin_stream("rx").expect("open stream");
+    for record in &trace.records {
+        writer.push(&record.view()).expect("write record");
+    }
+    writer
+        .end_stream(trace.packets_transmitted, trace.packets_dropped_by_mac)
+        .expect("close stream");
+    writer.finish().expect("write footer");
     let size = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-    let reloaded = tracefile::load(&path).expect("read trace");
-    assert_eq!(reloaded, trace);
+
+    let file = BufReader::new(File::open(&path).expect("open trace file"));
+    let mut reader = TraceReader::open(file).expect("read header");
+    reader
+        .next_stream()
+        .expect("read stream")
+        .expect("one stream");
+    let mut reloaded = Trace::default();
+    let tail = reader
+        .for_each_record(|view| reloaded.push(view.to_record()))
+        .expect("read records");
+    reloaded.packets_transmitted = tail.transmitted;
+    reloaded.packets_dropped_by_mac = tail.dropped_by_mac;
+    // WLTC keeps what a real capture has and drops the simulator's ground
+    // truth, so the reload equals the capture with `truth` cleared.
+    let captured: Vec<TraceRecord> = trace
+        .records
+        .iter()
+        .map(|r| TraceRecord {
+            truth: None,
+            ..r.clone()
+        })
+        .collect();
+    assert_eq!(reloaded.records, captured);
     println!(
         "captured {} packets → {} ({size} bytes), reloaded bit-identically\n",
         trace.len(),

@@ -1,9 +1,8 @@
 //! Integration tests for the `wavelan-serve` daemon: byte-identity with
 //! the CLI's JSON output under concurrent load, cache-hit accounting,
 //! error statuses (400/404/405/429/503), graceful shutdown drain,
-//! HTTP/1.1 keep-alive and pipelining, the persistent store tier
-//! (restart survival, warming, tier metrics), and the two-node
-//! consistent-hash ring.
+//! HTTP/1.1 keep-alive and pipelining, and the persistent store tier
+//! (restart survival, warming, tier metrics).
 //!
 //! Every test boots a real server on an ephemeral port and talks to it
 //! over TCP with the crate's own minimal client — the same path `repro
@@ -19,7 +18,6 @@ use wavelan_bench::{run_report, RunDocument};
 use wavelan_core::{Executor, Scale};
 use wavelan_serve::client::{get, Conn, HttpResponse};
 use wavelan_serve::{Config, Server, ShutdownHandle};
-use wavelan_store::{HashRing, StoreKey};
 
 /// Boots a server, waits for `/healthz`, and returns the address, the
 /// shutdown handle, and the join handle for [`Server::run`].
@@ -326,19 +324,6 @@ fn scratch_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Polls `/healthz` on an already-bound daemon until it answers.
-fn wait_healthy(addr: &str) {
-    for _ in 0..500 {
-        if let Ok(r) = get(addr, "/healthz", Duration::from_millis(250)) {
-            if r.status == 200 {
-                return;
-            }
-        }
-        thread::sleep(Duration::from_millis(10));
-    }
-    panic!("{addr} never became healthy");
-}
-
 #[test]
 fn metrics_expose_store_tier_counters() {
     let dir = scratch_dir("metrics");
@@ -359,12 +344,13 @@ fn metrics_expose_store_tier_counters() {
         "read_errors",
         "warmed",
         "disk_enabled",
-        "peer_proxied",
     ] {
         let _ = metric(&m, &["store", counter]);
     }
     assert_eq!(metric(&m, &["store", "disk_enabled"]), 1);
-    assert_eq!(metric(&m, &["peers"]), 0, "no ring configured");
+    // A single daemon has no peers to count or proxy to.
+    assert!(m.get("peers").is_none());
+    assert!(m.get("store").and_then(|s| s.get("peer_proxied")).is_none());
 
     // One compute then a repeat: the miss and the L1 hit must both be
     // visible, and the legacy `cache` section must stay consistent with
@@ -491,84 +477,6 @@ fn pipelined_requests_on_one_socket_each_get_a_response() {
     assert_eq!(response.matches("Connection: close").count(), 1);
     handle.request();
     join.join().expect("server thread").expect("clean run");
-}
-
-#[test]
-fn two_node_ring_proxies_misses_to_the_owner() {
-    // Pre-pick two free ports by binding throwaway listeners, then hand
-    // the addresses to both daemons as the shared peer list.
-    let (a, b) = {
-        let la = std::net::TcpListener::bind("127.0.0.1:0").expect("port a");
-        let lb = std::net::TcpListener::bind("127.0.0.1:0").expect("port b");
-        (
-            la.local_addr().expect("a").to_string(),
-            lb.local_addr().expect("b").to_string(),
-        )
-    };
-    let peers = vec![a.clone(), b.clone()];
-    let node = |own: &str| {
-        let server = Server::bind(
-            own,
-            Config {
-                workers: 2,
-                peers: peers.clone(),
-                self_addr: Some(own.to_string()),
-                ..Config::default()
-            },
-        )
-        .expect("bind ring node");
-        let handle = server.shutdown_handle();
-        let join = thread::spawn(move || server.run());
-        (handle, join)
-    };
-    let (ha, ja) = node(&a);
-    let (hb, jb) = node(&b);
-    wait_healthy(&a);
-    wait_healthy(&b);
-
-    // Decide ownership with the same ring the daemons built, then hit
-    // the NON-owner: it must proxy to the owner yet serve the CLI bytes.
-    let expected = cli_json("tdma", Scale::Smoke, 1996);
-    let ring = HashRing::new(&peers).expect("ring");
-    let key = StoreKey::run("tdma", 1996, "smoke");
-    let owner = ring.owner(key.hash()).to_string();
-    let other = if owner == a { b.clone() } else { a.clone() };
-
-    let r = fetch(&other, "/run/tdma?seed=1996&scale=smoke");
-    assert_eq!(r.status, 200);
-    assert_eq!(r.body, expected, "proxied response differs from the CLI bytes");
-    let m = parse(&fetch(&other, "/metrics").body).expect("metrics parse");
-    assert_eq!(metric(&m, &["peers"]), 2);
-    assert_eq!(
-        metric(&m, &["store", "peer_proxied"]),
-        1,
-        "the non-owner must have proxied exactly this request"
-    );
-
-    // The owner computed it during the proxy hop; a direct fetch there is
-    // a local hit with the same bytes, not another proxy.
-    let r = fetch(&owner, "/run/tdma?seed=1996&scale=smoke");
-    assert_eq!(r.status, 200);
-    assert_eq!(r.body, expected);
-    let m = parse(&fetch(&owner, "/metrics").body).expect("metrics parse");
-    assert_eq!(metric(&m, &["store", "peer_proxied"]), 0, "owner computes locally");
-    assert!(metric(&m, &["cache", "hits"]) >= 1);
-
-    // And the non-owner cached the proxied body: a repeat is a local hit.
-    let hits_before = metric(
-        &parse(&fetch(&other, "/metrics").body).expect("metrics parse"),
-        &["store", "l1_hits"],
-    );
-    let r = fetch(&other, "/run/tdma?seed=1996&scale=smoke");
-    assert_eq!(r.status, 200);
-    assert_eq!(r.body, expected);
-    let m = parse(&fetch(&other, "/metrics").body).expect("metrics parse");
-    assert_eq!(metric(&m, &["store", "l1_hits"]), hits_before + 1);
-
-    ha.request();
-    hb.request();
-    ja.join().expect("node a thread").expect("clean run");
-    jb.join().expect("node b thread").expect("clean run");
 }
 
 #[test]
