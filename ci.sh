@@ -11,13 +11,19 @@ mkdir -p "$OUT"
 cargo build --release
 cargo build --release -p wavelan-bench
 REPRO=./target/release/repro
-cargo clippy --workspace -- -D warnings
+# Lint every target, test code included.
+cargo clippy --workspace --all-targets -- -D warnings
 # Every test in every crate: goldens, determinism, the scenario and trace
 # conformance suites (buffered == streamed capture included), the property
 # suites (codec, store, framing, HTTP heads, FEC bit-identity), the
 # zero-allocation proofs, the ablation effect directions, serve and the CLI
 # contract.
 cargo test --workspace -q
+# Every example must run to completion (trace_dump also asserts that its
+# reloaded trace equals the capture).
+for example in quickstart site_survey interference_lab adaptive_fec trace_dump; do
+    cargo run --release --example "$example" > "$OUT/EXAMPLE_$example.txt"
+done
 "$REPRO" --list
 "$REPRO" --scale smoke --format json > "$OUT/REPRO_SMOKE.json"
 # Validate the JSON output parses (the in-tree round-trip tests cover the

@@ -17,7 +17,7 @@ use crate::matcher::{self, ExpectedSeries, MatchEvidence};
 use crate::stats::SignalStats;
 use wavelan_mac::network_id::strip_network_id;
 use wavelan_net::EthernetFrame;
-use wavelan_sim::{RecordView, Trace, TraceRecord};
+use wavelan_sim::{RecordView, Trace};
 
 /// Damage classification of one packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -131,18 +131,9 @@ pub struct ClassifyScratch {
 
 impl ClassifyScratch {
     /// A fresh workspace (the word buffer grows to 256 words and stays).
-    pub fn new() -> ClassifyScratch {
+    pub(crate) fn new() -> ClassifyScratch {
         ClassifyScratch::default()
     }
-}
-
-/// Classifies one logged packet.
-pub fn classify_record(
-    index: usize,
-    record: &TraceRecord,
-    expected: &ExpectedSeries,
-) -> AnalyzedPacket {
-    classify_view(index, &record.view(), expected, &mut ClassifyScratch::new())
 }
 
 /// Classifies one borrowed record — the streaming form: no allocation once
@@ -152,7 +143,7 @@ pub fn classify_record(
 /// classify correctly too.
 ///
 /// [`FrameKind::Sized`]: wavelan_sim::station::FrameKind::Sized
-pub fn classify_view(
+pub(crate) fn classify_view(
     index: usize,
     view: &RecordView<'_>,
     expected: &ExpectedSeries,
@@ -232,7 +223,7 @@ fn classify_outsider(mut p: AnalyzedPacket, view: &RecordView<'_>) -> AnalyzedPa
 }
 
 /// Classifies a whole trace.
-pub fn classify_trace(trace: &Trace, expected: &ExpectedSeries) -> TraceAnalysis {
+pub(crate) fn classify_trace(trace: &Trace, expected: &ExpectedSeries) -> TraceAnalysis {
     let mut scratch = ClassifyScratch::new();
     TraceAnalysis {
         packets: trace
@@ -250,6 +241,16 @@ mod tests {
     use super::*;
     use wavelan_mac::network_id::{wrap_with_network_id, NetworkId};
     use wavelan_net::testpkt::{Endpoint, TestPacket};
+    use wavelan_sim::TraceRecord;
+
+    /// Classifies one logged packet.
+    fn classify_record(
+        index: usize,
+        record: &TraceRecord,
+        expected: &ExpectedSeries,
+    ) -> AnalyzedPacket {
+        classify_view(index, &record.view(), expected, &mut ClassifyScratch::new())
+    }
 
     fn series() -> ExpectedSeries {
         ExpectedSeries {

@@ -53,17 +53,15 @@ pub mod stream;
 pub mod summary;
 pub mod tracecodec;
 
-pub use bursts::{burst_report, BurstReport};
-pub use classify::{AnalyzedPacket, ClassifyScratch, PacketClass, TraceAnalysis};
+pub use bursts::burst_report;
+pub use classify::{ClassifyScratch, PacketClass, TraceAnalysis};
 pub use lossruns::{loss_runs, LossRunReport};
 pub use matcher::ExpectedSeries;
-pub use report::{
-    render_blocks, Align, Block, Cell, Column, Report, RunDocument, StatField, StatsCell, Table,
-};
+pub use report::{Align, Block, Cell, Column, Report, RunDocument, StatField, StatsCell, Table};
 pub use stats::SignalStats;
 pub use stream::StreamAnalysis;
 pub use summary::TrialSummary;
-pub use tracecodec::{CodecError, StreamTail, TraceMeta, TraceReader, TraceWriter};
+pub use tracecodec::TraceWriter;
 
 use wavelan_sim::Trace;
 

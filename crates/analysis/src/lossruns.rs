@@ -34,7 +34,7 @@ pub struct LossRunReport {
 
 impl LossRunReport {
     /// Loss rate implied by the gaps.
-    pub fn loss_rate(&self) -> f64 {
+    pub(crate) fn loss_rate(&self) -> f64 {
         if self.transmitted == 0 {
             return 0.0;
         }

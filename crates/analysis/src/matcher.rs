@@ -49,7 +49,7 @@ const MAJORITY_FRACTION: f64 = 0.6;
 
 /// Evidence extracted from one logged packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MatchEvidence {
+pub(crate) struct MatchEvidence {
     /// Total score against the acceptance threshold (see module docs).
     pub score: i32,
     /// Majority body word, if the body structure was recognizable.
@@ -62,7 +62,7 @@ pub struct MatchEvidence {
 
 impl MatchEvidence {
     /// Whether the packet is accepted as a test packet.
-    pub fn is_test_packet(&self) -> bool {
+    pub(crate) fn is_test_packet(&self) -> bool {
         self.score >= MATCH_THRESHOLD
     }
 }
@@ -74,12 +74,12 @@ fn body_offset() -> usize {
     NETWORK_ID_LEN + TestPacket::body_offset()
 }
 /// Full on-air length of a test packet.
-pub fn full_wire_len() -> usize {
+pub(crate) fn full_wire_len() -> usize {
     NETWORK_ID_LEN + TestPacket::frame_len()
 }
 
 /// Extracts the (available) 32-bit body words from the on-air bytes.
-pub fn body_words(bytes: &[u8]) -> Vec<u32> {
+pub(crate) fn body_words(bytes: &[u8]) -> Vec<u32> {
     let mut words = Vec::new();
     body_words_into(bytes, full_wire_len(), &mut words);
     words
@@ -89,7 +89,7 @@ pub fn body_words(bytes: &[u8]) -> Vec<u32> {
 /// packet's *intended* on-air length: a complete delivery's trailing FCS is
 /// excluded; a truncated one keeps everything after the headers. Callers
 /// without per-record wire-length information pass [`full_wire_len`].
-pub fn body_words_into(bytes: &[u8], wire_len: usize, out: &mut Vec<u32>) {
+pub(crate) fn body_words_into(bytes: &[u8], wire_len: usize, out: &mut Vec<u32>) {
     out.clear();
     let start = body_offset();
     // The last 4 on-air bytes of a *complete* packet are the FCS, not body;
@@ -110,7 +110,7 @@ pub fn body_words_into(bytes: &[u8], wire_len: usize, out: &mut Vec<u32>) {
 }
 
 /// Majority vote over body words: `(word, count)` of the most frequent word.
-pub fn majority_word(words: &[u32]) -> Option<(u32, usize)> {
+pub(crate) fn majority_word(words: &[u32]) -> Option<(u32, usize)> {
     if words.is_empty() {
         return None;
     }
@@ -134,18 +134,12 @@ pub fn majority_word(words: &[u32]) -> Option<(u32, usize)> {
     Some((candidate, count))
 }
 
-/// Scores one logged packet against the expected series.
-pub fn evaluate(bytes: &[u8], expected: &ExpectedSeries) -> MatchEvidence {
-    let mut words = Vec::new();
-    evaluate_in(bytes, full_wire_len(), expected, &mut words)
-}
-
 /// [`evaluate`] with the packet's intended on-air length and a caller-owned
 /// word buffer — the allocation-free form the streaming classifier uses. On
 /// return `words` holds the packet's body words (what
 /// [`body_words_into`] produced), so callers can reuse them for the body
 /// syndrome without re-extracting.
-pub fn evaluate_in(
+pub(crate) fn evaluate_in(
     bytes: &[u8],
     wire_len: usize,
     expected: &ExpectedSeries,
@@ -230,7 +224,7 @@ pub fn evaluate_in(
 /// number). When the body is too short or too damaged, falls back to the IP
 /// identification field — but only if the IP header checksum verifies, since
 /// a damaged ident would otherwise masquerade as a sequence number.
-pub fn recover_sequence(bytes: &[u8], evidence: &MatchEvidence) -> Option<u32> {
+pub(crate) fn recover_sequence(bytes: &[u8], evidence: &MatchEvidence) -> Option<u32> {
     if let Some(w) = evidence.majority_word {
         return Some(w);
     }
@@ -250,6 +244,11 @@ pub fn recover_sequence(bytes: &[u8], evidence: &MatchEvidence) -> Option<u32> {
 mod tests {
     use super::*;
     use wavelan_mac::network_id::wrap_with_network_id;
+
+    /// Scores one logged packet against the expected series.
+    fn evaluate(bytes: &[u8], expected: &ExpectedSeries) -> MatchEvidence {
+        evaluate_in(bytes, full_wire_len(), expected, &mut Vec::new())
+    }
 
     fn series() -> ExpectedSeries {
         ExpectedSeries {

@@ -116,14 +116,8 @@ impl Column {
     }
 
     /// Overrides the header alignment.
-    pub fn header_align(mut self, align: Align) -> Column {
+    pub(crate) fn header_align(mut self, align: Align) -> Column {
         self.header_align = Some(align);
-        self
-    }
-
-    /// Overrides the header separator.
-    pub fn header_sep(mut self, sep: &'static str) -> Column {
-        self.header_sep = Some(sep);
         self
     }
 
@@ -248,7 +242,7 @@ impl Cell {
     }
 
     /// The row label this cell contributes, if it is textual.
-    pub fn label(&self) -> Option<&str> {
+    pub(crate) fn label(&self) -> Option<&str> {
         match self {
             Cell::Str(s) => Some(s),
             _ => None,
@@ -326,7 +320,7 @@ impl Table {
     }
 
     /// Renders the heading, header line (if any column has one) and rows.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         if let Some(heading) = &self.heading {
             out.push_str(heading);
@@ -446,7 +440,7 @@ impl Report {
     }
 
     /// All table blocks, in render order.
-    pub fn tables(&self) -> impl Iterator<Item = &Table> {
+    pub(crate) fn tables(&self) -> impl Iterator<Item = &Table> {
         self.blocks.iter().filter_map(|b| match b {
             Block::Table(t) => Some(t),
             _ => None,
@@ -749,7 +743,10 @@ mod tests {
                 Column::new("a", "a").width(4).sep(""),
                 Column::new("b", "bee").width(2).header_width(5),
                 Column::new("skip", "").width(3).no_header(),
-                Column::new("c", "c").width(2).header_sep("   "),
+                Column {
+                    header_sep: Some("   "),
+                    ..Column::new("c", "c").width(2)
+                },
             ],
             rows: vec![vec![
                 Cell::UInt(1),

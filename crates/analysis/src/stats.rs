@@ -28,12 +28,12 @@ impl Default for SignalStats {
 
 impl SignalStats {
     /// An empty accumulator.
-    pub fn new() -> SignalStats {
+    pub(crate) fn new() -> SignalStats {
         SignalStats::default()
     }
 
     /// Folds one observation in.
-    pub fn push(&mut self, value: u8) {
+    pub(crate) fn push(&mut self, value: u8) {
         self.count += 1;
         let v = f64::from(value);
         self.sum += v;
@@ -70,7 +70,7 @@ impl SignalStats {
     }
 
     /// Population standard deviation (`σ`); 0 when empty.
-    pub fn std_dev(&self) -> f64 {
+    pub(crate) fn std_dev(&self) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -78,17 +78,6 @@ impl SignalStats {
         (self.sum_sq / self.count as f64 - mean * mean)
             .max(0.0)
             .sqrt()
-    }
-
-    /// Renders as the paper's `↓ μ (σ) ↑` cell, e.g. `"25 26.71 ( 0.66) 28"`.
-    pub fn cell(&self) -> String {
-        format!(
-            "{:>2} {:>5.2} ({:>5.2}) {:>2}",
-            self.min(),
-            self.mean(),
-            self.std_dev(),
-            self.max()
-        )
     }
 }
 
@@ -135,17 +124,5 @@ mod tests {
         assert_eq!(s.mean(), 15.0);
         assert!(s.std_dev() < 1e-9);
         assert_eq!((s.min(), s.max()), (15, 15));
-    }
-
-    #[test]
-    fn cell_formatting() {
-        let mut s = SignalStats::new();
-        for v in [25u8, 27, 28] {
-            s.push(v);
-        }
-        let cell = s.cell();
-        assert!(cell.starts_with("25"), "{cell}");
-        assert!(cell.ends_with("28"), "{cell}");
-        assert!(cell.contains("26.67"), "{cell}");
     }
 }

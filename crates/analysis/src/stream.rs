@@ -103,11 +103,6 @@ impl StreamAnalysis {
         self.records
     }
 
-    /// Folded records that were not recognized as test packets.
-    pub fn outsiders(&self) -> u64 {
-        self.outsiders
-    }
-
     /// The Table 1 row — matches `TrialSummary::from_analysis` over the
     /// equivalent buffered trace exactly.
     pub fn summary(&self, name: &str) -> TrialSummary {
@@ -219,7 +214,7 @@ mod tests {
         assert_eq!(fold.summary("t"), buffered);
         assert_eq!(fold.signal_stats(), buffered_stats);
         assert_eq!(fold.records(), trace.records.len() as u64);
-        assert_eq!(fold.outsiders(), analysis.outsiders().count() as u64);
+        assert_eq!(fold.outsiders, analysis.outsiders().count() as u64);
     }
 
     #[test]

@@ -54,22 +54,11 @@ impl TrialSummary {
                 .unwrap_or(0),
         }
     }
-
-    /// Loss as the paper prints it: a percentage with two significant
-    /// decimals, e.g. `.03%`.
-    pub fn loss_percent_string(&self) -> String {
-        format_loss_percent(self.packet_loss)
-    }
-
-    /// Bits received in the paper's power-of-ten shorthand (`8 × 10^8`).
-    pub fn bits_received_string(&self) -> String {
-        format_power_of_ten(self.bits_received)
-    }
 }
 
 /// Formats a loss fraction in the paper's percent style: `0%`, `.030%`
 /// below a tenth of a percent, two decimals otherwise.
-pub fn format_loss_percent(fraction: f64) -> String {
+pub(crate) fn format_loss_percent(fraction: f64) -> String {
     let pct = fraction * 100.0;
     if pct == 0.0 {
         "0%".to_string()
@@ -82,7 +71,7 @@ pub fn format_loss_percent(fraction: f64) -> String {
 
 /// Formats a bit count in the paper's power-of-ten shorthand (`8 x 10^8`,
 /// or `10^9` when the mantissa rounds to one).
-pub fn format_power_of_ten(bits: u64) -> String {
+pub(crate) fn format_power_of_ten(bits: u64) -> String {
     if bits == 0 {
         return "0".to_string();
     }
@@ -150,22 +139,22 @@ mod tests {
         assert_eq!(s.packets_received, 0);
         assert_eq!(s.worst_body, 0);
         assert_eq!(s.packet_loss, 0.0);
-        assert_eq!(s.bits_received_string(), "0");
+        assert_eq!(format_power_of_ten(s.bits_received), "0");
     }
 
     #[test]
     fn formatting_helpers() {
         let mut s = TrialSummary::from_analysis("t", &analysis());
         s.packet_loss = 0.0003;
-        assert_eq!(s.loss_percent_string(), ".030%");
+        assert_eq!(format_loss_percent(s.packet_loss), ".030%");
         s.packet_loss = 0.0;
-        assert_eq!(s.loss_percent_string(), "0%");
+        assert_eq!(format_loss_percent(s.packet_loss), "0%");
         s.packet_loss = 0.52;
-        assert_eq!(s.loss_percent_string(), "52.00%");
+        assert_eq!(format_loss_percent(s.packet_loss), "52.00%");
 
         s.bits_received = 1_000_000_000;
-        assert_eq!(s.bits_received_string(), "10^9");
+        assert_eq!(format_power_of_ten(s.bits_received), "10^9");
         s.bits_received = 800_000_000;
-        assert_eq!(s.bits_received_string(), "8 x 10^8");
+        assert_eq!(format_power_of_ten(s.bits_received), "8 x 10^8");
     }
 }

@@ -38,11 +38,11 @@ use wavelan_sim::trace::{RecordView, TraceSink};
 use wavelan_sim::StationId;
 
 /// File magic.
-pub const MAGIC: &[u8; 4] = b"WLTC";
+pub(crate) const MAGIC: &[u8; 4] = b"WLTC";
 /// Current format version.
 pub const VERSION: u8 = 1;
 /// Records per block (bounds the reader's working set).
-pub const BLOCK_RECORDS: usize = 256;
+pub(crate) const BLOCK_RECORDS: usize = 256;
 
 /// Sanity cap on a single record's byte length (far above any WaveLAN
 /// frame); guards against reading garbage lengths from corrupt files.

@@ -167,14 +167,9 @@ proptest! {
             Ok(r) => r,
             Err(_) => return Ok(()),
         };
-        loop {
-            match r.next_stream() {
-                Ok(Some(_)) => {
-                    if r.for_each_record(|_| {}).is_err() {
-                        break;
-                    }
-                }
-                _ => break,
+        while let Ok(Some(_)) = r.next_stream() {
+            if r.for_each_record(|_| {}).is_err() {
+                break;
             }
         }
     }

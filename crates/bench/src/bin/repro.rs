@@ -87,10 +87,43 @@
 //! Unknown flags, unknown artifacts, and malformed values all exit 2 with
 //! a usage message.
 
+use std::io::Write as _;
 use std::time::{Duration, Instant};
 use wavelan_analysis::json::to_string_pretty;
 use wavelan_bench::{run_report, RunDocument, ARTIFACTS};
 use wavelan_core::{registry, Executor, Scale};
+
+/// Writes to stdout through one locked handle. A reader that closes the
+/// pipe early (`repro ... | head`) ends the run quietly with status 0, as
+/// for any Unix filter; any other write failure exits 1.
+fn emit(args: std::fmt::Arguments) {
+    let written = {
+        let mut stdout = std::io::stdout().lock();
+        stdout.write_fmt(args).and_then(|()| stdout.flush())
+    };
+    match written {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// One-line usage summary, printed with every usage error (exit 2).
 const USAGE: &str = "\
@@ -129,30 +162,30 @@ enum Format {
 /// Prints the registry listing for `--list`, plus the scripted scenario
 /// names and the sweep presets (the other two runnable namespaces).
 fn list_artifacts(scale: Scale) {
-    println!(
+    outln!(
         "artifacts in paper order (packet budgets at scale {}):",
         scale.name()
     );
     for e in registry::REGISTRY {
-        println!(
+        outln!(
             "  {:<18} {:>9}  {}",
             e.artifact_name(),
             e.packet_budget(scale),
             e.paper_artifact()
         );
     }
-    println!("\nscenarios (event-DAG scripts; run with --scenario <name>):");
+    outln!("\nscenarios (event-DAG scripts; run with --scenario <name>):");
     for n in wavelan_core::scenario::SCENARIO_NAMES {
-        println!("  {n}");
+        outln!("  {n}");
     }
-    println!("\nsweep presets (run with `repro sweep --space <name>`):");
+    outln!("\nsweep presets (run with `repro sweep --space <name>`):");
     for name in wavelan_core::sweep::PRESET_NAMES {
         let space = wavelan_core::sweep::preset(name).expect("preset names resolve");
         let axes: Vec<&str> = space.axes.iter().map(|a| a.field.as_str()).collect();
-        println!(
+        outln!(
             "  {:<12} {:>4} points  {} over {}",
             name,
-            space.len(),
+            space.point_count(),
             space.sampling.name(),
             axes.join(" x ")
         );
@@ -264,7 +297,7 @@ fn main() {
                 )
             }
             "--help" | "-h" => {
-                println!(
+                outln!(
                     "{USAGE}\n\
                      `--validate` checks the reproduction against the paper's \
                      published values (exit 1 on any fail verdict); `sweep` \
@@ -310,8 +343,8 @@ fn main() {
         let fidelity = wavelan_validate::run(&config, &exec);
         eprintln!("[validate: {:.2}s]", start.elapsed().as_secs_f64());
         match format {
-            Format::Text => print!("{}", fidelity.to_report().render()),
-            Format::Json => print!("{}", to_string_pretty(&fidelity)),
+            Format::Text => out!("{}", fidelity.to_report().render()),
+            Format::Json => out!("{}", to_string_pretty(&fidelity)),
         }
         std::process::exit(i32::from(fidelity.failed()));
     }
@@ -342,7 +375,7 @@ fn main() {
     let exec = Executor::new(jobs);
     eprintln!("[executor: {} worker(s)]", exec.jobs());
     if format == Format::Text {
-        println!(
+        outln!(
             "# Reproduction of Eckhardt & Steenkiste, SIGCOMM '96 (scale {scale:?}, seed {seed})\n"
         );
     }
@@ -355,7 +388,7 @@ fn main() {
         let elapsed = start.elapsed().as_secs_f64();
         let packets = report.packets;
         match format {
-            Format::Text => println!("{}", report.render()),
+            Format::Text => outln!("{}", report.render()),
             Format::Json => reports.push(report),
         }
         // Timing goes to stderr: stdout stays bit-identical across runs and
@@ -374,7 +407,7 @@ fn main() {
             seed,
             artifacts: reports,
         };
-        print!("{}", to_string_pretty(&doc));
+        out!("{}", to_string_pretty(&doc));
     }
     let total = total_start.elapsed().as_secs_f64();
     eprintln!(
@@ -450,9 +483,9 @@ fn sweep_main(args: &[String]) -> ! {
         usage_error("sweep needs --space NAME|PATH (`--space list` prints the presets)");
     };
     if space_arg == "list" {
-        println!("sweep presets (run with `repro sweep --space <name>`):");
+        outln!("sweep presets (run with `repro sweep --space <name>`):");
         for name in PRESET_NAMES {
-            println!("  {name}");
+            outln!("  {name}");
         }
         std::process::exit(0);
     }
@@ -491,8 +524,8 @@ fn sweep_main(args: &[String]) -> ! {
         doc.points.len() as f64 / seconds.max(1e-9)
     );
     match format {
-        Format::Text => print!("{}", doc.render_text()),
-        Format::Json => print!("{}", to_string_pretty(&doc)),
+        Format::Text => out!("{}", doc.render_text()),
+        Format::Json => out!("{}", to_string_pretty(&doc)),
     }
     std::process::exit(0);
 }
@@ -503,9 +536,9 @@ fn sweep_main(args: &[String]) -> ! {
 fn run_scenario(name: &str, scale: Scale, seed: u64, jobs: usize, format: Format) -> ! {
     use wavelan_core::scenario::{run_named, SCENARIO_NAMES};
     if name == "list" {
-        println!("scenarios (event-DAG scripts; run with --scenario <name>):");
+        outln!("scenarios (event-DAG scripts; run with --scenario <name>):");
         for n in SCENARIO_NAMES {
-            println!("  {n}");
+            outln!("  {n}");
         }
         std::process::exit(0);
     }
@@ -521,8 +554,8 @@ fn run_scenario(name: &str, scale: Scale, seed: u64, jobs: usize, format: Format
     // worker counts (the CI gate diffs it against a golden transcript).
     eprintln!("[scenario {name}: {:.2}s]", start.elapsed().as_secs_f64());
     match format {
-        Format::Text => print!("{}", run.report.render()),
-        Format::Json => print!("{}", to_string_pretty(&run.report)),
+        Format::Text => out!("{}", run.report.render()),
+        Format::Json => out!("{}", to_string_pretty(&run.report)),
     }
     std::process::exit(i32::from(!run.passed()));
 }
@@ -550,8 +583,8 @@ fn run_trace_export(artifact: &str, path: &str, scale: Scale, seed: u64, format:
         report.packets
     );
     match format {
-        Format::Text => print!("{}", report.render()),
-        Format::Json => print!("{}", to_string_pretty(&report)),
+        Format::Text => out!("{}", report.render()),
+        Format::Json => out!("{}", to_string_pretty(&report)),
     }
     std::process::exit(0);
 }
@@ -594,8 +627,8 @@ fn reanalyze_main(args: &[String]) -> ! {
     // Timing to stderr only: stdout must be byte-identical to the live run.
     eprintln!("[reanalyze {path}: {:.2}s]", start.elapsed().as_secs_f64());
     match format {
-        Format::Text => print!("{}", report.render()),
-        Format::Json => print!("{}", to_string_pretty(&report)),
+        Format::Text => out!("{}", report.render()),
+        Format::Json => out!("{}", to_string_pretty(&report)),
     }
     std::process::exit(0);
 }
@@ -613,7 +646,7 @@ fn trace_info_main(args: &[String]) -> ! {
     });
     match wavelan_core::trace_info(std::io::BufReader::new(file)) {
         Ok(info) => {
-            print!("{info}");
+            out!("{info}");
             std::process::exit(0);
         }
         Err(e) => {
@@ -632,7 +665,7 @@ fn http_get(url: &str) -> ! {
     }
     match wavelan_serve::client::get_url(url, Duration::from_secs(60)) {
         Ok(response) => {
-            print!("{}", response.body);
+            out!("{}", response.body);
             if response.status == 200 {
                 std::process::exit(0);
             }

@@ -7,10 +7,10 @@
 //!
 //! Artifact dispatch is a thin veneer over the experiment registry in
 //! `wavelan_core::registry`: [`ARTIFACTS`] mirrors the registry's canonical
-//! name list and [`run_artifact`]/[`run_report`] resolve names through
+//! name list and [`run_report`] resolves names through
 //! [`wavelan_core::registry::find`]. Integration tests run artifacts
 //! in-process through these entry points: the golden-output regression test
-//! renders `--scale smoke` through [`run_artifact`] and diffs against a
+//! renders `--scale smoke` through [`run_report`] and diffs against a
 //! committed transcript, and the determinism test replays artifacts at
 //! different worker counts.
 
@@ -25,31 +25,10 @@ pub use wavelan_analysis::RunDocument;
 /// [`wavelan_core::registry::NAMES`].
 pub const ARTIFACTS: [&str; 18] = registry::NAMES;
 
-/// One artifact's rendered output plus its simulated volume.
-#[derive(Debug, Clone)]
-pub struct ArtifactRun {
-    /// The rendered table/figure text, exactly as `repro` prints it.
-    pub text: String,
-    /// Test packets the artifact asked its trials to transmit — the
-    /// numerator of the packets/sec throughput report. Deterministic (it
-    /// counts requested transmissions, not stochastic deliveries).
-    pub packets: u64,
-}
-
 /// Runs one artifact by name and returns its structured [`Report`].
 /// Returns `None` for an unknown artifact name.
 pub fn run_report(name: &str, scale: Scale, seed: u64, exec: &Executor) -> Option<Report> {
     registry::find(name).map(|e| e.run(scale, seed, exec))
-}
-
-/// Runs one artifact by name on the given executor. Returns `None` for an
-/// unknown artifact name. Kept as the text-rendering convenience over
-/// [`run_report`].
-pub fn run_artifact(name: &str, scale: Scale, seed: u64, exec: &Executor) -> Option<ArtifactRun> {
-    run_report(name, scale, seed, exec).map(|report| ArtifactRun {
-        text: report.render(),
-        packets: report.packets,
-    })
 }
 
 #[cfg(test)]
@@ -60,16 +39,16 @@ mod tests {
     fn artifact_dispatch_resolves() {
         // One cheap artifact end-to-end (the experiments' own tests cover
         // their content); unknown names must report as such, not panic.
-        let exec = Executor::serial();
-        let run = run_artifact("tdma", Scale::Smoke, 7, &exec).expect("known artifact");
-        assert!(!run.text.is_empty());
-        assert!(run.packets > 0);
-        assert!(run_artifact("no-such-artifact", Scale::Smoke, 7, &exec).is_none());
+        let exec = Executor::new(1);
+        let report = run_report("tdma", Scale::Smoke, 7, &exec).expect("known artifact");
+        assert!(!report.render().is_empty());
+        assert!(report.packets > 0);
+        assert!(run_report("no-such-artifact", Scale::Smoke, 7, &exec).is_none());
     }
 
     #[test]
     fn report_round_trips_through_json() {
-        let exec = Executor::serial();
+        let exec = Executor::new(1);
         let report = run_report("tdma", Scale::Smoke, 7, &exec).expect("known artifact");
         let doc = RunDocument {
             scale: Scale::Smoke.name(),

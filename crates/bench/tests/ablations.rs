@@ -15,6 +15,7 @@ use rand::{Rng, SeedableRng};
 use wavelan_fec::convolutional::ConvolutionalEncoder;
 use wavelan_fec::{BlockInterleaver, ViterbiDecoder};
 use wavelan_phy::antenna::DiversityReceiver;
+use wavelan_phy::baseband::gaussian;
 use wavelan_phy::interference::{Emission, InterferenceKind};
 use wavelan_phy::link::{LinkModel, PacketOutcome};
 
@@ -72,7 +73,9 @@ fn diversity_cuts_deep_fades() {
     let mut rng = StdRng::seed_from_u64(3);
     let deep = |fade: f64| fade < -5.2; // the error-region entry at level ~6.7
     let div_deep = (0..n).filter(|_| deep(rx.select(&mut rng).1)).count();
-    let single_deep = (0..n).filter(|_| deep(rx.single_branch(&mut rng))).count();
+    let single_deep = (0..n)
+        .filter(|_| deep(gaussian(&mut rng, rx.branch_sigma_db)))
+        .count();
     assert!(
         div_deep * 5 < single_deep,
         "deep fades per {n}: selection {div_deep}, single antenna {single_deep}"
@@ -136,7 +139,11 @@ fn interleaving_rescues_burst_errors() {
 
 #[test]
 fn capture_lifts_hidden_terminal_delivery() {
-    let on = wavelan_core::experiments::hidden_terminal::run(300, 9);
+    let on = wavelan_core::experiments::hidden_terminal::run_with(
+        300,
+        9,
+        &wavelan_core::Executor::default(),
+    );
     let (with, without) = (on.with_capture.delivery(), on.without_capture.delivery());
     assert!(
         with > without + 0.25,

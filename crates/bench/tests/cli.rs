@@ -7,7 +7,8 @@
 //! must all land on 2 with a usage message, never start a simulation, and
 //! never panic.
 
-use std::process::{Command, Output};
+use std::io::Read;
+use std::process::{Command, Output, Stdio};
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -34,6 +35,31 @@ fn help_exits_zero() {
     let out = repro(&["--help"]);
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("usage:"));
+}
+
+/// A reader that closes the pipe before `repro` writes (`repro ... | head`)
+/// ends the run quietly: status 0 and no panic on stderr.
+#[test]
+fn closed_stdout_pipe_exits_zero_without_panic() {
+    for args in [&["--scale", "smoke", "table2"][..], &["--help"][..]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("repro binary runs");
+        drop(child.stdout.take());
+        let mut err = String::new();
+        child
+            .stderr
+            .take()
+            .expect("piped stderr")
+            .read_to_string(&mut err)
+            .expect("read stderr");
+        let status = child.wait().expect("repro exits");
+        assert_eq!(status.code(), Some(0), "args: {args:?}, stderr: {err}");
+        assert!(!err.contains("panicked"), "args: {args:?}, stderr: {err}");
+    }
 }
 
 #[test]

@@ -2,39 +2,16 @@
 
 //! # wavelan-cell
 //!
-//! Pseudo-cellular architecture analysis.
+//! A mobile client roaming between two pseudo-cells.
 //!
-//! The paper's architectural thread (Sections 5.3, 6.2, 7.4 and 8): WaveLAN
-//! has no power control and one spreading sequence, so the only cell-forming
-//! tool is the receive threshold. That works — Table 14 shows a threshold of
-//! 25 completely masking two jammers — but imperfectly: thresholds need "a
-//! margin of several units" (Figure 3), single walls don't attenuate enough
-//! to be cell boundaries (Section 6.2's "at least 6, although 8–10 would be
-//! more desirable"), and the resulting *border zones* host mobile clients
-//! that disrupt multiple cells at once (the hidden-transmitter discussion in
-//! Section 7.4).
+//! The paper's architectural thread (Sections 5.3, 6.2 and 7.4): WaveLAN
+//! has no power control and one spreading sequence, so the only
+//! cell-forming tool is the receive threshold. The resulting *border zones*
+//! host mobile clients that disrupt multiple cells at once (the
+//! hidden-transmitter discussion in Section 7.4).
 //!
-//! Modules:
-//!
-//! * [`pseudocell`] — threshold planning: is a given clustering of stations
-//!   into cells feasible with receive thresholds, and with what margin?
-//! * [`border`] — border-zone mapping and hidden-terminal detection over a
-//!   grid of client positions,
-//! * [`capacity`] — aggregate-throughput estimation under carrier-sense
-//!   coupling between cells,
-//! * [`extensions`] — the paper's Section 8 "what WaveLAN would need":
-//!   transmit power control and CDMA-style multiple spreading sequences,
-//!   quantified,
-//! * [`roaming`] — a mobile client walking between two pseudo-cells, with
-//!   the Section 7.4 disruption footprint measured end-to-end.
+//! [`roaming`] walks a client between two threshold-isolated cells and
+//! measures that disruption footprint end to end; the `roaming` artifact
+//! reports it.
 
-pub mod border;
-pub mod capacity;
-pub mod extensions;
-pub mod pseudocell;
 pub mod roaming;
-
-pub use border::{BorderReport, HiddenTerminalPair};
-pub use capacity::coupling_throughput;
-pub use pseudocell::{CellPlan, PlanVerdict};
-pub use roaming::{walk, RoamReport, TwoCells};

@@ -16,7 +16,7 @@
 //! * the other cell's internal throughput relative to a client-free baseline
 //!   (the carrier-sense disruption footprint).
 
-use wavelan_analysis::report::{render_blocks, Cell, Column, Table};
+use wavelan_analysis::report::{Cell, Column, Table};
 use wavelan_analysis::Block;
 use wavelan_mac::Thresholds;
 use wavelan_net::testpkt::Endpoint;
@@ -48,25 +48,6 @@ pub struct RoamReport {
 }
 
 impl RoamReport {
-    /// Positions where the other cell lost more than `frac` of its
-    /// throughput to the roamer — the disruption footprint, feet.
-    pub fn disruption_zone(&self, frac: f64) -> Vec<f64> {
-        self.steps
-            .iter()
-            .filter(|s| s.other_cell_throughput < 1.0 - frac)
-            .map(|s| s.x_ft)
-            .collect()
-    }
-
-    /// Positions where the client itself delivered poorly (< 90%).
-    pub fn dead_zone(&self) -> Vec<f64> {
-        self.steps
-            .iter()
-            .filter(|s| s.client_delivery < 0.9)
-            .map(|s| s.x_ft)
-            .collect()
-    }
-
     /// The report blocks: one table over the walk.
     pub fn blocks(&self) -> Vec<Block> {
         let table = Table {
@@ -108,11 +89,6 @@ impl RoamReport {
                 .collect(),
         };
         vec![Block::Table(table)]
-    }
-
-    /// Renders the walk.
-    pub fn render(&self) -> String {
-        render_blocks(&self.blocks())
     }
 }
 
@@ -267,6 +243,7 @@ pub fn walk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wavelan_analysis::report::render_blocks;
 
     #[test]
     fn border_zone_disrupts_the_other_cell() {
@@ -289,12 +266,21 @@ mod tests {
         // Somewhere in the middle the roamer's transmissions reach the other
         // cell's base above threshold: its internal throughput drops — the
         // paper's carrier-sense disruption.
-        let zone = report.disruption_zone(0.2);
-        assert!(!zone.is_empty(), "no disruption zone: {}", report.render());
+        let zone: Vec<f64> = report
+            .steps
+            .iter()
+            .filter(|s| s.other_cell_throughput < 0.8)
+            .map(|s| s.x_ft)
+            .collect();
+        assert!(
+            !zone.is_empty(),
+            "no disruption zone: {}",
+            render_blocks(&report.blocks())
+        );
         for &x in &zone {
             assert!((40.0..160.0).contains(&x), "disruption outside border: {x}");
         }
-        assert!(report.render().contains("Roaming"));
+        assert!(render_blocks(&report.blocks()).contains("Roaming"));
     }
 
     #[test]
@@ -310,6 +296,6 @@ mod tests {
             .windows(2)
             .filter(|w| w[0].serving_cell != w[1].serving_cell)
             .count();
-        assert_eq!(switches, 1, "{}", report.render());
+        assert_eq!(switches, 1, "{}", render_blocks(&report.blocks()));
     }
 }

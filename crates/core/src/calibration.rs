@@ -29,14 +29,6 @@ use wavelan_phy::interference::DutyCycle;
 use wavelan_phy::InterferenceKind;
 use wavelan_sim::{AmbientSource, Emitter};
 
-/// One 2 Mb/s bit-time in nanoseconds.
-pub const BIT_NS: u64 = 500;
-
-/// Packets per paper trial we default to when the caller asks for
-/// [`crate::Scale::Paper`] but the paper count is impractical; experiments
-/// with explicit paper counts override this.
-pub const DEFAULT_TRIAL_PACKETS: u64 = 12_720;
-
 /// A narrowband 900 MHz FM cordless phone at a given delivered power.
 ///
 /// Table 10's silence levels pin the powers (silence = phone power ⊕ thermal
@@ -65,9 +57,9 @@ pub mod narrowband_power {
     /// "Cluster": both handsets and bases a few inches from the receiver.
     pub const CLUSTER: f64 = -69.8;
     /// "Handsets nearby".
-    pub const HANDSETS_NEARBY: f64 = -76.2;
+    pub(crate) const HANDSETS_NEARBY: f64 = -76.2;
     /// "Handsets nearby talking" (power control engaged).
-    pub const HANDSETS_TALKING: f64 = -84.9;
+    pub(crate) const HANDSETS_TALKING: f64 = -84.9;
     /// "Bases nearby" (handsets distant: full power to reach them).
     pub const BASES_NEARBY: f64 = -64.1;
 }
@@ -182,7 +174,7 @@ pub fn ham_transmitter() -> AmbientSource {
 mod tests {
     use super::*;
     use wavelan_phy::agc::{power_to_level_units, THERMAL_NOISE_DBM};
-    use wavelan_phy::math::dbm_sum;
+    use wavelan_phy::math::{db_to_linear, linear_to_db};
 
     /// The Table 10 power presets must reproduce the reported silence means
     /// (phone ⊕ thermal on the AGC scale) to within a unit.
@@ -194,7 +186,9 @@ mod tests {
             (narrowband_power::HANDSETS_TALKING, 6.11),
             (narrowband_power::BASES_NEARBY, 19.32),
         ] {
-            let silence = power_to_level_units(dbm_sum([power, THERMAL_NOISE_DBM]));
+            let silence = power_to_level_units(linear_to_db(
+                db_to_linear(power) + db_to_linear(THERMAL_NOISE_DBM),
+            ));
             assert!(
                 (silence - target).abs() < 1.0,
                 "power {power}: {silence} vs {target}"

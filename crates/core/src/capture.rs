@@ -361,7 +361,7 @@ mod tests {
     #[test]
     fn capture_modes_agree_and_match_the_export() {
         let entry = registry::find("table2").expect("registered");
-        let exec = Executor::serial();
+        let exec = Executor::new(1);
         let buffered = capture_report(entry, Scale::Smoke, 7, &exec, CaptureMode::Buffered);
         let streamed = capture_report(entry, Scale::Smoke, 7, &exec, CaptureMode::Streamed);
         assert_eq!(buffered.render(), streamed.render());

@@ -14,37 +14,8 @@
 //! atomic counter, write results into per-slot cells, and the scope join
 //! guarantees completion before the merge.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// A trial that panicked inside a fault-isolating map
-/// ([`Executor::try_map_with`]): the trial's input-order index plus the
-/// panic payload (when it was a string, as `panic!` payloads usually are).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrialPanic {
-    /// Input-order index of the trial that panicked.
-    pub index: usize,
-    /// The panic message, or `"non-string panic payload"`.
-    pub message: String,
-}
-
-impl std::fmt::Display for TrialPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "trial {} panicked: {}", self.index, self.message)
-    }
-}
-
-/// Extracts a human-readable message from a caught panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        String::from("non-string panic payload")
-    }
-}
 
 /// Derives a trial's RNG seed purely from `(experiment id, trial index,
 /// base seed)`.
@@ -91,11 +62,6 @@ impl Executor {
         Executor { jobs }
     }
 
-    /// A single-worker pool: trials run inline, in order.
-    pub fn serial() -> Executor {
-        Executor::new(1)
-    }
-
     /// The worker count.
     pub fn jobs(&self) -> usize {
         self.jobs
@@ -108,7 +74,7 @@ impl Executor {
     /// from its index (not from shared state), the output vector is
     /// bit-identical regardless of worker count or scheduling. A panicking
     /// trial propagates out of the scope join, as it would serially.
-    pub fn map<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
+    pub(crate) fn map<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
     where
         I: Send,
         T: Send,
@@ -128,7 +94,7 @@ impl Executor {
     /// trial-observable data — which worker (and thus which state instance)
     /// runs a trial is scheduling-dependent, so `f` must derive its RNG from
     /// the trial index alone, exactly as with `map`.
-    pub fn map_with<I, T, S, F, N>(&self, items: Vec<I>, init: N, f: F) -> Vec<T>
+    pub(crate) fn map_with<I, T, S, F, N>(&self, items: Vec<I>, init: N, f: F) -> Vec<T>
     where
         I: Send,
         T: Send,
@@ -170,62 +136,9 @@ impl Executor {
             .collect()
     }
 
-    /// [`Executor::map_with`] with **per-trial fault isolation**: a
-    /// panicking trial becomes an `Err(`[`TrialPanic`]`)` in its own slot
-    /// instead of tearing down the whole map.
-    ///
-    /// The pool itself is unharmed — workers catch the unwind, record it,
-    /// and move on to the next trial, so every surviving trial still runs
-    /// and the output vector keeps strict declaration order (`out[i]` is
-    /// trial `i`, `Ok` or `Err`). The executor stays fully usable for
-    /// subsequent maps: no lock is held across `f`, so nothing is poisoned.
-    ///
-    /// This is the entry point for long-lived callers (the `wavelan-serve`
-    /// daemon) that must outlive a misbehaving trial; the one-shot CLI
-    /// paths keep using [`Executor::map`], where a panic propagating out of
-    /// the scope join is the right behavior.
-    pub fn try_map_with<I, T, S, F, N>(
-        &self,
-        items: Vec<I>,
-        init: N,
-        f: F,
-    ) -> Vec<Result<T, TrialPanic>>
-    where
-        I: Send,
-        T: Send,
-        N: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, I) -> T + Sync,
-    {
-        self.map_with(items, init, |state, i, item| {
-            catch_unwind(AssertUnwindSafe(|| f(state, i, item))).map_err(|payload| TrialPanic {
-                index: i,
-                message: panic_message(payload),
-            })
-        })
-    }
-
-    /// [`Executor::try_map_with`] without per-worker state.
-    pub fn try_map<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<Result<T, TrialPanic>>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(usize, I) -> T + Sync,
-    {
-        self.try_map_with(items, || (), |_, i, it| f(i, it))
-    }
-
-    /// [`Executor::try_map`] over a bare index range.
-    pub fn try_map_indices<T, F>(&self, count: usize, f: F) -> Vec<Result<T, TrialPanic>>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.try_map((0..count).collect(), |_, i| f(i))
-    }
-
     /// [`Executor::map`] over a bare index range — for experiments whose
     /// trial list is described by constants rather than owned values.
-    pub fn map_indices<T, F>(&self, count: usize, f: F) -> Vec<T>
+    pub(crate) fn map_indices<T, F>(&self, count: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
@@ -233,7 +146,7 @@ impl Executor {
         self.map((0..count).collect(), |_, i| f(i))
     }
 
-    /// [`Executor::map_with`] over a bare index range.
+    /// `Executor::map_with` over a bare index range.
     pub fn map_indices_with<T, S, F, N>(&self, count: usize, init: N, f: F) -> Vec<T>
     where
         T: Send,
@@ -265,7 +178,7 @@ mod tests {
             let mut rng = rand::rngs::StdRng::seed_from_u64(trial_seed(7, i as u64, 1996));
             (0..1_000).map(|_| rng.gen_range(0u64..1_000)).sum()
         };
-        let serial = Executor::serial().map_indices(64, work);
+        let serial = Executor::new(1).map_indices(64, work);
         let parallel = Executor::new(8).map_indices(64, work);
         assert_eq!(serial, parallel);
     }
@@ -281,7 +194,7 @@ mod tests {
             let mut rng = rand::rngs::StdRng::seed_from_u64(trial_seed(9, i as u64, 7));
             rng.gen_range(0u64..1_000)
         };
-        let serial = Executor::serial().map_indices_with(64, Vec::new, work);
+        let serial = Executor::new(1).map_indices_with(64, Vec::new, work);
         let parallel = Executor::new(8).map_indices_with(64, Vec::new, work);
         assert_eq!(serial, parallel);
     }
@@ -290,69 +203,7 @@ mod tests {
     fn zero_means_available_parallelism() {
         assert!(Executor::new(0).jobs() >= 1);
         assert_eq!(Executor::new(3).jobs(), 3);
-        assert_eq!(Executor::serial().jobs(), 1);
-    }
-
-    /// Serializes tests that swap the process-global panic hook.
-    static HOOK_LOCK: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn try_map_isolates_a_panicking_trial() {
-        let _guard = HOOK_LOCK.lock().unwrap();
-        // Quiet the default hook: the panic is expected, not a test failure.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let exec = Executor::new(4);
-        let out = exec.try_map_indices(32, |i| {
-            if i == 13 {
-                panic!("trial 13 exploded");
-            }
-            i * 10
-        });
-        std::panic::set_hook(prev);
-        assert_eq!(out.len(), 32);
-        for (i, slot) in out.iter().enumerate() {
-            if i == 13 {
-                let err = slot.as_ref().expect_err("trial 13 must fail");
-                assert_eq!(err.index, 13);
-                assert!(err.message.contains("trial 13 exploded"));
-            } else {
-                // Survivors are present and still in declaration order.
-                assert_eq!(slot.as_ref().expect("survivor"), &(i * 10));
-            }
-        }
-    }
-
-    #[test]
-    fn pool_survives_a_panicking_trial() {
-        let _guard = HOOK_LOCK.lock().unwrap();
-        // A panic in one map must not poison the executor: the same pool
-        // must run a full map afterwards with declaration order intact.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let exec = Executor::new(8);
-        let first = exec.try_map_indices(64, |i| {
-            if i % 7 == 0 {
-                panic!("bad trial {i}");
-            }
-            i
-        });
-        std::panic::set_hook(prev);
-        assert_eq!(first.iter().filter(|r| r.is_err()).count(), 10);
-        let second = exec.map_indices(64, |i| i * i);
-        assert_eq!(second, (0..64).map(|i| i * i).collect::<Vec<usize>>());
-    }
-
-    #[test]
-    fn try_map_matches_map_when_nothing_panics() {
-        let exec = Executor::new(4);
-        let plain = exec.map_indices(40, |i| i as u64 + 1);
-        let tried: Vec<u64> = exec
-            .try_map_indices(40, |i| i as u64 + 1)
-            .into_iter()
-            .map(|r| r.expect("no panics"))
-            .collect();
-        assert_eq!(plain, tried);
+        assert_eq!(Executor::new(1).jobs(), 1);
     }
 
     #[test]

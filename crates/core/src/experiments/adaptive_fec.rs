@@ -22,7 +22,7 @@ use crate::registry::Experiment;
 use crate::spec::{interferer_from_source, FecSpec, ScenarioSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wavelan_analysis::report::{render_blocks, Cell, Column, Table};
+use wavelan_analysis::report::{Cell, Column, Table};
 use wavelan_analysis::{Block, PacketClass, Report};
 use wavelan_fec::rcpc::{CodeRate, RcpcCodec};
 use wavelan_fec::{AdaptiveFec, BlockInterleaver, FecScratch};
@@ -33,7 +33,7 @@ const PAYLOAD_BYTES: usize = 1_024;
 
 /// Per-rate recovery statistics.
 #[derive(Debug, Clone)]
-pub struct RateOutcome {
+pub(crate) struct RateOutcome {
     /// The code rate.
     pub rate: CodeRate,
     /// Damaged packets replayed.
@@ -46,7 +46,7 @@ pub struct RateOutcome {
 
 impl RateOutcome {
     /// Recovery fraction.
-    pub fn recovery(&self) -> f64 {
+    pub(crate) fn recovery(&self) -> f64 {
         if self.replayed == 0 {
             return 1.0;
         }
@@ -56,7 +56,7 @@ impl RateOutcome {
 
 /// Adaptive-controller trajectory summary.
 #[derive(Debug, Clone)]
-pub struct AdaptiveOutcome {
+pub(crate) struct AdaptiveOutcome {
     /// Packets processed.
     pub packets: usize,
     /// Packets that ended corrupted despite FEC.
@@ -67,7 +67,7 @@ pub struct AdaptiveOutcome {
 
 /// The experiment result.
 #[derive(Debug, Clone)]
-pub struct AdaptiveFecResult {
+pub(crate) struct AdaptiveFecResult {
     /// Fixed-rate outcomes, weakest code first.
     pub fixed: Vec<RateOutcome>,
     /// The adaptive controller's outcome on the same packet sequence.
@@ -79,7 +79,7 @@ pub struct AdaptiveFecResult {
 impl AdaptiveFecResult {
     /// The report blocks: headline notes, the fixed-rate table, and the
     /// adaptive-controller summary.
-    pub fn blocks(&self) -> Vec<Block> {
+    pub(crate) fn blocks(&self) -> Vec<Block> {
         let table = Table {
             heading: None,
             columns: vec![
@@ -127,19 +127,14 @@ impl AdaptiveFecResult {
             )),
         ]
     }
-
-    /// Renders the summary table.
-    pub fn render(&self) -> String {
-        render_blocks(&self.blocks())
-    }
 }
 
 /// This experiment's registry id (no sim trials of its own — it replays the
 /// SS-phone trace — so the id is only a registry discriminator).
-pub const EXPERIMENT_ID: u64 = 15;
+pub(crate) const EXPERIMENT_ID: u64 = 15;
 
 /// Registry entry for the Section 8 variable-FEC conjecture.
-pub struct Fec;
+pub(crate) struct Fec;
 
 impl Experiment for Fec {
     fn id(&self) -> u64 {
@@ -258,16 +253,10 @@ impl ReplayCtx {
     }
 }
 
-/// Runs the experiment at the given scale (drives the SS-phone trial, then
-/// replays). `max_replays` caps the per-rate decoder work.
-pub fn run(scale: Scale, seed: u64) -> AdaptiveFecResult {
-    run_with(scale, seed, &Executor::default())
-}
-
 /// [`run`] on an explicit executor. The inner SS-phone trials fan out; the
 /// replay itself stays serial — the adaptive controller walks the trace
 /// chronologically through one RNG, which is the point of the experiment.
-pub fn run_with(scale: Scale, seed: u64, _exec: &Executor) -> AdaptiveFecResult {
+pub(crate) fn run_with(scale: Scale, seed: u64, _exec: &Executor) -> AdaptiveFecResult {
     // Only the AT&T-handset environment is replayed; ss_phone trials seed
     // independent RNG streams, so running just that one is bit-identical
     // to slicing it out of the full six-trial run.
@@ -354,10 +343,11 @@ pub fn run_with(scale: Scale, seed: u64, _exec: &Executor) -> AdaptiveFecResult 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wavelan_analysis::report::render_blocks;
 
     #[test]
     fn section_8_conjecture_holds() {
-        let result = run(Scale::Smoke, 29);
+        let result = run_with(Scale::Smoke, 29, &Executor::default());
 
         // The uncoded channel really is the paper's intermediate regime.
         assert!(
@@ -389,6 +379,6 @@ mod tests {
         );
         assert!(adaptive.mean_overhead < CodeRate::R1_4.overhead());
 
-        assert!(result.render().contains("adaptive controller"));
+        assert!(render_blocks(&result.blocks()).contains("adaptive controller"));
     }
 }

@@ -12,15 +12,15 @@ use crate::executor::{trial_seed, Executor};
 use crate::layouts;
 use crate::registry::Experiment;
 use crate::spec::ScenarioSpec;
-use wavelan_analysis::report::{render_blocks, results_table, signal_table, SignalRow};
+use wavelan_analysis::report::{results_table, signal_table, SignalRow};
 use wavelan_analysis::{Block, PacketClass, Report, TraceAnalysis, TrialSummary};
 use wavelan_sim::{Propagation, SimScratch};
 
 /// This experiment's stream id for [`trial_seed`].
-pub const EXPERIMENT_ID: u64 = 7;
+pub(crate) const EXPERIMENT_ID: u64 = 7;
 
 /// The paper collected ≈1,440 packets per stream.
-pub const PAPER_PACKETS: u64 = 1_440;
+pub(crate) const PAPER_PACKETS: u64 = 1_440;
 
 /// The Tables 8–9 result.
 #[derive(Debug)]
@@ -33,7 +33,7 @@ pub struct BodyResult {
 
 impl BodyResult {
     /// Table 8 rows.
-    pub fn table8(&self) -> Vec<TrialSummary> {
+    pub(crate) fn table8(&self) -> Vec<TrialSummary> {
         vec![
             TrialSummary::from_analysis("No body", &self.no_body),
             TrialSummary::from_analysis("Body", &self.body),
@@ -41,7 +41,7 @@ impl BodyResult {
     }
 
     /// Table 9 rows.
-    pub fn table9(&self) -> Vec<SignalRow> {
+    pub(crate) fn table9(&self) -> Vec<SignalRow> {
         let b = &self.body;
         vec![
             SignalRow::new(
@@ -68,14 +68,8 @@ impl BodyResult {
         ]
     }
 
-    /// Level drop the person causes.
-    pub fn body_level_drop(&self) -> f64 {
-        self.no_body.stats_where(|p| p.is_test).0.mean()
-            - self.body.stats_where(|p| p.is_test).0.mean()
-    }
-
     /// The report blocks: both tables with a blank separator.
-    pub fn blocks(&self) -> Vec<Block> {
+    pub(crate) fn blocks(&self) -> Vec<Block> {
         vec![
             Block::Table(results_table(
                 "Table 8: Effects of human body on packet loss and errors",
@@ -88,15 +82,10 @@ impl BodyResult {
             )),
         ]
     }
-
-    /// Renders both tables.
-    pub fn render(&self) -> String {
-        render_blocks(&self.blocks())
-    }
 }
 
 /// Registry entry reproducing Tables 8–9.
-pub struct Tables8To9;
+pub(crate) struct Tables8To9;
 
 impl Experiment for Tables8To9 {
     fn id(&self) -> u64 {
@@ -146,12 +135,7 @@ impl Experiment for Tables8To9 {
     }
 }
 
-/// Runs both streams at the given scale.
-pub fn run(scale: Scale, seed: u64) -> BodyResult {
-    run_with(scale, seed, &Executor::default())
-}
-
-/// [`run`] on an explicit executor; the two streams fan out as independent
+/// Runs the experiment on an explicit executor; the two streams fan out as independent
 /// trials (shared pinned propagation, per-stream traffic seed).
 pub fn run_with(scale: Scale, seed: u64, exec: &Executor) -> BodyResult {
     let packets = scale.packets(PAPER_PACKETS);
@@ -191,10 +175,17 @@ fn pinned_propagation(seed: u64) -> Propagation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wavelan_analysis::report::render_blocks;
+
+    /// Level drop the person causes.
+    fn body_level_drop(result: &BodyResult) -> f64 {
+        result.no_body.stats_where(|p| p.is_test).0.mean()
+            - result.body.stats_where(|p| p.is_test).0.mean()
+    }
 
     #[test]
     fn tables_8_and_9_shape_holds() {
-        let result = run(Scale::Smoke, 31);
+        let result = run_with(Scale::Smoke, 31, &Executor::default());
 
         // Without the body: clean (paper: 1440 received, 0 everything).
         assert_eq!(result.no_body.body_ber(), 0.0);
@@ -208,7 +199,7 @@ mod tests {
         let damaged = result.body.count(PacketClass::BodyDamaged);
         let dmg_rate = damaged as f64 / received as f64;
         assert!((0.03..0.35).contains(&dmg_rate), "damage rate {dmg_rate}");
-        let drop = result.body_level_drop();
+        let drop = body_level_drop(&result);
         assert!((4.5..7.5).contains(&drop), "level drop {drop}");
 
         // Damaged bits per packet stay small ("a handful").
@@ -220,7 +211,7 @@ mod tests {
             .unwrap();
         assert!(worst <= 80, "worst {worst}");
 
-        let rendered = result.render();
+        let rendered = render_blocks(&result.blocks());
         assert!(rendered.contains("Table 8"));
         assert!(rendered.contains("Body: Body damaged"));
     }

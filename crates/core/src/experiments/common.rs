@@ -47,12 +47,12 @@ impl Scale {
 }
 
 /// The conventional endpoints: station 1 receives, station 2 transmits.
-pub fn test_receiver() -> Endpoint {
+pub(crate) fn test_receiver() -> Endpoint {
     Endpoint::station(1)
 }
 
 /// See [`test_receiver`].
-pub fn test_sender() -> Endpoint {
+pub(crate) fn test_sender() -> Endpoint {
     Endpoint::station(2)
 }
 
@@ -67,7 +67,7 @@ pub fn expected_series() -> ExpectedSeries {
 
 /// A single sender → receiver trial specification.
 #[derive(Debug)]
-pub struct PointTrial {
+pub(crate) struct PointTrial {
     /// Building geometry.
     pub plan: FloorPlan,
     /// Propagation model.
@@ -88,7 +88,7 @@ pub struct PointTrial {
 
 impl PointTrial {
     /// A trial with default thresholds and no interference.
-    pub fn new(
+    pub(crate) fn new(
         plan: FloorPlan,
         propagation: Propagation,
         rx: Point,
@@ -109,7 +109,7 @@ impl PointTrial {
     }
 
     /// Builds the scenario (receiver is station 0, sender station 1).
-    pub fn scenario(&self) -> (Scenario, usize, usize) {
+    pub(crate) fn scenario(&self) -> (Scenario, usize, usize) {
         let mut b = ScenarioBuilder::new(self.seed);
         let rx = b.station(StationConfig {
             thresholds: self.rx_thresholds,
@@ -124,15 +124,9 @@ impl PointTrial {
         (scenario, rx, tx)
     }
 
-    /// Runs the trial and returns the receiver trace (with the transmitted
-    /// count attached) plus the full result.
-    pub fn run(&self) -> (Trace, TrialResult) {
-        self.run_in(&mut SimScratch::new())
-    }
-
     /// [`PointTrial::run`] with a caller-owned scratch workspace, so
     /// buffers and memo caches persist across trials (bit-identical).
-    pub fn run_in(&self, scratch: &mut SimScratch) -> (Trace, TrialResult) {
+    pub(crate) fn run_in(&self, scratch: &mut SimScratch) -> (Trace, TrialResult) {
         let (scenario, rx, tx) = self.scenario();
         let mut result = scenario.run_in(tx, self.packets, scratch);
         attach_tx_count(&mut result, rx, tx);
@@ -140,13 +134,8 @@ impl PointTrial {
         (trace, result)
     }
 
-    /// Runs and analyzes in one step.
-    pub fn analyze(&self) -> TraceAnalysis {
-        self.analyze_in(&mut SimScratch::new())
-    }
-
     /// [`PointTrial::analyze`] with a caller-owned scratch workspace.
-    pub fn analyze_in(&self, scratch: &mut SimScratch) -> TraceAnalysis {
+    pub(crate) fn analyze_in(&self, scratch: &mut SimScratch) -> TraceAnalysis {
         let (trace, _) = self.run_in(scratch);
         analyze(&trace, &expected_series())
     }
@@ -158,7 +147,11 @@ impl PointTrial {
 /// few, had poor signal characteristics, and were damaged. Frequently we
 /// could determine that they were ARP packets or inter-bridge routing
 /// packets"). They chatter to each other at a low rate. Returns their ids.
-pub fn add_outsider_pair(b: &mut ScenarioBuilder, near: Point, far: Point) -> (usize, usize) {
+pub(crate) fn add_outsider_pair(
+    b: &mut ScenarioBuilder,
+    near: Point,
+    far: Point,
+) -> (usize, usize) {
     let a_id = b.next_station_id();
     let b_id = a_id + 1;
     let mut a_cfg = StationConfig::sender(Endpoint::foreign(200), near, b_id);
@@ -199,7 +192,7 @@ mod tests {
     fn point_trial_runs_and_analyzes() {
         let (plan, rx, tx) = layouts::office();
         let trial = PointTrial::new(plan, Propagation::indoor(1), rx, tx, 400, 1);
-        let analysis = trial.analyze();
+        let analysis = trial.analyze_in(&mut SimScratch::new());
         assert!(analysis.test_packets().count() >= 398);
         assert_eq!(analysis.transmitted, 400);
     }

@@ -14,7 +14,7 @@ use crate::executor::{trial_seed, Executor};
 use crate::layouts::{self, MultiRoom};
 use crate::registry::Experiment;
 use crate::spec::{Role, ScenarioSpec, StationSpec};
-use wavelan_analysis::report::{render_blocks, signal_table, SignalRow};
+use wavelan_analysis::report::{signal_table, SignalRow};
 use wavelan_analysis::{analyze, Block, PacketClass, Report, TraceAnalysis};
 use wavelan_mac::csma::MacStats;
 use wavelan_mac::Thresholds;
@@ -23,13 +23,11 @@ use wavelan_sim::runner::attach_tx_count;
 use wavelan_sim::{Propagation, ScenarioBuilder, SimScratch, StationConfig};
 
 /// The paper collected 10⁸ bits ≈ 12,715 packets per trial.
-pub const PAPER_PACKETS: u64 = 12_720;
+pub(crate) const PAPER_PACKETS: u64 = 12_720;
 
 /// One trial of the experiment.
 #[derive(Debug)]
-pub struct CompetingTrial {
-    /// Trial label.
-    pub name: &'static str,
+pub(crate) struct CompetingTrial {
     /// Receiver-trace analysis.
     pub analysis: TraceAnalysis,
     /// The victim sender's MAC counters.
@@ -40,7 +38,7 @@ pub struct CompetingTrial {
 
 /// The Table 14 result (plus the threshold-3 narrative trial).
 #[derive(Debug)]
-pub struct CompetingResult {
+pub(crate) struct CompetingResult {
     /// Clean baseline (threshold 25, no jammers).
     pub without_interference: CompetingTrial,
     /// Jammers on, threshold 25: the Table 14 "with interference" row.
@@ -51,7 +49,7 @@ pub struct CompetingResult {
 
 impl CompetingResult {
     /// Table 14 rows.
-    pub fn table14(&self) -> Vec<SignalRow> {
+    pub(crate) fn table14(&self) -> Vec<SignalRow> {
         let mut rows = vec![
             SignalRow::new(
                 "Without interference",
@@ -74,7 +72,7 @@ impl CompetingResult {
     }
 
     /// The report blocks: the table plus the threshold-3 narrative note.
-    pub fn blocks(&self) -> Vec<Block> {
+    pub(crate) fn blocks(&self) -> Vec<Block> {
         let t3 = &self.threshold3;
         vec![
             Block::Table(signal_table(
@@ -102,15 +100,10 @@ impl CompetingResult {
             )),
         ]
     }
-
-    /// Renders the Table 14 reproduction plus the threshold-3 summary line.
-    pub fn render(&self) -> String {
-        render_blocks(&self.blocks())
-    }
 }
 
 /// Registry entry reproducing Table 14 (plus the threshold-3 narrative).
-pub struct Table14;
+pub(crate) struct Table14;
 
 impl Experiment for Table14 {
     fn id(&self) -> u64 {
@@ -174,7 +167,7 @@ impl Experiment for Table14 {
 /// Runs one trial: test pair at Tx1→receiver in the multi-room layout,
 /// optional jammers at Tx4/Tx5, at the given receive/carrier threshold.
 fn run_trial(
-    name: &'static str,
+    _name: &'static str,
     jammers: bool,
     threshold: u8,
     packets: u64,
@@ -223,7 +216,6 @@ fn run_trial(
     // paper scale it holds tens of thousands of per-packet records.
     let trace = result.traces[rx_id].take().expect("receiver records");
     CompetingTrial {
-        name,
         analysis: analyze(&trace, &expected_series()),
         sender_mac: result.mac_stats[tx_id],
         sender_transmitted: result.packets_transmitted[tx_id],
@@ -231,17 +223,12 @@ fn run_trial(
 }
 
 /// This experiment's stream id for [`trial_seed`].
-pub const EXPERIMENT_ID: u64 = 10;
-
-/// Runs the three trials at the given scale.
-pub fn run(scale: Scale, seed: u64) -> CompetingResult {
-    run_with(scale, seed, &Executor::default())
-}
+pub(crate) const EXPERIMENT_ID: u64 = 10;
 
 /// [`run`] on an explicit executor; the three trials fan out independently.
 /// All three share one derived seed — the paper reused a single physical
 /// placement and only changed thresholds and jammers between trials.
-pub fn run_with(scale: Scale, seed: u64, exec: &Executor) -> CompetingResult {
+pub(crate) fn run_with(scale: Scale, seed: u64, exec: &Executor) -> CompetingResult {
     let packets = scale.packets(PAPER_PACKETS);
     let shared = trial_seed(EXPERIMENT_ID, 0, seed);
     let specs: [(&'static str, bool, u8, u64); 3] = [
@@ -271,10 +258,11 @@ pub fn run_with(scale: Scale, seed: u64, exec: &Executor) -> CompetingResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wavelan_analysis::report::render_blocks;
 
     #[test]
     fn table_14_shape_holds() {
-        let result = run(Scale::Smoke, 23);
+        let result = run_with(Scale::Smoke, 23, &Executor::default());
         let clean = &result.without_interference;
         let jammed = &result.with_interference;
 
@@ -324,6 +312,6 @@ mod tests {
         assert!(foreign as f64 > logged as f64 * 0.8, "{foreign}/{logged}");
         assert!(test_received < logged / 10, "{test_received}/{logged}");
 
-        assert!(result.render().contains("Table 14"));
+        assert!(render_blocks(&result.blocks()).contains("Table 14"));
     }
 }

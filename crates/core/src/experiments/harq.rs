@@ -25,7 +25,7 @@ use crate::registry::Experiment;
 use crate::spec::{interferer_from_source, FecSpec, ScenarioSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wavelan_analysis::report::{render_blocks, Cell, Column, Table};
+use wavelan_analysis::report::{Cell, Column, Table};
 use wavelan_analysis::{Block, Report};
 use wavelan_fec::harq::run_harq_encoded_with;
 use wavelan_fec::rcpc::{CodeRate, RcpcCodec};
@@ -39,7 +39,7 @@ const PAYLOAD_SIZES: [usize; 2] = [256, 1_024];
 
 /// One strategy's scorecard.
 #[derive(Debug, Clone)]
-pub struct StrategyOutcome {
+pub(crate) struct StrategyOutcome {
     /// Strategy label.
     pub name: &'static str,
     /// Packets attempted.
@@ -54,7 +54,7 @@ pub struct StrategyOutcome {
 
 impl StrategyOutcome {
     /// Delivered information bits per channel bit.
-    pub fn goodput(&self) -> f64 {
+    pub(crate) fn goodput(&self) -> f64 {
         if self.channel_bits == 0 {
             return 0.0;
         }
@@ -62,33 +62,23 @@ impl StrategyOutcome {
     }
 
     /// Fraction of packets never delivered.
-    pub fn failure_rate(&self) -> f64 {
+    pub(crate) fn failure_rate(&self) -> f64 {
         1.0 - self.delivered as f64 / self.packets.max(1) as f64
     }
 }
 
 /// One payload size's shootout.
 #[derive(Debug, Clone)]
-pub struct SizeShootout {
+pub(crate) struct SizeShootout {
     /// Payload size, bytes.
     pub payload_bytes: usize,
     /// Scorecards, in presentation order.
     pub strategies: Vec<StrategyOutcome>,
 }
 
-impl SizeShootout {
-    /// A strategy by name.
-    pub fn strategy(&self, name: &str) -> &StrategyOutcome {
-        self.strategies
-            .iter()
-            .find(|s| s.name == name)
-            .expect("strategy exists")
-    }
-}
-
 /// The experiment result: the fitted channel and one shootout per size.
 #[derive(Debug, Clone)]
-pub struct HarqResult {
+pub(crate) struct HarqResult {
     /// The channel fitted from the measured trace.
     pub channel: GilbertElliott,
     /// One shootout per payload size, ascending.
@@ -98,7 +88,7 @@ pub struct HarqResult {
 impl HarqResult {
     /// The report blocks: the fitted-channel notes, one table per payload
     /// size, and the crossover summary.
-    pub fn blocks(&self) -> Vec<Block> {
+    pub(crate) fn blocks(&self) -> Vec<Block> {
         let mut blocks = vec![
             Block::Note(String::from(
                 "Link strategies over the channel fitted from the AT&T-handset trace",
@@ -161,19 +151,14 @@ impl HarqResult {
         )));
         blocks
     }
-
-    /// Renders the comparison.
-    pub fn render(&self) -> String {
-        render_blocks(&self.blocks())
-    }
 }
 
 /// This experiment's registry id (it replays the SS-phone trace through a
 /// fitted channel, so the id is only a registry discriminator).
-pub const EXPERIMENT_ID: u64 = 16;
+pub(crate) const EXPERIMENT_ID: u64 = 16;
 
 /// Registry entry for the link-strategy shootout.
-pub struct Harq;
+pub(crate) struct Harq;
 
 impl Experiment for Harq {
     fn id(&self) -> u64 {
@@ -272,15 +257,10 @@ fn apply_mask(bits: &mut [u8], mask: &[bool]) {
     }
 }
 
-/// Runs the shootout at the given scale.
-pub fn run(scale: Scale, seed: u64) -> HarqResult {
-    run_with(scale, seed, &Executor::default())
-}
-
 /// [`run`] on an explicit executor: the inner SS-phone trials fan out, and
 /// the two payload-size shootouts run as independent trials (each already
 /// owns an RNG keyed by its payload size).
-pub fn run_with(scale: Scale, seed: u64, exec: &Executor) -> HarqResult {
+pub(crate) fn run_with(scale: Scale, seed: u64, exec: &Executor) -> HarqResult {
     // 1–2: measured channel (ss_phone keeps analyses, not raw traces, so
     // the fit works from the aggregate error statistics). Only the
     // AT&T-handset trial is needed; its RNG stream is independent of the
@@ -453,25 +433,38 @@ fn fit_channel_from_trial(trial: &ss_phone::SsPhoneTrial) -> GilbertElliott {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wavelan_analysis::report::render_blocks;
+
+    /// A strategy by name.
+    fn strategy<'a>(shootout: &'a SizeShootout, name: &str) -> &'a StrategyOutcome {
+        shootout
+            .strategies
+            .iter()
+            .find(|s| s.name == name)
+            .expect("strategy exists")
+    }
 
     #[test]
     fn crossover_matches_the_papers_prediction() {
         // Seed recalibrated for the vendored xoshiro RNG stream (41 puts
         // fec-1/2's failure rate exactly on the 0.05 boundary).
-        let result = run(Scale::Smoke, 42);
+        let result = run_with(Scale::Smoke, 42, &Executor::default());
         let small = &result.shootouts[0];
         let large = &result.shootouts[1];
 
         // HARQ always delivers; fixed FEC nearly always.
         for shoot in [small, large] {
-            assert_eq!(shoot.strategy("ir-harq").failure_rate(), 0.0, "{shoot:?}");
-            assert!(shoot.strategy("fec-1/2").failure_rate() < 0.05, "{shoot:?}");
+            assert_eq!(strategy(shoot, "ir-harq").failure_rate(), 0.0, "{shoot:?}");
+            assert!(
+                strategy(shoot, "fec-1/2").failure_rate() < 0.05,
+                "{shoot:?}"
+            );
             // Fixed 1/2 cannot exceed 50% goodput by construction; HARQ
             // always beats it on this mostly-good channel.
-            let fixed = shoot.strategy("fec-1/2");
+            let fixed = strategy(shoot, "fec-1/2");
             assert!(fixed.goodput() <= 0.5 + 1e-9);
             assert!(
-                shoot.strategy("ir-harq").goodput() > fixed.goodput(),
+                strategy(shoot, "ir-harq").goodput() > fixed.goodput(),
                 "{shoot:?}"
             );
         }
@@ -480,14 +473,14 @@ mod tests {
         // ARQ's zero overhead wins ("FEC would be useless overhead in most
         // situations"); at 1 KiB frames the bursts tax every retransmission
         // and incremental redundancy wins.
-        let small_plain = small.strategy("plain-arq").goodput();
-        let small_harq = small.strategy("ir-harq").goodput();
+        let small_plain = strategy(small, "plain-arq").goodput();
+        let small_harq = strategy(small, "ir-harq").goodput();
         assert!(
             small_plain > small_harq - 0.02,
             "short frames: plain {small_plain} vs harq {small_harq}"
         );
-        let large_plain = large.strategy("plain-arq").goodput();
-        let large_harq = large.strategy("ir-harq").goodput();
+        let large_plain = strategy(large, "plain-arq").goodput();
+        let large_harq = strategy(large, "ir-harq").goodput();
         assert!(
             large_harq > large_plain,
             "long frames: harq {large_harq} vs plain {large_plain}"
@@ -495,7 +488,7 @@ mod tests {
 
         // The channel fit is bursty (bad-state BER far above mean).
         assert!(result.channel.ber_bad > result.channel.mean_ber() * 10.0);
-        assert!(result.render().contains("ir-harq"));
+        assert!(render_blocks(&result.blocks()).contains("ir-harq"));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use super::common::{expected_series, test_receiver, test_sender, Scale};
 use crate::executor::{trial_seed, Executor};
 use crate::registry::Experiment;
 use crate::spec::{Role, ScenarioSpec, StationSpec, WallSpec};
-use wavelan_analysis::report::{render_blocks, Cell, Column, Table};
+use wavelan_analysis::report::{Cell, Column, Table};
 use wavelan_analysis::{analyze, Block, Report};
 use wavelan_net::testpkt::Endpoint;
 use wavelan_sim::runner::attach_tx_count;
@@ -54,7 +54,7 @@ pub struct HiddenTerminalResult {
 impl HiddenTerminalResult {
     /// The report blocks: the setup note, the two-row comparison, and the
     /// mechanism note.
-    pub fn blocks(&self) -> Vec<Block> {
+    pub(crate) fn blocks(&self) -> Vec<Block> {
         let table = Table {
             heading: None,
             columns: vec![
@@ -97,15 +97,10 @@ impl HiddenTerminalResult {
             )),
         ]
     }
-
-    /// Renders the comparison.
-    pub fn render(&self) -> String {
-        render_blocks(&self.blocks())
-    }
 }
 
 /// Registry entry for the Section 7.4 hidden-terminal ablation.
-pub struct HiddenTerminal;
+pub(crate) struct HiddenTerminal;
 
 impl HiddenTerminal {
     /// Packets per configuration (capped: the ablated run crawls).
@@ -227,14 +222,9 @@ fn run_once(
 }
 
 /// This experiment's stream id for [`trial_seed`].
-pub const EXPERIMENT_ID: u64 = 13;
+pub(crate) const EXPERIMENT_ID: u64 = 13;
 
-/// Runs both configurations.
-pub fn run(packets: u64, seed: u64) -> HiddenTerminalResult {
-    run_with(packets, seed, &Executor::default())
-}
-
-/// [`run`] on an explicit executor. Both configurations share one derived
+/// Runs the experiment on an explicit executor. Both configurations share one derived
 /// seed — the ablation must differ only in the capture margin.
 pub fn run_with(packets: u64, seed: u64, exec: &Executor) -> HiddenTerminalResult {
     let shared = trial_seed(EXPERIMENT_ID, 0, seed);
@@ -253,10 +243,11 @@ pub fn run_with(packets: u64, seed: u64, exec: &Executor) -> HiddenTerminalResul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wavelan_analysis::report::render_blocks;
 
     #[test]
     fn capture_confers_hidden_terminal_resistance() {
-        let result = run(500, 43);
+        let result = run_with(500, 43, &Executor::default());
 
         // Sanity: the hidden transmitter really collides with most packets
         // when capture is off — the near link suffers badly.
@@ -276,6 +267,6 @@ mod tests {
             result.with_capture.delivery() > result.without_capture.delivery() + 0.25,
             "{result:?}"
         );
-        assert!(result.render().contains("capture ON"));
+        assert!(render_blocks(&result.blocks()).contains("capture ON"));
     }
 }

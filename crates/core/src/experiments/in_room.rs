@@ -15,16 +15,16 @@ use super::common::{PointTrial, Scale};
 use crate::executor::{trial_seed, Executor};
 use crate::registry::Experiment;
 use crate::spec::ScenarioSpec;
-use wavelan_analysis::report::{render_blocks, results_table};
+use wavelan_analysis::report::results_table;
 use wavelan_analysis::{Block, Report, TrialSummary};
 use wavelan_sim::{Propagation, SimScratch};
 
 /// This experiment's stream id for [`trial_seed`].
-pub const EXPERIMENT_ID: u64 = 1;
+pub(crate) const EXPERIMENT_ID: u64 = 1;
 
 /// The paper's per-trial packet counts (Table 2, "Packets Received" column,
 /// adjusted up by the reported loss — transmitted counts).
-pub const PAPER_TRIALS: [(&str, u64); 9] = [
+pub(crate) const PAPER_TRIALS: [(&str, u64); 9] = [
     ("office1", 102_751),
     ("office2", 40_080),
     ("office3", 102_730),
@@ -44,41 +44,17 @@ pub struct InRoomResult {
 }
 
 impl InRoomResult {
-    /// Total body bits received across all trials (the paper's ">10¹⁰ bits"
-    /// headline at full scale).
-    pub fn total_bits(&self) -> u64 {
-        self.trials.iter().map(|t| t.bits_received).sum()
-    }
-
-    /// Total damaged body bits.
-    pub fn total_damaged_bits(&self) -> u64 {
-        self.trials.iter().map(|t| t.body_bits_damaged).sum()
-    }
-
-    /// Worst per-trial loss rate.
-    pub fn worst_loss(&self) -> f64 {
-        self.trials
-            .iter()
-            .map(|t| t.packet_loss)
-            .fold(0.0, f64::max)
-    }
-
     /// The report blocks of the Table 2 reproduction.
-    pub fn blocks(&self) -> Vec<Block> {
+    pub(crate) fn blocks(&self) -> Vec<Block> {
         vec![Block::Table(results_table(
             "Table 2: Results of in-room experiment",
             &self.trials,
         ))]
     }
-
-    /// Renders the Table 2 reproduction.
-    pub fn render(&self) -> String {
-        render_blocks(&self.blocks())
-    }
 }
 
 /// Registry entry reproducing Table 2.
-pub struct Table2;
+pub(crate) struct Table2;
 
 impl Experiment for Table2 {
     fn id(&self) -> u64 {
@@ -120,16 +96,11 @@ impl Experiment for Table2 {
 /// and sender 7 ft apart line-of-sight, no walls, no interference. The
 /// driver's nine trials all run this geometry; the budget is the longest
 /// trial's (office5).
-pub fn base_spec() -> ScenarioSpec {
+pub(crate) fn base_spec() -> ScenarioSpec {
     ScenarioSpec::pair("table2", (0.0, 0.0), (7.0, 0.0), PAPER_TRIALS[4].1)
 }
 
-/// Runs the nine in-room trials at the given scale.
-pub fn run(scale: Scale, base_seed: u64) -> InRoomResult {
-    run_with(scale, base_seed, &Executor::default())
-}
-
-/// [`run`] on an explicit executor. Trials fan out across the pool; each
+/// Runs the experiment on an explicit executor. Trials fan out across the pool; each
 /// trial's propagation and scenario streams derive purely from its index,
 /// so the result is identical at any worker count.
 pub fn run_with(scale: Scale, base_seed: u64, exec: &Executor) -> InRoomResult {
@@ -152,10 +123,11 @@ pub fn run_with(scale: Scale, base_seed: u64, exec: &Executor) -> InRoomResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wavelan_analysis::report::render_blocks;
 
     #[test]
     fn base_case_shape_holds() {
-        let result = run(Scale::Smoke, 42);
+        let result = run_with(Scale::Smoke, 42, &Executor::default());
         assert_eq!(result.trials.len(), 9);
         for t in &result.trials {
             // "well under one per thousand" loss.
@@ -164,8 +136,8 @@ mod tests {
             assert_eq!(t.body_bits_damaged, 0, "{}", t.name);
             assert_eq!(t.packets_truncated, 0, "{}", t.name);
         }
-        assert!(result.total_bits() > 10_000_000);
-        let table = result.render();
+        assert!(result.trials.iter().map(|t| t.bits_received).sum::<u64>() > 10_000_000);
+        let table = render_blocks(&result.blocks());
         assert!(table.contains("office5"));
     }
 }

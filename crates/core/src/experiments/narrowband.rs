@@ -16,13 +16,13 @@ use crate::calibration::{narrowband_phone, narrowband_power};
 use crate::executor::{trial_seed, Executor};
 use crate::registry::Experiment;
 use crate::spec::{interferer_from_source, ScenarioSpec};
-use wavelan_analysis::report::{render_blocks, signal_table, SignalRow};
-use wavelan_analysis::{analyze, Block, PacketClass, Report, TraceAnalysis};
+use wavelan_analysis::report::{signal_table, SignalRow};
+use wavelan_analysis::{analyze, Block, Report, TraceAnalysis};
 use wavelan_sim::runner::attach_tx_count;
 use wavelan_sim::{Point, Propagation, ScenarioBuilder, SimScratch, StationConfig};
 
 /// The paper collected ≈1,440 packets per trial.
-pub const PAPER_PACKETS: u64 = 1_440;
+pub(crate) const PAPER_PACKETS: u64 = 1_440;
 
 /// One Table 10 trial.
 #[derive(Debug)]
@@ -41,17 +41,9 @@ pub struct NarrowbandResult {
 }
 
 impl NarrowbandResult {
-    /// Total damaged test packets across all trials (the paper saw zero).
-    pub fn total_damaged(&self) -> usize {
-        self.trials
-            .iter()
-            .map(|t| t.analysis.test_packets().count() - t.analysis.count(PacketClass::Undamaged))
-            .sum()
-    }
-
     /// The Table 10 report blocks (test rows, plus outsider rows where
     /// present).
-    pub fn blocks(&self) -> Vec<Block> {
+    pub(crate) fn blocks(&self) -> Vec<Block> {
         let mut rows = Vec::new();
         for t in &self.trials {
             rows.push(SignalRow::new(
@@ -71,15 +63,10 @@ impl NarrowbandResult {
             &rows,
         ))]
     }
-
-    /// Renders the Table 10 reproduction.
-    pub fn render(&self) -> String {
-        render_blocks(&self.blocks())
-    }
 }
 
 /// Registry entry reproducing Table 10.
-pub struct Table10;
+pub(crate) struct Table10;
 
 impl Experiment for Table10 {
     fn id(&self) -> u64 {
@@ -144,14 +131,9 @@ fn trial_specs() -> Vec<(&'static str, Option<f64>, bool)> {
 }
 
 /// This experiment's stream id for [`trial_seed`].
-pub const EXPERIMENT_ID: u64 = 8;
+pub(crate) const EXPERIMENT_ID: u64 = 8;
 
-/// Runs the five trials at the given scale.
-pub fn run(scale: Scale, seed: u64) -> NarrowbandResult {
-    run_with(scale, seed, &Executor::default())
-}
-
-/// [`run`] on an explicit executor; the five trials fan out independently.
+/// Runs the experiment on an explicit executor; the five trials fan out independently.
 pub fn run_with(scale: Scale, seed: u64, exec: &Executor) -> NarrowbandResult {
     let packets = scale.packets(PAPER_PACKETS);
     let trials = exec.map_with(
@@ -191,13 +173,24 @@ pub fn run_with(scale: Scale, seed: u64, exec: &Executor) -> NarrowbandResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wavelan_analysis::report::render_blocks;
+
+    /// Total damaged test packets across all trials (the paper saw zero).
+    fn total_damaged(result: &NarrowbandResult) -> usize {
+        use wavelan_analysis::PacketClass;
+        result
+            .trials
+            .iter()
+            .map(|t| t.analysis.test_packets().count() - t.analysis.count(PacketClass::Undamaged))
+            .sum()
+    }
 
     #[test]
     fn table_10_shape_holds() {
-        let result = run(Scale::Smoke, 13);
+        let result = run_with(Scale::Smoke, 13, &Executor::default());
 
         // The headline: zero damaged test packets in every trial.
-        assert_eq!(result.total_damaged(), 0);
+        assert_eq!(total_damaged(&result), 0);
 
         // Loss stays at background levels.
         for t in &result.trials {
@@ -256,6 +249,6 @@ mod tests {
 
         // Outsiders logged in the trials that had them.
         assert!(result.trials[0].analysis.outsiders().count() > 0);
-        assert!(result.render().contains("Table 10"));
+        assert!(render_blocks(&result.blocks()).contains("Table 10"));
     }
 }

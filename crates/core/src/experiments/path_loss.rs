@@ -15,12 +15,12 @@ use crate::executor::{trial_seed, Executor};
 use crate::layouts;
 use crate::registry::Experiment;
 use crate::spec::{PropagationSpec, ScenarioSpec};
-use wavelan_analysis::report::{render_blocks, Cell, Column, Table};
+use wavelan_analysis::report::{Cell, Column, Table};
 use wavelan_analysis::{Block, Report, SignalStats};
 use wavelan_sim::{Point, Propagation, SimScratch};
 
 /// This experiment's stream id for [`trial_seed`].
-pub const EXPERIMENT_ID: u64 = 2;
+pub(crate) const EXPERIMENT_ID: u64 = 2;
 
 /// One Figure 1 sample.
 #[derive(Debug, Clone)]
@@ -39,27 +39,9 @@ pub struct PathLossResult {
 }
 
 impl PathLossResult {
-    /// Distances (ft) where the level sits noticeably below the local trend
-    /// (the average of its neighbours) — the multipath dips the paper calls
-    /// out at six and thirty feet. Detrending matters: close to the
-    /// transmitter the path-loss slope is steep enough to mask a dip from a
-    /// naive local-minimum test.
-    pub fn dip_distances(&self) -> Vec<f64> {
-        let mut dips = Vec::new();
-        for i in 1..self.samples.len().saturating_sub(1) {
-            let prev = self.samples[i - 1].level.mean();
-            let here = self.samples[i].level.mean();
-            let next = self.samples[i + 1].level.mean();
-            if (prev + next) / 2.0 - here > 0.75 {
-                dips.push(self.samples[i].distance_ft);
-            }
-        }
-        dips
-    }
-
     /// The report blocks: `distance  min mean max` rows with a crude ASCII
     /// bar, as one headerless table.
-    pub fn blocks(&self) -> Vec<Block> {
+    pub(crate) fn blocks(&self) -> Vec<Block> {
         let table = Table {
             heading: Some(
                 "Figure 1: Signal level as a function of distance (min/mean/max)".to_string(),
@@ -91,15 +73,10 @@ impl PathLossResult {
         };
         vec![Block::Table(table)]
     }
-
-    /// Renders the Figure 1 series.
-    pub fn render(&self) -> String {
-        render_blocks(&self.blocks())
-    }
 }
 
 /// Registry entry reproducing Figure 1.
-pub struct Figure1;
+pub(crate) struct Figure1;
 
 impl Experiment for Figure1 {
     fn id(&self) -> u64 {
@@ -140,13 +117,7 @@ impl Experiment for Figure1 {
     }
 }
 
-/// Runs the sweep. `distances_ft` defaults (when empty) to 2 ft steps from
-/// contact out to 60 ft, the range of the paper's figure.
-pub fn run(distances_ft: &[f64], packets_per_point: u64, seed: u64) -> PathLossResult {
-    run_with(distances_ft, packets_per_point, seed, &Executor::default())
-}
-
-/// [`run`] on an explicit executor; each distance point is an independent
+/// Runs the experiment on an explicit executor; each distance point is an independent
 /// trial. The lecture-hall fading realization is shared (one room, one
 /// afternoon), while each point's traffic stream derives from its index.
 pub fn run_with(
@@ -184,10 +155,30 @@ pub fn run_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wavelan_analysis::report::render_blocks;
+
+    /// Distances (ft) where the level sits noticeably below the local trend
+    /// (the average of its neighbours) — the multipath dips the paper calls
+    /// out at six and thirty feet. Detrending matters: close to the
+    /// transmitter the path-loss slope is steep enough to mask a dip from a
+    /// naive local-minimum test.
+    fn dip_distances(result: &PathLossResult) -> Vec<f64> {
+        let s = &result.samples;
+        let mut dips = Vec::new();
+        for i in 1..s.len().saturating_sub(1) {
+            let prev = s[i - 1].level.mean();
+            let here = s[i].level.mean();
+            let next = s[i + 1].level.mean();
+            if (prev + next) / 2.0 - here > 0.75 {
+                dips.push(s[i].distance_ft);
+            }
+        }
+        dips
+    }
 
     #[test]
     fn figure_1_shape_holds() {
-        let result = run(&[], 120, 7);
+        let result = run_with(&[], 120, 7, &Executor::default());
         assert_eq!(result.samples.len(), 31);
         // Contact reads very hot; 60 ft is much lower but still strong.
         let first = result.samples.first().unwrap().level.mean();
@@ -197,7 +188,7 @@ mod tests {
         // The dominant theme is a smooth dropoff...
         assert!(first > last + 15.0);
         // ...with multipath dips near 6 and 30 ft.
-        let dips = result.dip_distances();
+        let dips = dip_distances(&result);
         assert!(
             dips.iter().any(|&d| (4.0..8.0).contains(&d)),
             "no dip near 6 ft: {dips:?}"
@@ -206,7 +197,7 @@ mod tests {
             dips.iter().any(|&d| (28.0..34.0).contains(&d)),
             "no dip near 30 ft: {dips:?}"
         );
-        let text = result.render();
+        let text = render_blocks(&result.blocks());
         assert!(text.contains("Figure 1"));
     }
 }

@@ -14,7 +14,7 @@ use crate::calibration;
 use crate::executor::{trial_seed, Executor};
 use crate::registry::Experiment;
 use crate::spec::{interferer_from_source, ScenarioSpec};
-use wavelan_analysis::report::{render_blocks, Cell, Column, Table};
+use wavelan_analysis::report::{Cell, Column, Table};
 use wavelan_analysis::{analyze, Block, PacketClass, Report};
 use wavelan_mac::Thresholds;
 use wavelan_sim::runner::attach_tx_count;
@@ -22,7 +22,7 @@ use wavelan_sim::{Point, Propagation, ScenarioBuilder, SimScratch, StationConfig
 
 /// One threshold's outcome.
 #[derive(Debug, Clone, Copy)]
-pub struct QualitySample {
+pub(crate) struct QualitySample {
     /// The quality threshold in force.
     pub threshold: u8,
     /// Packets delivered to the host.
@@ -37,7 +37,7 @@ pub struct QualitySample {
 
 impl QualitySample {
     /// Fraction of *delivered* packets that are damaged.
-    pub fn damage_fraction(&self) -> f64 {
+    pub(crate) fn damage_fraction(&self) -> f64 {
         if self.delivered == 0 {
             return 0.0;
         }
@@ -47,14 +47,14 @@ impl QualitySample {
 
 /// The sweep result.
 #[derive(Debug, Clone)]
-pub struct QualityThresholdResult {
+pub(crate) struct QualityThresholdResult {
     /// Samples in threshold order.
     pub samples: Vec<QualitySample>,
 }
 
 impl QualityThresholdResult {
     /// The report blocks: the trade-off table plus the closing note.
-    pub fn blocks(&self) -> Vec<Block> {
+    pub(crate) fn blocks(&self) -> Vec<Block> {
         let table = Table {
             heading: Some(String::from("AT&T-handset interference trial:")),
             columns: vec![
@@ -99,15 +99,10 @@ impl QualityThresholdResult {
             )),
         ]
     }
-
-    /// Renders the trade-off table.
-    pub fn render(&self) -> String {
-        render_blocks(&self.blocks())
-    }
 }
 
 /// Registry entry for the footnote-1 quality-threshold sweep.
-pub struct QualityThreshold;
+pub(crate) struct QualityThreshold;
 
 impl Experiment for QualityThreshold {
     fn id(&self) -> u64 {
@@ -152,17 +147,12 @@ impl Experiment for QualityThreshold {
 }
 
 /// This experiment's stream id for [`trial_seed`].
-pub const EXPERIMENT_ID: u64 = 11;
-
-/// Runs the sweep at the given scale.
-pub fn run(scale: Scale, seed: u64) -> QualityThresholdResult {
-    run_with(scale, seed, &Executor::default())
-}
+pub(crate) const EXPERIMENT_ID: u64 = 11;
 
 /// [`run`] on an explicit executor. All five thresholds deliberately share
 /// one derived seed: the sweep filters the *same* packet stream, so the
 /// monotone filtered/delivered trade is exact, not statistical.
-pub fn run_with(scale: Scale, seed: u64, exec: &Executor) -> QualityThresholdResult {
+pub(crate) fn run_with(scale: Scale, seed: u64, exec: &Executor) -> QualityThresholdResult {
     let packets = scale.packets(1_440);
     let shared = trial_seed(EXPERIMENT_ID, 0, seed);
     let samples = exec.map_with(
@@ -207,10 +197,11 @@ pub fn run_with(scale: Scale, seed: u64, exec: &Executor) -> QualityThresholdRes
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wavelan_analysis::report::render_blocks;
 
     #[test]
     fn quality_threshold_trades_corruption_for_loss() {
-        let result = run(Scale::Smoke, 19);
+        let result = run_with(Scale::Smoke, 19, &Executor::default());
         let first = result.samples.first().unwrap();
         let last = result.samples.last().unwrap();
 
@@ -233,6 +224,6 @@ mod tests {
             assert!(w[1].delivered <= w[0].delivered, "{w:?}");
         }
         assert!(last.filtered > first.filtered);
-        assert!(result.render().contains("footnote 1"));
+        assert!(render_blocks(&result.blocks()).contains("footnote 1"));
     }
 }

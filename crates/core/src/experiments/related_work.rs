@@ -19,7 +19,7 @@ use super::common::{expected_series, test_receiver, test_sender, Scale};
 use crate::executor::{trial_seed, Executor};
 use crate::registry::Experiment;
 use crate::spec::{PropagationSpec, ScenarioSpec};
-use wavelan_analysis::report::{render_blocks, Cell, Column, Table};
+use wavelan_analysis::report::{Cell, Column, Table};
 use wavelan_analysis::{analyze, Block, PacketClass, Report};
 use wavelan_phy::fading::TwoRay;
 use wavelan_sim::runner::attach_tx_count;
@@ -27,7 +27,7 @@ use wavelan_sim::{FloorPlan, Point, Propagation, ScenarioBuilder, SimScratch, St
 
 /// One distance sample of the sweep.
 #[derive(Debug, Clone, Copy)]
-pub struct ScatterSample {
+pub(crate) struct ScatterSample {
     /// Transmitter distance, feet.
     pub distance_ft: f64,
     /// Mean reported level.
@@ -40,7 +40,7 @@ pub struct ScatterSample {
 
 /// The experiment result: benign and difficult sweeps.
 #[derive(Debug, Clone)]
-pub struct RelatedWorkResult {
+pub(crate) struct RelatedWorkResult {
     /// The typical environment (short range, mild scatter).
     pub benign: Vec<ScatterSample>,
     /// The difficult environment (cell edge + strong local scatter).
@@ -48,30 +48,8 @@ pub struct RelatedWorkResult {
 }
 
 impl RelatedWorkResult {
-    /// Peak loss in the difficult environment.
-    pub fn peak_loss(&self) -> f64 {
-        self.difficult.iter().map(|s| s.loss).fold(0.0, f64::max)
-    }
-
-    /// Peak corruption in the difficult environment.
-    pub fn peak_corruption(&self) -> f64 {
-        self.difficult
-            .iter()
-            .map(|s| s.corruption)
-            .fold(0.0, f64::max)
-    }
-
-    /// Whether a series is non-monotone (has an interior local extremum well
-    /// above noise).
-    pub fn is_nonmonotone(samples: &[ScatterSample], pick: fn(&ScatterSample) -> f64) -> bool {
-        samples.windows(3).any(|w| {
-            let (a, b, c) = (pick(&w[0]), pick(&w[1]), pick(&w[2]));
-            (b > a + 0.03 && b > c + 0.03) || (b + 0.03 < a && b + 0.03 < c)
-        })
-    }
-
     /// The report blocks: the headline note plus one table per regime.
-    pub fn blocks(&self) -> Vec<Block> {
+    pub(crate) fn blocks(&self) -> Vec<Block> {
         let mut blocks = vec![Block::Note(String::from(
             "Duchamp & Reynolds (LCN '92) regimes, reproduced (paper Section 9.1)",
         ))];
@@ -110,15 +88,10 @@ impl RelatedWorkResult {
         }
         blocks
     }
-
-    /// Renders both sweeps.
-    pub fn render(&self) -> String {
-        render_blocks(&self.blocks())
-    }
 }
 
 /// Registry entry reproducing the Section 9.1 baseline study.
-pub struct RelatedWork;
+pub(crate) struct RelatedWork;
 
 impl RelatedWork {
     /// Packets per distance point (their runs were short; cap at 800).
@@ -164,7 +137,7 @@ impl Experiment for RelatedWork {
 }
 
 /// This experiment's stream id for [`trial_seed`].
-pub const EXPERIMENT_ID: u64 = 12;
+pub(crate) const EXPERIMENT_ID: u64 = 12;
 
 fn sweep(
     distances: &[f64],
@@ -203,14 +176,9 @@ fn sweep(
     })
 }
 
-/// Runs both sweeps. `packets` per distance point (their runs were short).
-pub fn run(packets: u64, seed: u64) -> RelatedWorkResult {
-    run_with(packets, seed, &Executor::default())
-}
-
 /// [`run`] on an explicit executor; the two regimes' distance points all fan
 /// out independently (the difficult sweep gets a disjoint index range).
-pub fn run_with(packets: u64, seed: u64, exec: &Executor) -> RelatedWorkResult {
+pub(crate) fn run_with(packets: u64, seed: u64, exec: &Executor) -> RelatedWorkResult {
     // Typical: 10–60 ft, ordinary lecture-hall propagation, open space.
     let benign_distances: Vec<f64> = (1..=6).map(|i| f64::from(i) * 10.0).collect();
     let benign = sweep(
@@ -255,10 +223,25 @@ pub fn run_with(packets: u64, seed: u64, exec: &Executor) -> RelatedWorkResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wavelan_analysis::report::render_blocks;
+
+    /// Peak of one series.
+    fn peak(samples: &[ScatterSample], pick: fn(&ScatterSample) -> f64) -> f64 {
+        samples.iter().map(pick).fold(0.0, f64::max)
+    }
+
+    /// Whether a series is non-monotone (has an interior local extremum well
+    /// above noise).
+    fn is_nonmonotone(samples: &[ScatterSample], pick: fn(&ScatterSample) -> f64) -> bool {
+        samples.windows(3).any(|w| {
+            let (a, b, c) = (pick(&w[0]), pick(&w[1]), pick(&w[2]));
+            (b > a + 0.03 && b > c + 0.03) || (b + 0.03 < a && b + 0.03 < c)
+        })
+    }
 
     #[test]
     fn both_regimes_reproduce() {
-        let result = run(400, 3);
+        let result = run_with(400, 3, &Executor::default());
 
         // Typical: both rates below 1%.
         for s in &result.benign {
@@ -269,21 +252,21 @@ mod tests {
         // Difficult: loss peaks around 10–15%+, corruption reaches tens of
         // percent, and both vary nonmonotonically with distance.
         assert!(
-            (0.05..0.8).contains(&result.peak_loss()),
+            (0.05..0.8).contains(&peak(&result.difficult, |s| s.loss)),
             "peak loss {}",
-            result.peak_loss()
+            peak(&result.difficult, |s| s.loss)
         );
         assert!(
-            result.peak_corruption() > 0.15,
+            peak(&result.difficult, |s| s.corruption) > 0.15,
             "peak corruption {}",
-            result.peak_corruption()
+            peak(&result.difficult, |s| s.corruption)
         );
         assert!(
-            RelatedWorkResult::is_nonmonotone(&result.difficult, |s| s.loss)
-                || RelatedWorkResult::is_nonmonotone(&result.difficult, |s| s.corruption),
+            is_nonmonotone(&result.difficult, |s| s.loss)
+                || is_nonmonotone(&result.difficult, |s| s.corruption),
             "difficult environment should be unstable: {:#?}",
             result.difficult
         );
-        assert!(result.render().contains("difficult environment"));
+        assert!(render_blocks(&result.blocks()).contains("difficult environment"));
     }
 }

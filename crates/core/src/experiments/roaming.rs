@@ -14,7 +14,7 @@ use wavelan_cell::roaming::{walk, RoamReport, TwoCells};
 
 /// This experiment's registry id (the walk drives `wavelan-cell` directly,
 /// so the id is only a registry discriminator).
-pub const EXPERIMENT_ID: u64 = 17;
+pub(crate) const EXPERIMENT_ID: u64 = 17;
 
 /// Steps in the registry configuration of the walk.
 const STEPS: usize = 17;
@@ -23,7 +23,7 @@ const STEPS: usize = 17;
 const TRIAL_MS: u64 = 2_000;
 
 /// Runs the walk in the registry configuration.
-pub fn run(seed: u64) -> RoamReport {
+pub(crate) fn run(seed: u64) -> RoamReport {
     walk(
         TwoCells {
             separation_ft: 200.0,
@@ -38,7 +38,7 @@ pub fn run(seed: u64) -> RoamReport {
 }
 
 /// Registry entry for the Section 7.4 roaming walk.
-pub struct Roaming;
+pub(crate) struct Roaming;
 
 impl Experiment for Roaming {
     fn id(&self) -> u64 {

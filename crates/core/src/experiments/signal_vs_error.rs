@@ -15,14 +15,14 @@ use super::common::{add_outsider_pair, expected_series, test_receiver, test_send
 use crate::executor::{trial_seed, Executor};
 use crate::registry::Experiment;
 use crate::spec::ScenarioSpec;
-use wavelan_analysis::report::{render_blocks, signal_table, Cell, Column, SignalRow, Table};
+use wavelan_analysis::report::{signal_table, Cell, Column, SignalRow, Table};
 use wavelan_analysis::{analyze, Block, PacketClass, Report, TraceAnalysis};
 use wavelan_sim::runner::attach_tx_count;
 use wavelan_sim::{Point, ScenarioBuilder, SimScratch, StationConfig};
 
 /// Sender distances (ft) whose calibrated levels ladder from ≈27 down into
 /// the error region (see the module docs of `crate::layouts` on distances).
-pub const POSITION_LADDER_FT: [f64; 9] =
+pub(crate) const POSITION_LADDER_FT: [f64; 9] =
     [11.0, 40.0, 90.0, 150.0, 210.0, 250.0, 280.0, 305.0, 330.0];
 
 /// One Figure 2 point.
@@ -84,7 +84,7 @@ impl SignalVsErrorResult {
     }
 
     /// The Table 3 report blocks.
-    pub fn blocks_table3(&self) -> Vec<Block> {
+    pub(crate) fn blocks_table3(&self) -> Vec<Block> {
         vec![Block::Table(signal_table(
             "Table 3: Packet error conditions versus signal metrics",
             &self.table3_rows(),
@@ -92,7 +92,7 @@ impl SignalVsErrorResult {
     }
 
     /// The Figure 2 report blocks.
-    pub fn blocks_figure2(&self) -> Vec<Block> {
+    pub(crate) fn blocks_figure2(&self) -> Vec<Block> {
         let table = Table {
             heading: Some(
                 "Figure 2: Signal level vs distance with the error region (level < 8)".to_string(),
@@ -130,23 +130,13 @@ impl SignalVsErrorResult {
         };
         vec![Block::Table(table)]
     }
-
-    /// Renders the Table 3 reproduction.
-    pub fn render_table3(&self) -> String {
-        render_blocks(&self.blocks_table3())
-    }
-
-    /// Renders the Figure 2 series.
-    pub fn render_figure2(&self) -> String {
-        render_blocks(&self.blocks_figure2())
-    }
 }
 
 /// Registry entry reproducing Table 3 (shares trials with [`Figure2`]).
-pub struct Table3;
+pub(crate) struct Table3;
 
 /// Registry entry reproducing Figure 2 (shares trials with [`Table3`]).
-pub struct Figure2;
+pub(crate) struct Figure2;
 
 fn budget(scale: Scale) -> u64 {
     POSITION_LADDER_FT.len() as u64 * scale.packets(8_634 / POSITION_LADDER_FT.len() as u64)
@@ -239,14 +229,9 @@ impl Experiment for Figure2 {
 }
 
 /// This experiment's stream id for [`trial_seed`].
-pub const EXPERIMENT_ID: u64 = 3;
+pub(crate) const EXPERIMENT_ID: u64 = 3;
 
-/// Runs the sweep at the given scale (the paper pooled 8,634 test packets).
-pub fn run(scale: Scale, seed: u64) -> SignalVsErrorResult {
-    run_with(scale, seed, &Executor::default())
-}
-
-/// [`run`] on an explicit executor. Positions fan out independently; the
+/// Runs the experiment on an explicit executor. Positions fan out independently; the
 /// pooled Table 3 trace concatenates per-position packets in ladder order,
 /// which the executor's ordered merge preserves exactly.
 pub fn run_with(scale: Scale, seed: u64, exec: &Executor) -> SignalVsErrorResult {
@@ -311,10 +296,11 @@ pub fn run_with(scale: Scale, seed: u64, exec: &Executor) -> SignalVsErrorResult
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wavelan_analysis::report::render_blocks;
 
     #[test]
     fn table3_and_figure2_shape_holds() {
-        let result = run(Scale::Smoke, 5);
+        let result = run_with(Scale::Smoke, 5, &Executor::default());
 
         // Figure 2: level decreases with distance; the far end is in the
         // error region and errors concentrate there.
@@ -380,9 +366,9 @@ mod tests {
             );
         }
 
-        let t3 = result.render_table3();
+        let t3 = render_blocks(&result.blocks_table3());
         assert!(t3.contains("Damaged outsiders"));
-        let f2 = result.render_figure2();
+        let f2 = render_blocks(&result.blocks_figure2());
         assert!(f2.contains("ERROR"));
     }
 }

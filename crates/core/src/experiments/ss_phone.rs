@@ -19,7 +19,7 @@ use crate::calibration;
 use crate::executor::{trial_seed, Executor};
 use crate::registry::Experiment;
 use crate::spec::{interferer_from_source, ScenarioSpec};
-use wavelan_analysis::report::{render_blocks, results_table, signal_table, SignalRow};
+use wavelan_analysis::report::{results_table, signal_table, SignalRow};
 use wavelan_analysis::{analyze, Block, PacketClass, Report, TraceAnalysis, TrialSummary};
 use wavelan_sim::runner::attach_tx_count;
 use wavelan_sim::{AmbientSource, Point, Propagation, ScenarioBuilder, SimScratch, StationConfig};
@@ -27,68 +27,27 @@ use wavelan_sim::{AmbientSource, Point, Propagation, ScenarioBuilder, SimScratch
 /// The paper collected enough packets per run "to yield roughly 10⁷ bits of
 /// packet body" — ≈1,440 arriving packets; the jam trials need about twice
 /// the transmissions.
-pub const PAPER_PACKETS: u64 = 2_900;
+pub(crate) const PAPER_PACKETS: u64 = 2_900;
 
 /// One Table 11/12 trial.
 #[derive(Debug)]
-pub struct SsPhoneTrial {
+pub(crate) struct SsPhoneTrial {
     /// Trial label.
     pub name: &'static str,
     /// Analysis of the receiver trace.
     pub analysis: TraceAnalysis,
 }
 
-impl SsPhoneTrial {
-    /// Percentage of received test packets that were truncated.
-    pub fn truncated_pct(&self) -> f64 {
-        let received = self.analysis.test_packets().count();
-        if received == 0 {
-            return 0.0;
-        }
-        self.analysis.count(PacketClass::Truncated) as f64 / received as f64 * 100.0
-    }
-
-    /// Percentage of *non-truncated* received test packets with body damage
-    /// (the paper's "Body Bits" column reports the same population).
-    pub fn body_damaged_pct(&self) -> f64 {
-        let received =
-            self.analysis.test_packets().count() - self.analysis.count(PacketClass::Truncated);
-        if received == 0 {
-            return 0.0;
-        }
-        self.analysis.count(PacketClass::BodyDamaged) as f64 / received as f64 * 100.0
-    }
-
-    /// Worst body corruption as a fraction of body bits (paper: 4.9% in the
-    /// AT&T handset trial).
-    pub fn worst_body_fraction(&self) -> f64 {
-        self.analysis
-            .test_packets()
-            .map(|p| p.body_bit_errors)
-            .max()
-            .unwrap_or(0) as f64
-            / 8_192.0
-    }
-}
-
 /// The Tables 11–13 result.
 #[derive(Debug)]
-pub struct SsPhoneResult {
+pub(crate) struct SsPhoneResult {
     /// Trials in the paper's order.
     pub trials: Vec<SsPhoneTrial>,
 }
 
 impl SsPhoneResult {
-    /// A trial by name.
-    pub fn trial(&self, name: &str) -> &SsPhoneTrial {
-        self.trials
-            .iter()
-            .find(|t| t.name == name)
-            .expect("trial exists")
-    }
-
     /// Table 11 rows (summary per trial).
-    pub fn table11(&self) -> Vec<TrialSummary> {
+    pub(crate) fn table11(&self) -> Vec<TrialSummary> {
         self.trials
             .iter()
             .map(|t| TrialSummary::from_analysis(t.name, &t.analysis))
@@ -96,7 +55,7 @@ impl SsPhoneResult {
     }
 
     /// Table 12 rows (signal metrics, test + outsiders per trial).
-    pub fn table12(&self) -> Vec<SignalRow> {
+    pub(crate) fn table12(&self) -> Vec<SignalRow> {
         let mut rows = Vec::new();
         for t in &self.trials {
             rows.push(SignalRow::new(
@@ -114,7 +73,7 @@ impl SsPhoneResult {
     }
 
     /// Table 13 rows (all active-phone test packets, pooled, by condition).
-    pub fn table13(&self) -> Vec<SignalRow> {
+    pub(crate) fn table13(&self) -> Vec<SignalRow> {
         let mut pooled = Vec::new();
         for t in self.trials.iter().filter(|t| t.name != "Phones off") {
             pooled.extend(t.analysis.packets.iter().copied());
@@ -145,7 +104,7 @@ impl SsPhoneResult {
     }
 
     /// The report blocks: all three tables with blank separators.
-    pub fn blocks(&self) -> Vec<Block> {
+    pub(crate) fn blocks(&self) -> Vec<Block> {
         vec![
             Block::Table(results_table(
                 "Table 11: Summary of spread spectrum cordless phones",
@@ -163,15 +122,10 @@ impl SsPhoneResult {
             )),
         ]
     }
-
-    /// Renders all three tables.
-    pub fn render(&self) -> String {
-        render_blocks(&self.blocks())
-    }
 }
 
 /// Registry entry reproducing Tables 11–13.
-pub struct Tables11To13;
+pub(crate) struct Tables11To13;
 
 impl Experiment for Tables11To13 {
     fn id(&self) -> u64 {
@@ -268,15 +222,10 @@ fn trial_specs() -> Vec<(&'static str, Vec<AmbientSource>, bool)> {
 }
 
 /// This experiment's stream id for [`trial_seed`].
-pub const EXPERIMENT_ID: u64 = 9;
-
-/// Runs the six trials at the given scale.
-pub fn run(scale: Scale, seed: u64) -> SsPhoneResult {
-    run_with(scale, seed, &Executor::default())
-}
+pub(crate) const EXPERIMENT_ID: u64 = 9;
 
 /// [`run`] on an explicit executor; the six trials fan out independently.
-pub fn run_with(scale: Scale, seed: u64, exec: &Executor) -> SsPhoneResult {
+pub(crate) fn run_with(scale: Scale, seed: u64, exec: &Executor) -> SsPhoneResult {
     let packets = scale.packets(PAPER_PACKETS);
     let trials = exec.map_with(trial_specs(), SimScratch::new, |scratch, i, spec| {
         run_spec(i, spec, packets, seed, scratch)
@@ -289,7 +238,7 @@ pub fn run_with(scale: Scale, seed: u64, exec: &Executor) -> SsPhoneResult {
 /// to the same slot of [`run_with`] at a sixth of the cost — this is what
 /// the downstream `fec`/`harq` experiments use, since they replay only the
 /// "AT&T handset" environment.
-pub fn run_trial(name: &str, scale: Scale, seed: u64) -> SsPhoneTrial {
+pub(crate) fn run_trial(name: &str, scale: Scale, seed: u64) -> SsPhoneTrial {
     let packets = scale.packets(PAPER_PACKETS);
     let (i, spec) = trial_specs()
         .into_iter()
@@ -341,42 +290,78 @@ fn run_spec(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wavelan_analysis::report::render_blocks;
+
+    /// A trial by name.
+    fn trial<'a>(result: &'a SsPhoneResult, name: &str) -> &'a SsPhoneTrial {
+        result
+            .trials
+            .iter()
+            .find(|t| t.name == name)
+            .expect("trial exists")
+    }
+
+    /// Percentage of received test packets that were truncated.
+    fn truncated_pct(t: &SsPhoneTrial) -> f64 {
+        let received = t.analysis.test_packets().count();
+        if received == 0 {
+            return 0.0;
+        }
+        t.analysis.count(PacketClass::Truncated) as f64 / received as f64 * 100.0
+    }
+
+    /// Percentage of *non-truncated* received test packets with body damage
+    /// (the paper's "Body Bits" column reports the same population).
+    fn body_damaged_pct(t: &SsPhoneTrial) -> f64 {
+        let received = t.analysis.test_packets().count() - t.analysis.count(PacketClass::Truncated);
+        if received == 0 {
+            return 0.0;
+        }
+        t.analysis.count(PacketClass::BodyDamaged) as f64 / received as f64 * 100.0
+    }
+
+    /// Worst body corruption as a fraction of body bits (paper: 4.9% in the
+    /// AT&T handset trial).
+    fn worst_body_fraction(t: &SsPhoneTrial) -> f64 {
+        t.analysis
+            .test_packets()
+            .map(|p| p.body_bit_errors)
+            .max()
+            .unwrap_or(0) as f64
+            / 8_192.0
+    }
 
     #[test]
     fn tables_11_to_13_shape_holds() {
         // Seed recalibrated for the executor's per-trial seed streams (17
         // lands the handset trial's loss exactly on the 0.06 boundary).
-        let result = run(Scale::Smoke, 18);
+        let result = run_with(Scale::Smoke, 18, &Executor::default());
 
         // Baseline: clean.
-        let off = result.trial("Phones off");
+        let off = trial(&result, "Phones off");
         assert!(
             off.analysis.packet_loss() < 0.01,
             "{}",
             off.analysis.packet_loss()
         );
-        assert_eq!(off.truncated_pct(), 0.0);
+        assert_eq!(truncated_pct(off), 0.0);
 
         // The three near cases: ≈half lost, ≈all received truncated.
         for name in ["RS base", "RS cluster", "AT&T cluster"] {
-            let t = result.trial(name);
+            let t = trial(&result, name);
             let loss = t.analysis.packet_loss();
             assert!((0.35..0.70).contains(&loss), "{name} loss {loss}");
-            assert!(
-                t.truncated_pct() > 90.0,
-                "{name} trunc {}",
-                t.truncated_pct()
-            );
+            assert!(truncated_pct(t) > 90.0, "{name} trunc {}", truncated_pct(t));
         }
 
         // Remote cluster: unharmed.
-        let remote = result.trial("RS remote cluster");
+        let remote = trial(&result, "RS remote cluster");
         assert!(
             remote.analysis.packet_loss() < 0.01,
             "{}",
             remote.analysis.packet_loss()
         );
-        assert!(remote.truncated_pct() < 1.0);
+        assert!(truncated_pct(remote) < 1.0);
         // Paper: zero damage in 1,440 packets; allow the model a ≤1% tail.
         let remote_received = remote.analysis.test_packets().count();
         assert!(
@@ -391,14 +376,14 @@ mod tests {
 
         // The intermediate case: small loss/truncation, majority of the rest
         // carrying correctable body errors.
-        let handset = result.trial("AT&T handset");
+        let handset = trial(&result, "AT&T handset");
         let loss = handset.analysis.packet_loss();
         assert!(loss < 0.06, "handset loss {loss}");
-        let trunc = handset.truncated_pct();
+        let trunc = truncated_pct(handset);
         assert!((0.5..15.0).contains(&trunc), "handset trunc {trunc}");
-        let dmg = handset.body_damaged_pct();
+        let dmg = body_damaged_pct(handset);
         assert!((35.0..80.0).contains(&dmg), "handset damaged {dmg}");
-        let worst = handset.worst_body_fraction();
+        let worst = worst_body_fraction(handset);
         assert!((0.005..0.12).contains(&worst), "worst body {worst}");
 
         // Table 13 signatures: truncation ⇒ very low quality; body damage ⇒
@@ -419,7 +404,7 @@ mod tests {
         );
         assert!(body_damaged.quality.mean() < 14.9);
 
-        let rendered = result.render();
+        let rendered = render_blocks(&result.blocks());
         assert!(rendered.contains("Table 11"));
         assert!(rendered.contains("AT&T handset"));
     }

@@ -17,12 +17,12 @@ use crate::registry::Experiment;
 use crate::spec::{Role, ScenarioSpec, StationSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wavelan_analysis::report::{render_blocks, Cell, Column, Table};
+use wavelan_analysis::report::{Cell, Column, Table};
 use wavelan_analysis::{Block, Report};
 use wavelan_mac::tdma::{compare_with_csma, MacComparison};
 
 /// This experiment's stream id for [`trial_seed`].
-pub const EXPERIMENT_ID: u64 = 14;
+pub(crate) const EXPERIMENT_ID: u64 = 14;
 
 /// One load point of the sweep.
 #[derive(Debug, Clone)]
@@ -47,7 +47,7 @@ pub struct TdmaResult {
 impl TdmaResult {
     /// The lowest offered load at which TDMA's throughput exceeds CSMA's by
     /// more than 10% of capacity (the "reservation pays off" point), if any.
-    pub fn crossover_load(&self) -> Option<f64> {
+    pub(crate) fn crossover_load(&self) -> Option<f64> {
         self.samples
             .iter()
             .find(|s| s.comparison.tdma_throughput > s.comparison.csma_throughput + 0.10)
@@ -56,7 +56,7 @@ impl TdmaResult {
 
     /// The report blocks: the sweep table, plus the crossover note if one
     /// exists.
-    pub fn blocks(&self) -> Vec<Block> {
+    pub(crate) fn blocks(&self) -> Vec<Block> {
         let table = Table {
             heading: Some(format!(
                 "CSMA/CA vs reservation TDMA, {} stations (paper Section 1's argument)",
@@ -109,11 +109,6 @@ impl TdmaResult {
         }
         blocks
     }
-
-    /// Renders the sweep.
-    pub fn render(&self) -> String {
-        render_blocks(&self.blocks())
-    }
 }
 
 /// Stations in the registry configuration of the sweep.
@@ -123,7 +118,7 @@ const REGISTRY_STATIONS: usize = 8;
 const REGISTRY_FRAMES: usize = 500;
 
 /// Registry entry for the Section 1 MAC argument.
-pub struct Tdma;
+pub(crate) struct Tdma;
 
 impl Experiment for Tdma {
     fn id(&self) -> u64 {
@@ -173,12 +168,7 @@ impl Experiment for Tdma {
     }
 }
 
-/// Runs the sweep: `stations` stations, loads from 10% to 160% of capacity.
-pub fn run(stations: usize, frames: usize, seed: u64) -> TdmaResult {
-    run_with(stations, frames, seed, &Executor::default())
-}
-
-/// [`run`] on an explicit executor. Each load point gets its own RNG seeded
+/// Runs the experiment on an explicit executor. Each load point gets its own RNG seeded
 /// from its index (the slot shootout used to thread one RNG through the
 /// sweep, which would have serialized it).
 pub fn run_with(stations: usize, frames: usize, seed: u64, exec: &Executor) -> TdmaResult {
@@ -210,10 +200,11 @@ pub fn run_with(stations: usize, frames: usize, seed: u64, exec: &Executor) -> T
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wavelan_analysis::report::render_blocks;
 
     #[test]
     fn reservation_wins_under_load() {
-        let result = run(8, 400, 5);
+        let result = run_with(8, 400, 5, &Executor::default());
 
         // Light load: both MACs deliver what's offered.
         let light = &result.samples[0];
@@ -238,6 +229,6 @@ mod tests {
             .expect("a crossover under saturation");
         assert!((0.5..=1.7).contains(&crossover), "{crossover}");
 
-        assert!(result.render().contains("reservation TDMA"));
+        assert!(render_blocks(&result.blocks()).contains("reservation TDMA"));
     }
 }

@@ -20,7 +20,7 @@ use crate::executor::{trial_seed, Executor};
 use crate::registry::Experiment;
 use crate::spec::{Role, ScenarioSpec, StationSpec};
 use wavelan_analysis::analyze;
-use wavelan_analysis::report::{render_blocks, Cell, Column, Table};
+use wavelan_analysis::report::{Cell, Column, Table};
 use wavelan_analysis::{Block, Report};
 use wavelan_mac::Thresholds;
 use wavelan_sim::runner::attach_tx_count;
@@ -52,7 +52,7 @@ pub struct ThresholdResult {
 
 impl ThresholdResult {
     /// The Figure 3 report blocks.
-    pub fn blocks(&self) -> Vec<Block> {
+    pub(crate) fn blocks(&self) -> Vec<Block> {
         let table = Table {
             heading: Some(format!(
                 "Figure 3: Effects of receive threshold (signal window {}..{})",
@@ -81,15 +81,10 @@ impl ThresholdResult {
         };
         vec![Block::Table(table)]
     }
-
-    /// Renders the Figure 3 series.
-    pub fn render(&self) -> String {
-        render_blocks(&self.blocks())
-    }
 }
 
 /// Registry entry reproducing Figure 3.
-pub struct Figure3;
+pub(crate) struct Figure3;
 
 impl Experiment for Figure3 {
     fn id(&self) -> u64 {
@@ -140,18 +135,10 @@ impl Experiment for Figure3 {
     }
 }
 
-/// Runs the threshold sweep. The enemy sits ≈40 ft away (level ≈ 20); the
-/// sweep covers a window around that level. Packet and attempt counts follow
-/// the paper ("at least 1,400 transmitted packets ... at least 10,000
-/// transmission attempts") scaled by `packets`.
-pub fn run(thresholds: &[u8], packets: u64, seed: u64) -> ThresholdResult {
-    run_with(thresholds, packets, seed, &Executor::default())
-}
-
 /// This experiment's stream id for [`trial_seed`].
-pub const EXPERIMENT_ID: u64 = 4;
+pub(crate) const EXPERIMENT_ID: u64 = 4;
 
-/// [`run`] on an explicit executor; each threshold setting is an independent
+/// Runs the experiment on an explicit executor; each threshold setting is an independent
 /// trial. The signal window is folded from the per-trial level extremes
 /// after the ordered merge, so it is identical at any worker count.
 pub fn run_with(thresholds: &[u8], packets: u64, seed: u64, exec: &Executor) -> ThresholdResult {
@@ -240,10 +227,11 @@ pub fn run_with(thresholds: &[u8], packets: u64, seed: u64, exec: &Executor) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wavelan_analysis::report::render_blocks;
 
     #[test]
     fn figure_3_shape_holds() {
-        let result = run(&[], 250, 3);
+        let result = run_with(&[], 250, 3, &Executor::default());
         let first = result.samples.first().unwrap();
         let last = result.samples.last().unwrap();
 
@@ -286,6 +274,6 @@ mod tests {
             "{:?}",
             result.signal_window
         );
-        assert!(result.render().contains("Figure 3"));
+        assert!(render_blocks(&result.blocks()).contains("Figure 3"));
     }
 }

@@ -14,16 +14,16 @@ use crate::executor::{trial_seed, Executor};
 use crate::layouts;
 use crate::registry::Experiment;
 use crate::spec::ScenarioSpec;
-use wavelan_analysis::report::{render_blocks, signal_table, SignalRow};
+use wavelan_analysis::report::{signal_table, SignalRow};
 use wavelan_analysis::{Block, Report, TraceAnalysis};
 use wavelan_phy::Material;
 use wavelan_sim::{Propagation, SimScratch};
 
 /// This experiment's stream id for [`trial_seed`].
-pub const EXPERIMENT_ID: u64 = 5;
+pub(crate) const EXPERIMENT_ID: u64 = 5;
 
 /// The paper collected ≈12,720 packets (10⁸ body bits) per trial.
-pub const PAPER_PACKETS: u64 = 12_720;
+pub(crate) const PAPER_PACKETS: u64 = 12_720;
 
 /// One trial row.
 #[derive(Debug)]
@@ -42,29 +42,8 @@ pub struct WallsResult {
 }
 
 impl WallsResult {
-    /// Mean level of a trial by name.
-    pub fn mean_level(&self, name: &str) -> f64 {
-        let t = self
-            .trials
-            .iter()
-            .find(|t| t.name == name)
-            .expect("trial exists");
-        t.analysis.stats_where(|p| p.is_test).0.mean()
-    }
-
-    /// Level drop attributed to wall 1 (plaster + mesh).
-    pub fn plaster_drop(&self) -> f64 {
-        self.mean_level("Air 1") - self.mean_level("Wall 1")
-    }
-
-    /// Level drop attributed to wall 2 (concrete block), distance-corrected
-    /// the way the paper pairs its trials.
-    pub fn concrete_drop(&self) -> f64 {
-        self.mean_level("Air 2") - self.mean_level("Wall 2")
-    }
-
     /// The Table 4 report blocks.
-    pub fn blocks(&self) -> Vec<Block> {
+    pub(crate) fn blocks(&self) -> Vec<Block> {
         let rows: Vec<SignalRow> = self
             .trials
             .iter()
@@ -75,15 +54,10 @@ impl WallsResult {
             &rows,
         ))]
     }
-
-    /// Renders the Table 4 reproduction.
-    pub fn render(&self) -> String {
-        render_blocks(&self.blocks())
-    }
 }
 
 /// Registry entry reproducing Table 4.
-pub struct Table4;
+pub(crate) struct Table4;
 
 impl Experiment for Table4 {
     fn id(&self) -> u64 {
@@ -128,13 +102,7 @@ impl Experiment for Table4 {
     }
 }
 
-/// Runs the four trials. The paired air/wall trials share a seed (same
-/// placement, the wall is interposed), as in the paper's method.
-pub fn run(scale: Scale, seed: u64) -> WallsResult {
-    run_with(scale, seed, &Executor::default())
-}
-
-/// [`run`] on an explicit executor; the four trials fan out independently.
+/// Runs the experiment on an explicit executor; the four trials fan out independently.
 /// Each air/wall pair derives its shared seed from the *pair* index, keeping
 /// the paper's matched-placement method intact under parallel execution.
 pub fn run_with(scale: Scale, seed: u64, exec: &Executor) -> WallsResult {
@@ -180,10 +148,21 @@ fn pinned_propagation(seed: u64) -> Propagation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wavelan_analysis::report::render_blocks;
+
+    /// Mean test-packet signal level of one trial.
+    fn mean_level(result: &WallsResult, name: &str) -> f64 {
+        let t = result
+            .trials
+            .iter()
+            .find(|t| t.name == name)
+            .expect("trial exists");
+        t.analysis.stats_where(|p| p.is_test).0.mean()
+    }
 
     #[test]
     fn table_4_shape_holds() {
-        let result = run(Scale::Smoke, 11);
+        let result = run_with(Scale::Smoke, 11, &Executor::default());
         // "no loss or error whatsoever" (at smoke scale allow the host-loss
         // floor a packet or two).
         for t in &result.trials {
@@ -191,8 +170,8 @@ mod tests {
             assert!(t.analysis.packet_loss() < 0.005, "{}", t.name);
         }
         // Plaster ≈ 5 points, concrete ≈ 2 points, plaster > concrete.
-        let plaster = result.plaster_drop();
-        let concrete = result.concrete_drop();
+        let plaster = mean_level(&result, "Air 1") - mean_level(&result, "Wall 1");
+        let concrete = mean_level(&result, "Air 2") - mean_level(&result, "Wall 2");
         assert!((plaster - 5.0).abs() < 1.0, "plaster drop {plaster}");
         assert!((concrete - 2.0).abs() < 1.0, "concrete drop {concrete}");
         assert!(plaster > concrete);
@@ -201,6 +180,6 @@ mod tests {
             let (_, _, quality) = t.analysis.stats_where(|p| p.is_test);
             assert!(quality.mean() > 14.7, "{}: {}", t.name, quality.mean());
         }
-        assert!(result.render().contains("Wall 2"));
+        assert!(render_blocks(&result.blocks()).contains("Wall 2"));
     }
 }

@@ -10,7 +10,7 @@ use wavelan_phy::Material;
 use wavelan_sim::{FloorPlan, Point, Segment};
 
 /// The Table 2 office: open room, stations ≈7 ft apart.
-pub fn office() -> (FloorPlan, Point, Point) {
+pub(crate) fn office() -> (FloorPlan, Point, Point) {
     (
         FloorPlan::open(),
         Point::feet(0.0, 0.0),
@@ -21,14 +21,14 @@ pub fn office() -> (FloorPlan, Point, Point) {
 /// The Figures 1–2 lecture hall: open space; the receiver sits against a
 /// wall and the transmitter moves away from it (use
 /// `Propagation::lecture_hall` with this).
-pub fn lecture_hall_receiver() -> (FloorPlan, Point) {
+pub(crate) fn lecture_hall_receiver() -> (FloorPlan, Point) {
     (FloorPlan::open(), Point::feet(0.0, 0.0))
 }
 
 /// The Table 4 single-wall setup: stations 7 ft apart, a wall of the given
 /// material midway (the concrete case adds ≈4 ft of extra free space, as in
 /// the paper).
-pub fn single_wall(material: Material, extra_space_ft: f64) -> (FloorPlan, Point, Point) {
+pub(crate) fn single_wall(material: Material, extra_space_ft: f64) -> (FloorPlan, Point, Point) {
     let tx_x = 7.0 + extra_space_ft;
     let plan = FloorPlan::open().with_wall(Segment::feet(3.5, -15.0, 3.5, 15.0), material);
     (plan, Point::feet(0.0, 0.0), Point::feet(tx_x, 0.0))
@@ -40,7 +40,7 @@ pub fn single_wall(material: Material, extra_space_ft: f64) -> (FloorPlan, Point
 /// Calibrated levels at the receiver (paper values in parentheses):
 /// Tx1 ≈ 28.5 (28.58), Tx2 ≈ 25.9 (26.66), Tx4 ≈ 14.2 (13.81),
 /// Tx5 ≈ 9.8 (9.50).
-pub struct MultiRoom {
+pub(crate) struct MultiRoom {
     /// The building.
     pub plan: FloorPlan,
     /// The fixed receiver.
@@ -56,7 +56,7 @@ pub struct MultiRoom {
 }
 
 /// Builds the multi-room layout.
-pub fn multiroom() -> MultiRoom {
+pub(crate) fn multiroom() -> MultiRoom {
     let plan = FloorPlan::open()
         // Office wall between the receiver's office and the corridor.
         .with_wall(
@@ -88,7 +88,7 @@ pub fn multiroom() -> MultiRoom {
 /// The Section 6.3 human-body layout: two rooms across a hallway, direct
 /// path ≈56 ft through two concrete walls and classroom furniture. Returns
 /// the plan *without* the person; add them with [`add_body`].
-pub fn hallway() -> (FloorPlan, Point, Point) {
+pub(crate) fn hallway() -> (FloorPlan, Point, Point) {
     let plan = FloorPlan::open()
         .with_wall(
             Segment::feet(10.0, -30.0, 10.0, 30.0),
@@ -104,7 +104,7 @@ pub fn hallway() -> (FloorPlan, Point, Point) {
 
 /// Adds the person "bending over as if to examine the laptop screen closely"
 /// near the receiver; returns the wall index for later removal.
-pub fn add_body(plan: &mut FloorPlan) -> usize {
+pub(crate) fn add_body(plan: &mut FloorPlan) -> usize {
     plan.add_wall(Segment::feet(2.0, -1.5, 2.0, 1.5), Material::HumanBody)
 }
 
@@ -174,11 +174,9 @@ mod tests {
         let p = no_shadow();
         let without = level(&p, &plan, tx, rx);
         assert!((without - 12.55).abs() < 1.5, "no body: {without}");
-        let idx = add_body(&mut plan);
+        add_body(&mut plan);
         let with = level(&p, &plan, tx, rx);
         assert!((with - 6.73).abs() < 1.5, "with body: {with}");
-        plan.remove_wall(idx);
-        assert_eq!(level(&p, &plan, tx, rx), without);
     }
 
     #[test]

@@ -57,10 +57,8 @@ pub mod sweep;
 pub use capture::{
     capture_report, export_trace, reanalyze_file, registry_spec_hashes, spec_hash, trace_info,
     CaptureMode,
-    ReanalyzeError,
 };
-pub use executor::{trial_seed, Executor, TrialPanic};
+pub use executor::{trial_seed, Executor};
 pub use experiments::common::Scale;
-pub use registry::{find, Experiment, NAMES, REGISTRY};
-pub use spec::{ScenarioSpec, SpecError, SpecMetrics};
-pub use sweep::{ParameterSpace, SweepDocument};
+pub use registry::{find, Experiment, NAMES};
+pub use spec::ScenarioSpec;

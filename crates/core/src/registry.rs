@@ -115,19 +115,6 @@ pub const NAMES: [&str; 18] = [
     "hidden-terminal",
 ];
 
-/// Every `(paper table label, artifact name)` pair the registry claims, in
-/// paper order — the registry side of the corpus-completeness contract.
-pub fn paper_table_index() -> Vec<(&'static str, &'static str)> {
-    REGISTRY
-        .iter()
-        .flat_map(|e| {
-            e.paper_tables()
-                .iter()
-                .map(|label| (*label, e.artifact_name()))
-        })
-        .collect()
-}
-
 /// Resolves an artifact name or alias to its registry entry.
 pub fn find(name: &str) -> Option<&'static dyn Experiment> {
     REGISTRY
@@ -168,7 +155,7 @@ mod tests {
                 .build(1996)
                 .unwrap_or_else(|e| panic!("{}: {e}", entry.artifact_name()));
             let json = spec.to_json();
-            let back = ScenarioSpec::parse(&json)
+            let back = ScenarioSpec::from_value(&wavelan_analysis::json::parse(&json).unwrap())
                 .unwrap_or_else(|e| panic!("{}: {e}", entry.artifact_name()));
             assert_eq!(back, spec, "{}: JSON round-trip", entry.artifact_name());
         }

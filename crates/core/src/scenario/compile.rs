@@ -4,7 +4,7 @@
 //!
 //! Determinism contract: compilation is a pure function of the script's
 //! *content*. Ready events fire in the canonical order of
-//! [`Action::priority`] with ties broken by event name, so permuting the
+//! `Action::priority` with ties broken by event name, so permuting the
 //! declaration order of a script changes nothing — not the firing order,
 //! not the station ids, not a single directive.
 
@@ -49,13 +49,8 @@ pub struct CompiledScenario {
 
 impl CompiledScenario {
     /// The sim station id bound to a script station name.
-    pub fn station_id(&self, name: &str) -> Option<StationId> {
+    pub(crate) fn station_id(&self, name: &str) -> Option<StationId> {
         self.station_names.iter().position(|n| n == name)
-    }
-
-    /// Virtual-time budget of the run (last event end + drain), ns.
-    pub fn limit_ns(&self) -> u64 {
-        self.limit_ns
     }
 }
 

@@ -253,7 +253,7 @@ pub fn equal_power(seed: u64) -> ScenarioScript {
 /// delivery before the pass, carrier-sense deferrals and capture churn
 /// during it, recovery after (Section 7.4's mobility + capture mechanics on
 /// one timeline).
-pub fn walk_by(seed: u64, scale: Scale) -> ScenarioScript {
+pub(crate) fn walk_by(seed: u64, scale: Scale) -> ScenarioScript {
     let n = scale.packets(600);
     let mut s = ScenarioScript::new("walk-by", seed);
     s.event(
@@ -386,7 +386,7 @@ pub fn walk_by(seed: u64, scale: Scale) -> ScenarioScript {
 
 /// One cell of the oven sweep.
 #[derive(Debug, Clone, Copy)]
-pub struct OvenCell {
+pub(crate) struct OvenCell {
     /// Interferer on-fraction, percent (0 = interferer absent).
     pub duty_percent: u32,
     /// Ethernet body size of the test frames, bytes.
@@ -395,13 +395,13 @@ pub struct OvenCell {
 
 /// The sweep grid: duty fractions × packet lengths. Zero duty is the
 /// control row (Table 2's clean in-room case).
-pub const OVEN_DUTIES: [u32; 3] = [0, 25, 50];
+pub(crate) const OVEN_DUTIES: [u32; 3] = [0, 25, 50];
 /// Packet lengths swept, bytes (short ARP-sized to the study's 1070-byte
 /// test packets).
-pub const OVEN_BODIES: [u16; 3] = [64, 512, 1024];
+pub(crate) const OVEN_BODIES: [u16; 3] = [64, 512, 1024];
 
 /// Packets per sweep cell at `scale`.
-pub fn oven_cell_packets(scale: Scale) -> u64 {
+pub(crate) fn oven_cell_packets(scale: Scale) -> u64 {
     match scale {
         Scale::Smoke => 200,
         Scale::Reduced => 800,
@@ -413,7 +413,7 @@ pub fn oven_cell_packets(scale: Scale) -> u64 {
 /// in-band interferer with a magnetron-like 60 Hz period (after Zarikoff &
 /// Leith's microwave-oven characterization). The judged quantity is the
 /// paper's error-free delivery rate.
-pub fn oven_cell(seed: u64, cell: OvenCell, packets: u64) -> ScenarioScript {
+pub(crate) fn oven_cell(seed: u64, cell: OvenCell, packets: u64) -> ScenarioScript {
     let mut s = ScenarioScript::new("oven-sweep", seed);
     s.event(
         "place-rx",
@@ -513,7 +513,7 @@ const OVEN_POWER_DBM: f64 = -42.0;
 
 /// One cell of the dense-cell capture matrix.
 #[derive(Debug, Clone, Copy)]
-pub struct DenseCell {
+pub(crate) struct DenseCell {
     /// Test sender distance from the receiver, feet.
     pub near_ft: f64,
     /// Saturating co-channel interferer distance, feet.
@@ -521,12 +521,12 @@ pub struct DenseCell {
 }
 
 /// Sender distances swept, feet.
-pub const DENSE_NEAR_FT: [f64; 2] = [7.0, 14.0];
+pub(crate) const DENSE_NEAR_FT: [f64; 2] = [7.0, 14.0];
 /// Interferer distances swept, feet.
-pub const DENSE_FAR_FT: [f64; 3] = [25.0, 60.0, 160.0];
+pub(crate) const DENSE_FAR_FT: [f64; 3] = [25.0, 60.0, 160.0];
 
 /// Packets per matrix cell at `scale`.
-pub fn dense_cell_packets(scale: Scale) -> u64 {
+pub(crate) fn dense_cell_packets(scale: Scale) -> u64 {
     match scale {
         Scale::Smoke => 150,
         Scale::Reduced => 600,
@@ -539,7 +539,7 @@ pub fn dense_cell_packets(scale: Scale) -> u64 {
 /// deaf too (threshold 25), so carrier sense never defers: every collision
 /// is settled by the 6 dB capture margin alone — delivery of the test
 /// series measures how far capture protects a strong link (Section 7.4).
-pub fn dense_cell(seed: u64, cell: DenseCell, packets: u64) -> ScenarioScript {
+pub(crate) fn dense_cell(seed: u64, cell: DenseCell, packets: u64) -> ScenarioScript {
     let mut s = ScenarioScript::new("dense-cell", seed);
     s.event(
         "place-rx",
@@ -726,7 +726,7 @@ fn judged_value(outcome: &ScenarioOutcome, require_name: &str) -> f64 {
 /// The full duty × length sweep, fanned out through `exec` (bit-identical
 /// across worker counts: per-cell seeds come from the cell index, and cells
 /// are reassembled in grid order).
-pub fn oven_sweep(seed: u64, scale: Scale, exec: &Executor) -> ScenarioRun {
+pub(crate) fn oven_sweep(seed: u64, scale: Scale, exec: &Executor) -> ScenarioRun {
     let packets = oven_cell_packets(scale);
     let cells: Vec<OvenCell> = OVEN_DUTIES
         .iter()
@@ -847,7 +847,7 @@ pub fn oven_sweep(seed: u64, scale: Scale, exec: &Executor) -> ScenarioRun {
 }
 
 /// The dense-cell capture matrix, fanned out through `exec`.
-pub fn dense_cell_matrix(seed: u64, scale: Scale, exec: &Executor) -> ScenarioRun {
+pub(crate) fn dense_cell_matrix(seed: u64, scale: Scale, exec: &Executor) -> ScenarioRun {
     let packets = dense_cell_packets(scale);
     let cells: Vec<DenseCell> = DENSE_NEAR_FT
         .iter()

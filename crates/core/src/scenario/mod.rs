@@ -8,7 +8,7 @@
 //! The execution contract:
 //!
 //! * **Deterministic firing.** Ready events fire in a pinned canonical
-//!   order ([`Action::priority`], ties by event name), so the same seed and
+//!   order (`Action::priority`, ties by event name), so the same seed and
 //!   the same DAG — in *any* declaration order — produce a bit-identical
 //!   trace.
 //! * **Static elaboration.** The DAG compiles
@@ -33,10 +33,6 @@ pub mod library;
 pub mod model;
 pub mod run;
 
-pub use compile::CompiledScenario;
-pub use error::{RequireFailure, ScenarioError};
+pub use error::ScenarioError;
 pub use library::{run_named, ScenarioRun, SCENARIO_NAMES};
-pub use model::{
-    Action, Cmp, EventSpec, Knob, Quantity, Require, Role, ScenarioScript, StationSpec, TrafficSpec,
-};
-pub use run::{Judgment, ScenarioOutcome};
+pub use model::{Action, Cmp, Quantity, Require, Role, ScenarioScript, StationSpec};

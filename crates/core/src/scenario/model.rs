@@ -147,7 +147,7 @@ impl Action {
     /// places → interferers → knobs → moves → transmits → waits → asserts,
     /// ties broken by event *name* (not declaration order, so permuting the
     /// declaration of a script never changes the trace).
-    pub fn priority(&self) -> u8 {
+    pub(crate) fn priority(&self) -> u8 {
         match self {
             Action::Place { .. } => 0,
             Action::PlaceInterferer { .. } => 1,
@@ -156,19 +156,6 @@ impl Action {
             Action::Transmit { .. } => 4,
             Action::Wait { .. } => 5,
             Action::Assert { .. } => 6,
-        }
-    }
-
-    /// The action's kind, for error messages.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Action::Place { .. } => "place",
-            Action::PlaceInterferer { .. } => "place_interferer",
-            Action::SetKnob { .. } => "set_knob",
-            Action::Move { .. } => "move",
-            Action::Transmit { .. } => "transmit",
-            Action::Wait { .. } => "wait",
-            Action::Assert { .. } => "assert",
         }
     }
 }
@@ -202,13 +189,13 @@ impl StationSpec {
     }
 
     /// Overrides the thresholds.
-    pub fn thresholds(mut self, thresholds: Thresholds) -> StationSpec {
+    pub(crate) fn thresholds(mut self, thresholds: Thresholds) -> StationSpec {
         self.thresholds = Some(thresholds);
         self
     }
 
     /// Overrides the frame body size.
-    pub fn frame_bytes(mut self, bytes: u16) -> StationSpec {
+    pub(crate) fn frame_bytes(mut self, bytes: u16) -> StationSpec {
         self.frame_bytes = Some(bytes);
         self
     }
@@ -419,7 +406,7 @@ impl Quantity {
     }
 
     /// Human rendering, with station names inline.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         let from_part = |from: &Option<String>| match from {
             Some(f) => format!(" from {f}"),
             None => String::new(),
@@ -467,7 +454,7 @@ pub enum Cmp {
 
 impl Cmp {
     /// Whether `actual cmp bound` holds.
-    pub fn holds(self, actual: f64, bound: f64) -> bool {
+    pub(crate) fn holds(self, actual: f64, bound: f64) -> bool {
         match self {
             Cmp::Ge => actual >= bound,
             Cmp::Gt => actual > bound,
@@ -478,7 +465,7 @@ impl Cmp {
     }
 
     /// The operator's symbol.
-    pub fn symbol(self) -> &'static str {
+    pub(crate) fn symbol(self) -> &'static str {
         match self {
             Cmp::Ge => ">=",
             Cmp::Gt => ">",

@@ -78,17 +78,17 @@ impl ScenarioOutcome {
     }
 
     /// The failed judgments, in judging order.
-    pub fn failures(&self) -> impl Iterator<Item = &Judgment> {
+    pub(crate) fn failures(&self) -> impl Iterator<Item = &Judgment> {
         self.judgments.iter().filter(|j| !j.passed)
     }
 
     /// The sim station id bound to a script station name.
-    pub fn station_id(&self, name: &str) -> Option<StationId> {
+    pub(crate) fn station_id(&self, name: &str) -> Option<StationId> {
         self.station_names.iter().position(|n| n == name)
     }
 
     /// The first failure as a typed error, if any condition failed.
-    pub fn first_error(&self) -> Option<ScenarioError> {
+    pub(crate) fn first_error(&self) -> Option<ScenarioError> {
         self.failures().next().map(|j| {
             ScenarioError::RequireUnsatisfied(Box::new(RequireFailure {
                 scenario: self.name.clone(),
@@ -112,7 +112,7 @@ impl CompiledScenario {
     }
 
     /// [`CompiledScenario::run`] with a caller-owned scratch (bit-identical).
-    pub fn run_in(&self, scratch: &mut SimScratch) -> ScenarioOutcome {
+    pub(crate) fn run_in(&self, scratch: &mut SimScratch) -> ScenarioOutcome {
         let result = self
             .sim
             .run_scripted(&self.directives, self.limit_ns, scratch);
@@ -148,7 +148,7 @@ impl CompiledScenario {
     }
 
     /// [`CompiledScenario::run_checked`] with a caller-owned scratch.
-    pub fn run_checked_in(
+    pub(crate) fn run_checked_in(
         &self,
         scratch: &mut SimScratch,
     ) -> Result<ScenarioOutcome, ScenarioError> {
@@ -211,8 +211,8 @@ impl Evaluator<'_> {
     fn trace_view(&self, receiver: StationId) -> (&Trace, usize) {
         let trace = self.result.trace(receiver);
         let len = match self.snap {
-            Some(s) => s.stations[receiver].trace_len.min(trace.len()),
-            None => trace.len(),
+            Some(s) => s.stations[receiver].trace_len.min(trace.records.len()),
+            None => trace.records.len(),
         };
         (trace, len)
     }

@@ -6,11 +6,11 @@
 //! JSON round trip through the vendored serde layer. Every registry
 //! artifact exposes one via [`crate::registry::Experiment::spec`], and the
 //! sweep engine ([`crate::sweep`]) perturbs spec fields by dotted path
-//! ([`ScenarioSpec::set_field`]) to expand a parameter space into concrete
+//! (`ScenarioSpec::set_field`) to expand a parameter space into concrete
 //! runnable scenarios.
 //!
-//! The runnable half is [`ScenarioSpec::run_in`]: build the scenario the
-//! same way [`crate::experiments::common::PointTrial`] does (receiver is
+//! The runnable half is `ScenarioSpec::run_in`: build the scenario the
+//! same way `crate::experiments::common::PointTrial` does (receiver is
 //! station 0, the measured sender station 1, then extras, then ambient
 //! sources), run it at a [`Scale`], and fold the receiver trace into a
 //! small [`SpecMetrics`] record the sweep summary ranks on.
@@ -37,7 +37,7 @@ const METERS_TO_FEET: f64 = 1.0 / wavelan_sim::geometry::FEET_TO_METERS;
 
 /// Seed-stream id for spec-driven runs (propagation draws its own stream so
 /// a spec run never aliases a registry experiment's trial streams).
-pub const SPEC_STREAM: u64 = 0x5EC;
+pub(crate) const SPEC_STREAM: u64 = 0x5EC;
 
 /// A malformed spec, field path, or spec JSON document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,14 +66,14 @@ pub struct WallSpec {
     pub x1_ft: f64,
     /// Segment end, feet.
     pub y1_ft: f64,
-    /// Material name (see [`material_from_name`]).
+    /// Material name (see `material_from_name`).
     pub material: String,
 }
 
 /// Resolves a wall material name (`concrete-block`, `plaster-wire-mesh`,
 /// `wood-door`, `drywall`, `metal`, `human-body`, `furniture`, or
 /// `custom:<tenths-of-dB>`).
-pub fn material_from_name(name: &str) -> Result<Material, SpecError> {
+pub(crate) fn material_from_name(name: &str) -> Result<Material, SpecError> {
     Ok(match name {
         "plaster-wire-mesh" => Material::PlasterWireMesh,
         "concrete-block" => Material::ConcreteBlock,
@@ -93,7 +93,7 @@ pub fn material_from_name(name: &str) -> Result<Material, SpecError> {
 }
 
 /// The inverse of [`material_from_name`].
-pub fn material_name(material: Material) -> String {
+pub(crate) fn material_name(material: Material) -> String {
     match material {
         Material::PlasterWireMesh => "plaster-wire-mesh".into(),
         Material::ConcreteBlock => "concrete-block".into(),
@@ -117,7 +117,7 @@ pub struct PropagationSpec {
 
 impl PropagationSpec {
     /// The calibrated indoor default (exponent 2.2, 1.5 dB shadowing).
-    pub fn indoor() -> PropagationSpec {
+    pub(crate) fn indoor() -> PropagationSpec {
         PropagationSpec {
             model: "indoor".into(),
             shadowing_sigma_db: 1.5,
@@ -125,7 +125,7 @@ impl PropagationSpec {
     }
 
     /// The open lecture-hall model (two-ray ripple, no shadowing).
-    pub fn lecture_hall() -> PropagationSpec {
+    pub(crate) fn lecture_hall() -> PropagationSpec {
         PropagationSpec {
             model: "lecture-hall".into(),
             shadowing_sigma_db: 0.0,
@@ -133,7 +133,7 @@ impl PropagationSpec {
     }
 
     /// Builds the simulator model at the given seed.
-    pub fn build(&self, seed: u64) -> Result<Propagation, SpecError> {
+    pub(crate) fn build(&self, seed: u64) -> Result<Propagation, SpecError> {
         let mut prop = match self.model.as_str() {
             "indoor" => Propagation::indoor(seed),
             "lecture-hall" => Propagation::lecture_hall(seed),
@@ -159,7 +159,7 @@ pub enum Role {
 
 impl Role {
     /// The spec-file name of the role.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Role::Receiver => "receiver",
             Role::Sender => "sender",
@@ -203,7 +203,7 @@ impl StationSpec {
     /// A station of the given role at `(x_ft, y_ft)` with the study's
     /// defaults (thresholds 3/1, the ≈1.4 Mb/s send interval, standard
     /// test frames).
-    pub fn new(role: Role, x_ft: f64, y_ft: f64) -> StationSpec {
+    pub(crate) fn new(role: Role, x_ft: f64, y_ft: f64) -> StationSpec {
         StationSpec {
             role,
             x_ft,
@@ -222,12 +222,12 @@ impl StationSpec {
     }
 
     /// The station's position.
-    pub fn position(&self) -> Point {
+    pub(crate) fn position(&self) -> Point {
         Point::feet(self.x_ft, self.y_ft)
     }
 
     /// The station's thresholds.
-    pub fn thresholds(&self) -> Thresholds {
+    pub(crate) fn thresholds(&self) -> Thresholds {
         Thresholds {
             receive_level: self.receive_threshold,
             quality: self.quality_threshold,
@@ -235,7 +235,7 @@ impl StationSpec {
     }
 
     /// The frame kind the station emits.
-    pub fn frame(&self) -> FrameKind {
+    pub(crate) fn frame(&self) -> FrameKind {
         if self.frame_bytes == 0 {
             FrameKind::Test
         } else {
@@ -263,20 +263,14 @@ pub struct InterfererSpec {
 }
 
 impl InterfererSpec {
-    /// A continuous source of the given kind and power.
-    pub fn continuous(kind: &str, power_dbm: f64) -> InterfererSpec {
-        InterfererSpec {
-            kind: kind.into(),
-            power_dbm,
-            duty_pct: 100.0,
-            period_bits: 0,
-            burst_sigma_db: 0.0,
-        }
-    }
-
     /// A bursty source: on for `duty_pct` percent of every `period_bits`
     /// bit-times.
-    pub fn burst(kind: &str, power_dbm: f64, duty_pct: f64, period_bits: u64) -> InterfererSpec {
+    pub(crate) fn burst(
+        kind: &str,
+        power_dbm: f64,
+        duty_pct: f64,
+        period_bits: u64,
+    ) -> InterfererSpec {
         InterfererSpec {
             kind: kind.into(),
             power_dbm,
@@ -287,7 +281,7 @@ impl InterfererSpec {
     }
 
     /// Builds the simulator source; `None` when the duty cycle is zero.
-    pub fn build(&self) -> Result<Option<AmbientSource>, SpecError> {
+    pub(crate) fn build(&self) -> Result<Option<AmbientSource>, SpecError> {
         if self.duty_pct <= 0.0 {
             return Ok(None);
         }
@@ -326,7 +320,7 @@ impl InterfererSpec {
 /// Converts a calibrated [`AmbientSource`] into its declarative mirror, so
 /// experiment specs can be written straight from `crate::calibration`
 /// presets.
-pub fn interferer_from_source(source: &AmbientSource) -> InterfererSpec {
+pub(crate) fn interferer_from_source(source: &AmbientSource) -> InterfererSpec {
     let kind = match source.kind {
         InterferenceKind::NarrowbandInBand => "narrowband",
         InterferenceKind::WidebandInBand => "wideband",
@@ -407,7 +401,7 @@ impl ScenarioSpec {
 
     /// Adds the walls of an already-built [`FloorPlan`] (geometry read back
     /// in feet), so specs reuse `crate::layouts` verbatim.
-    pub fn with_plan(mut self, plan: &FloorPlan) -> ScenarioSpec {
+    pub(crate) fn with_plan(mut self, plan: &FloorPlan) -> ScenarioSpec {
         for wall in plan.walls() {
             self.walls.push(WallSpec {
                 x0_ft: wall.segment.a.x * METERS_TO_FEET,
@@ -421,32 +415,32 @@ impl ScenarioSpec {
     }
 
     /// Adds an interferer.
-    pub fn with_interferer(mut self, interferer: InterfererSpec) -> ScenarioSpec {
+    pub(crate) fn with_interferer(mut self, interferer: InterfererSpec) -> ScenarioSpec {
         self.interferers.push(interferer);
         self
     }
 
     /// Adds a station.
-    pub fn with_station(mut self, station: StationSpec) -> ScenarioSpec {
+    pub(crate) fn with_station(mut self, station: StationSpec) -> ScenarioSpec {
         self.stations.push(station);
         self
     }
 
     /// Sets the propagation model.
-    pub fn with_propagation(mut self, propagation: PropagationSpec) -> ScenarioSpec {
+    pub(crate) fn with_propagation(mut self, propagation: PropagationSpec) -> ScenarioSpec {
         self.propagation = propagation;
         self
     }
 
     /// The standard outsider pair from another building (the paper's weak
     /// foreign ARP chatter), at the conventional positions.
-    pub fn with_outsiders(self) -> ScenarioSpec {
+    pub(crate) fn with_outsiders(self) -> ScenarioSpec {
         self.with_station(StationSpec::new(Role::Outsider, -430.0, 60.0))
             .with_station(StationSpec::new(Role::Outsider, -540.0, 80.0))
     }
 
     /// Builds the floor plan.
-    pub fn floorplan(&self) -> Result<FloorPlan, SpecError> {
+    pub(crate) fn floorplan(&self) -> Result<FloorPlan, SpecError> {
         let mut plan = FloorPlan::open();
         for wall in &self.walls {
             plan.add_wall(
@@ -556,7 +550,7 @@ impl ScenarioSpec {
     }
 
     /// Runs the spec at `scale` and folds the receiver trace into metrics.
-    pub fn run_in(
+    pub(crate) fn run_in(
         &self,
         scale: Scale,
         seed: u64,
@@ -612,7 +606,7 @@ impl ScenarioSpec {
     }
 
     /// Reads one numeric field by dotted path (see [`ScenarioSpec::set_field`]).
-    pub fn get_field(&self, path: &str) -> Result<f64, SpecError> {
+    pub(crate) fn get_field(&self, path: &str) -> Result<f64, SpecError> {
         let mut probe = self.clone();
         probe.field_ref(path).map(|slot| slot.get())
     }
@@ -628,7 +622,7 @@ impl ScenarioSpec {
     ///
     /// Integer-typed fields round to the nearest representable value; a
     /// failed lookup leaves the spec untouched.
-    pub fn set_field(&mut self, path: &str, value: f64) -> Result<(), SpecError> {
+    pub(crate) fn set_field(&mut self, path: &str, value: f64) -> Result<(), SpecError> {
         self.field_ref(path)?.set(value);
         Ok(())
     }
@@ -692,7 +686,7 @@ impl ScenarioSpec {
     }
 
     /// Serializes the spec as pretty JSON.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         json::to_string_pretty(self)
     }
 }
@@ -779,7 +773,7 @@ pub struct SpecMetrics {
 }
 
 /// Metric names [`SpecMetrics::metric`] resolves.
-pub const METRIC_NAMES: [&str; 7] = [
+pub(crate) const METRIC_NAMES: [&str; 7] = [
     "packet_loss_pct",
     "truncated_pct",
     "intact_pct",
@@ -791,7 +785,7 @@ pub const METRIC_NAMES: [&str; 7] = [
 
 impl SpecMetrics {
     /// Looks a metric up by name (the sweep objective).
-    pub fn metric(&self, name: &str) -> Option<f64> {
+    pub(crate) fn metric(&self, name: &str) -> Option<f64> {
         Some(match name {
             "packet_loss_pct" => self.packet_loss_pct,
             "truncated_pct" => self.truncated_pct,
@@ -934,7 +928,7 @@ fn want_array<'v>(value: &'v Value, key: &str, what: &str) -> Result<&'v [Value]
 
 impl ScenarioSpec {
     /// Rebuilds a spec from a parsed JSON value.
-    pub fn from_value(value: &Value) -> Result<ScenarioSpec, SpecError> {
+    pub(crate) fn from_value(value: &Value) -> Result<ScenarioSpec, SpecError> {
         let what = "scenario spec";
         let mut spec = ScenarioSpec {
             name: want_str(value, "name", what)?.to_string(),
@@ -992,12 +986,6 @@ impl ScenarioSpec {
         spec.packet_budget = want_u64(value, "packet_budget", what)?;
         Ok(spec)
     }
-
-    /// Parses a spec from JSON text.
-    pub fn parse(text: &str) -> Result<ScenarioSpec, SpecError> {
-        let value = json::parse(text).map_err(|e| SpecError(format!("spec JSON: {e}")))?;
-        ScenarioSpec::from_value(&value)
-    }
 }
 
 #[cfg(test)]
@@ -1017,7 +1005,7 @@ mod tests {
     fn json_round_trip_is_exact() {
         let spec = oven_like();
         let text = spec.to_json();
-        let back = ScenarioSpec::parse(&text).expect("parses");
+        let back = ScenarioSpec::from_value(&json::parse(&text).unwrap()).expect("parses");
         assert_eq!(spec, back);
         assert_eq!(text, back.to_json());
     }
@@ -1056,7 +1044,13 @@ mod tests {
     fn zero_duty_interferer_is_omitted() {
         let off = InterfererSpec::burst("wideband", -42.0, 0.0, 33_000);
         assert!(off.build().unwrap().is_none());
-        let cont = InterfererSpec::continuous("narrowband", -60.0);
+        let cont = InterfererSpec {
+            kind: "narrowband".into(),
+            power_dbm: -60.0,
+            duty_pct: 100.0,
+            period_bits: 0,
+            burst_sigma_db: 0.0,
+        };
         assert!(matches!(
             cont.build().unwrap(),
             Some(AmbientSource {

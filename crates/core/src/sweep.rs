@@ -26,7 +26,7 @@ use wavelan_sim::SimScratch;
 
 /// Seed-stream id for per-point sweep seeds (distinct from every registry
 /// experiment id and from [`crate::spec::SPEC_STREAM`]).
-pub const SWEEP_STREAM: u64 = 0x53_57_50;
+pub(crate) const SWEEP_STREAM: u64 = 0x53_57_50;
 
 /// How many configurations the summary tables show on each end.
 const RANKED_SHOWN: usize = 5;
@@ -48,7 +48,7 @@ pub enum AxisValues {
 /// One swept knob: a spec field path plus the values it takes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Axis {
-    /// Spec field path (see [`ScenarioSpec::set_field`]).
+    /// Spec field path (see `ScenarioSpec::set_field`).
     pub field: String,
     /// The values the knob takes.
     pub values: AxisValues,
@@ -64,7 +64,7 @@ impl Axis {
     }
 
     /// A continuous axis over `[lo, hi]`.
-    pub fn range(field: &str, lo: f64, hi: f64) -> Axis {
+    pub(crate) fn range(field: &str, lo: f64, hi: f64) -> Axis {
         Axis {
             field: field.into(),
             values: AxisValues::Range { lo, hi },
@@ -158,9 +158,11 @@ impl ParameterSpace {
 
     /// Validates the space and canonicalizes axis order (sorted by field
     /// name, so declaration order never affects results).
-    pub fn canonicalize(mut self) -> Result<ParameterSpace, SpecError> {
+    pub(crate) fn canonicalize(mut self) -> Result<ParameterSpace, SpecError> {
         if self.axes.is_empty() {
-            return Err(SpecError("a parameter space needs at least one axis".into()));
+            return Err(SpecError(
+                "a parameter space needs at least one axis".into(),
+            ));
         }
         self.axes.sort_by(|a, b| a.field.cmp(&b.field));
         for pair in self.axes.windows(2) {
@@ -199,7 +201,7 @@ impl ParameterSpace {
     }
 
     /// The number of points the space expands to.
-    pub fn len(&self) -> usize {
+    pub fn point_count(&self) -> usize {
         match self.sampling {
             Sampling::Grid => self
                 .axes
@@ -213,16 +215,11 @@ impl ParameterSpace {
         }
     }
 
-    /// Whether the space expands to zero points.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Expands the (canonicalized) space into concrete points with derived
     /// per-point seeds.
     pub fn expand(&self, base_seed: u64) -> Result<Vec<SweepPoint>, SpecError> {
         let space = self.clone().canonicalize()?;
-        let n = space.len();
+        let n = space.point_count();
         let mut points = Vec::with_capacity(n);
         // Per-axis latin-hypercube stratum permutations, keyed only by the
         // axis field and the base seed.
@@ -490,8 +487,12 @@ pub struct SweepDocument {
 
 impl SweepDocument {
     /// Renders the ranked summary through the report model.
-    pub fn report(&self) -> Report {
-        let goal = if self.maximize { "maximize" } else { "minimize" };
+    pub(crate) fn report(&self) -> Report {
+        let goal = if self.maximize {
+            "maximize"
+        } else {
+            "minimize"
+        };
         let header = format!(
             "Parameter sweep: {} ({}, {} points, {} {})",
             self.space,
@@ -696,7 +697,7 @@ impl Serialize for ParameterSpace {
 impl ParameterSpace {
     /// Rebuilds a space from a parsed JSON value (the `--space <file>`
     /// format; see EXPERIMENTS.md "Parameter sweeps").
-    pub fn from_value(value: &Value) -> Result<ParameterSpace, SpecError> {
+    pub(crate) fn from_value(value: &Value) -> Result<ParameterSpace, SpecError> {
         let name = match value.get("name") {
             Some(Value::Str(s)) => s.clone(),
             _ => return Err(SpecError("space: missing or non-string \"name\"".into())),

@@ -26,15 +26,6 @@ pub enum RateDecision {
     Weaken(CodeRate),
 }
 
-impl RateDecision {
-    /// The rate to use next, whatever the movement.
-    pub fn rate(self) -> CodeRate {
-        match self {
-            RateDecision::Hold(r) | RateDecision::Strengthen(r) | RateDecision::Weaken(r) => r,
-        }
-    }
-}
-
 /// Adaptive rate controller state.
 #[derive(Debug, Clone)]
 pub struct AdaptiveFec {
@@ -154,7 +145,10 @@ mod tests {
         assert_eq!(c.observe(true, 15), RateDecision::Weaken(CodeRate::R8_9));
         // At the weakest rate it just holds.
         for _ in 0..20 {
-            assert_eq!(c.observe(true, 15).rate(), CodeRate::R8_9);
+            let (RateDecision::Hold(rate)
+            | RateDecision::Strengthen(rate)
+            | RateDecision::Weaken(rate)) = c.observe(true, 15);
+            assert_eq!(rate, CodeRate::R8_9);
         }
     }
 

@@ -8,20 +8,20 @@
 //! encoder so the decoder can end in the zero state.
 
 /// Constraint length.
-pub const CONSTRAINT: usize = 7;
+pub(crate) const CONSTRAINT: usize = 7;
 /// Number of trellis states (2^(K−1)).
-pub const STATES: usize = 1 << (CONSTRAINT - 1);
+pub(crate) const STATES: usize = 1 << (CONSTRAINT - 1);
 /// Generator polynomial G0 = 133 octal.
-pub const G0: u32 = 0o133;
+pub(crate) const G0: u32 = 0o133;
 /// Generator polynomial G1 = 171 octal.
-pub const G1: u32 = 0o171;
+pub(crate) const G1: u32 = 0o171;
 /// Tail bits appended to terminate a frame.
-pub const TAIL_BITS: usize = CONSTRAINT - 1;
+pub(crate) const TAIL_BITS: usize = CONSTRAINT - 1;
 
 /// Computes the two output bits for (input bit, state). `state` holds the
 /// previous K−1 input bits, most recent in the high bit.
 #[inline]
-pub fn branch_output(input: u8, state: usize) -> (u8, u8) {
+pub(crate) fn branch_output(input: u8, state: usize) -> (u8, u8) {
     // Shift register contents: input bit followed by state bits.
     let reg = ((input as u32) << (CONSTRAINT - 1)) | state as u32;
     let o0 = (reg & G0).count_ones() & 1;
@@ -31,7 +31,7 @@ pub fn branch_output(input: u8, state: usize) -> (u8, u8) {
 
 /// Advances the shift register.
 #[inline]
-pub fn next_state(input: u8, state: usize) -> usize {
+pub(crate) fn next_state(input: u8, state: usize) -> usize {
     ((state >> 1) | ((input as usize) << (CONSTRAINT - 2))) & (STATES - 1)
 }
 
@@ -48,7 +48,7 @@ impl ConvolutionalEncoder {
     }
 
     /// Encodes one bit, returning the two coded bits.
-    pub fn encode_bit(&mut self, bit: u8) -> (u8, u8) {
+    pub(crate) fn encode_bit(&mut self, bit: u8) -> (u8, u8) {
         let out = branch_output(bit & 1, self.state);
         self.state = next_state(bit & 1, self.state);
         out
@@ -64,7 +64,7 @@ impl ConvolutionalEncoder {
 
     /// [`ConvolutionalEncoder::encode_terminated`] into a caller-provided
     /// buffer (cleared first) — no per-frame allocation in steady state.
-    pub fn encode_terminated_into(&mut self, bits: &[u8], out: &mut Vec<u8>) {
+    pub(crate) fn encode_terminated_into(&mut self, bits: &[u8], out: &mut Vec<u8>) {
         out.clear();
         out.reserve(2 * (bits.len() + TAIL_BITS));
         for &b in bits {
@@ -89,7 +89,7 @@ pub fn bytes_to_bits(bytes: &[u8]) -> Vec<u8> {
 }
 
 /// [`bytes_to_bits`] into a caller-provided buffer (cleared first).
-pub fn bytes_to_bits_into(bytes: &[u8], out: &mut Vec<u8>) {
+pub(crate) fn bytes_to_bits_into(bytes: &[u8], out: &mut Vec<u8>) {
     out.clear();
     out.reserve(bytes.len() * 8);
     for &b in bytes {
@@ -99,16 +99,9 @@ pub fn bytes_to_bits_into(bytes: &[u8], out: &mut Vec<u8>) {
     }
 }
 
-/// Packs bits (one per byte, MSB first) back into bytes; trailing bits that
-/// do not fill a byte are dropped.
-pub fn bits_to_bytes(bits: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    bits_to_bytes_into(bits, &mut out);
-    out
-}
-
-/// [`bits_to_bytes`] into a caller-provided buffer (cleared first).
-pub fn bits_to_bytes_into(bits: &[u8], out: &mut Vec<u8>) {
+/// Packs bits (one per byte, MSB first) back into bytes in a caller-provided
+/// buffer (cleared first); trailing bits that do not fill a byte are dropped.
+pub(crate) fn bits_to_bytes_into(bits: &[u8], out: &mut Vec<u8>) {
     out.clear();
     out.reserve(bits.len() / 8);
     out.extend(
@@ -170,7 +163,9 @@ mod tests {
     #[test]
     fn bit_packing_round_trip() {
         let bytes = vec![0xDEu8, 0xAD, 0xBE, 0xEF, 0x00, 0xFF];
-        assert_eq!(bits_to_bytes(&bytes_to_bits(&bytes)), bytes);
+        let mut packed = Vec::new();
+        bits_to_bytes_into(&bytes_to_bits(&bytes), &mut packed);
+        assert_eq!(packed, bytes);
         assert_eq!(bytes_to_bits(&[0x80])[0], 1);
         assert_eq!(bytes_to_bits(&[0x01])[7], 1);
     }
@@ -180,5 +175,15 @@ mod tests {
         let bits = vec![0u8; 100];
         let coded = ConvolutionalEncoder::new().encode_terminated(&bits);
         assert_eq!(coded.len(), 2 * 106);
+    }
+
+    proptest::proptest! {
+        /// Bit packing round-trips for any byte string.
+        #[test]
+        fn bit_packing_round_trips_any_bytes(bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..128)) {
+            let mut packed = Vec::new();
+            bits_to_bytes_into(&bytes_to_bits(&bytes), &mut packed);
+            proptest::prop_assert_eq!(packed, bytes);
+        }
     }
 }

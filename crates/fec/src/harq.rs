@@ -19,11 +19,8 @@
 //! plain ARQ (which throws away the failed copy) and over fixed-rate FEC
 //! (which pays worst-case overhead on every packet).
 
-use crate::convolutional::{
-    bits_to_bytes, bits_to_bytes_into, bytes_to_bits, bytes_to_bits_into, ConvolutionalEncoder,
-    TAIL_BITS,
-};
-use crate::rcpc::{CodeRate, PERIOD_CODED_BITS};
+use crate::convolutional::bits_to_bytes_into;
+use crate::rcpc::PERIOD_CODED_BITS;
 use crate::scratch::FecScratch;
 use crate::viterbi::{SoftSymbol, ViterbiDecoder};
 
@@ -63,129 +60,6 @@ fn round_mask(round: usize) -> u16 {
     }
 }
 
-/// One transmission unit: mother-code positions and their symbols.
-#[derive(Debug, Clone)]
-pub struct Increment {
-    /// Which transmission round this is (0 = first).
-    pub round: usize,
-    /// The code rate the receiver reaches after this increment.
-    pub reaches: CodeRate,
-    /// `(mother position, coded bit)` pairs, in mother order.
-    pub symbols: Vec<(usize, u8)>,
-}
-
-impl Increment {
-    /// Bits on the air for this increment.
-    pub fn len(&self) -> usize {
-        self.symbols.len()
-    }
-
-    /// Whether the increment carries nothing (never true in practice).
-    pub fn is_empty(&self) -> bool {
-        self.symbols.is_empty()
-    }
-}
-
-/// Sender state for one packet.
-#[derive(Debug)]
-pub struct HarqSender {
-    mother: Vec<u8>,
-    round: usize,
-}
-
-/// The rate ladder walked by successive rounds.
-const LADDER: [CodeRate; 4] = [
-    CodeRate::R8_9,
-    CodeRate::R4_5,
-    CodeRate::R2_3,
-    CodeRate::R1_2,
-];
-
-impl HarqSender {
-    /// Prepares a payload for transmission.
-    pub fn new(payload: &[u8]) -> HarqSender {
-        let bits = bytes_to_bits(payload);
-        HarqSender {
-            mother: ConvolutionalEncoder::new().encode_terminated(&bits),
-            round: 0,
-        }
-    }
-
-    /// Emits the next transmission: round 0 is the rate-8/9 packet; later
-    /// rounds are the (much smaller) increments, then full repeats once the
-    /// ladder is exhausted.
-    pub fn next_increment(&mut self) -> Increment {
-        let round = self.round;
-        self.round += 1;
-        let mask = round_mask(round);
-        let reaches = LADDER.get(round).copied().unwrap_or(CodeRate::R1_4);
-        let mut symbols = Vec::new();
-        for (i, &bit) in self.mother.iter().enumerate() {
-            if (mask >> (i % PERIOD_CODED_BITS)) & 1 == 1 {
-                symbols.push((i, bit));
-            }
-        }
-        Increment {
-            round,
-            reaches,
-            symbols,
-        }
-    }
-
-    /// Mother-code length for this payload (diagnostics).
-    pub fn mother_len(&self) -> usize {
-        self.mother.len()
-    }
-}
-
-/// Receiver state for one packet: the soft-combined mother codeword.
-#[derive(Debug)]
-pub struct HarqReceiver {
-    payload_len: usize,
-    /// Accumulated soft values per mother position (0.0 = never received).
-    soft: Vec<SoftSymbol>,
-    decoder: ViterbiDecoder,
-}
-
-impl HarqReceiver {
-    /// Prepares to receive a payload of `payload_len` bytes.
-    pub fn new(payload_len: usize) -> HarqReceiver {
-        let mother_len = 2 * (payload_len * 8 + TAIL_BITS);
-        HarqReceiver {
-            payload_len,
-            soft: vec![0.0; mother_len],
-            decoder: ViterbiDecoder::new(),
-        }
-    }
-
-    /// Absorbs an increment as received from the channel: same positions as
-    /// the sender emitted, with per-symbol soft values (sign = hard bit,
-    /// magnitude = confidence; the caller applies channel corruption).
-    /// Symbols for the same position accumulate (soft combining).
-    pub fn absorb(&mut self, positions: &[usize], soft_values: &[SoftSymbol]) {
-        for (&pos, &value) in positions.iter().zip(soft_values) {
-            if let Some(slot) = self.soft.get_mut(pos) {
-                *slot += value;
-            }
-        }
-    }
-
-    /// Attempts to decode with everything received so far.
-    pub fn try_decode(&self) -> Vec<u8> {
-        bits_to_bytes(&self.decoder.decode_terminated(&self.soft))
-    }
-
-    /// Fraction of mother positions received at least once.
-    pub fn coverage(&self) -> f64 {
-        self.soft.iter().filter(|&&s| s != 0.0).count() as f64 / self.soft.len() as f64
-    }
-
-    /// The payload length this receiver was configured for.
-    pub fn payload_len(&self) -> usize {
-        self.payload_len
-    }
-}
-
 /// Outcome of running the whole protocol over a BSC-like channel.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HarqOutcome {
@@ -199,43 +73,16 @@ pub struct HarqOutcome {
 
 /// Runs sender and receiver against a caller-supplied channel until decode
 /// success or `max_rounds`. The channel maps each transmitted hard bit to a
-/// received soft value (e.g. flip with probability p, magnitude 1).
-pub fn run_harq<C: FnMut(u8) -> SoftSymbol>(
-    payload: &[u8],
-    max_rounds: usize,
-    channel: C,
-) -> HarqOutcome {
-    let mut scratch = FecScratch::new();
-    run_harq_with(payload, max_rounds, channel, &mut scratch)
-}
-
-/// [`run_harq`] with caller-provided scratch: the mother codeword, the
-/// soft-combining accumulators and all decode buffers live in `scratch`
-/// and are reused across packets and rounds — the whole protocol runs
-/// without a single steady-state allocation. Channel invocation order (one
-/// call per transmitted bit, mother order within each round) is identical
-/// to [`run_harq`]'s, so RNG-backed channels see the same stream.
-pub fn run_harq_with<C: FnMut(u8) -> SoftSymbol>(
-    payload: &[u8],
-    max_rounds: usize,
-    channel: C,
-    scratch: &mut FecScratch,
-) -> HarqOutcome {
-    let mut bits = std::mem::take(&mut scratch.info_bits);
-    let mut mother = std::mem::take(&mut scratch.harq_mother);
-    bytes_to_bits_into(payload, &mut bits);
-    ConvolutionalEncoder::new().encode_terminated_into(&bits, &mut mother);
-    scratch.info_bits = bits;
-    let outcome = run_harq_encoded_with(payload, &mother, max_rounds, channel, scratch);
-    scratch.harq_mother = mother;
-    outcome
-}
-
-/// [`run_harq_with`] with the mother codeword precomputed by the caller —
+/// received soft value (e.g. flip with probability p, magnitude 1), one
+/// call per transmitted bit in mother order within each round.
+///
 /// `mother` must be the terminated encoding of `payload`
-/// ([`ConvolutionalEncoder::encode_terminated`] of its bits). Lets drivers
+/// ([`ConvolutionalEncoder::encode_terminated`](crate::convolutional::ConvolutionalEncoder::encode_terminated) of its bits), so drivers
 /// that retransmit one payload many times (shootouts, benches) pay the
-/// encode once per payload instead of once per packet.
+/// encode once per payload instead of once per packet. The soft-combining
+/// accumulators and all decode buffers live in `scratch` and are reused
+/// across packets and rounds — the whole protocol runs without a single
+/// steady-state allocation.
 pub fn run_harq_encoded_with<C: FnMut(u8) -> SoftSymbol>(
     payload: &[u8],
     mother: &[u8],
@@ -341,8 +188,26 @@ pub fn run_harq_encoded_with<C: FnMut(u8) -> SoftSymbol>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convolutional::{bytes_to_bits, ConvolutionalEncoder};
+    use crate::rcpc::CodeRate;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Encodes `payload` and runs the protocol on a fresh scratch.
+    fn run_harq<C: FnMut(u8) -> SoftSymbol>(
+        payload: &[u8],
+        max_rounds: usize,
+        channel: C,
+    ) -> HarqOutcome {
+        let mother = ConvolutionalEncoder::new().encode_terminated(&bytes_to_bits(payload));
+        run_harq_encoded_with(
+            payload,
+            &mother,
+            max_rounds,
+            channel,
+            &mut FecScratch::new(),
+        )
+    }
 
     fn payload() -> Vec<u8> {
         (0..128u8).collect()
@@ -383,54 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn run_harq_with_matches_run_harq() {
-        // Same channel seed ⇒ identical outcome, across quiet and hostile
-        // channels (different round counts exercise every mask).
-        let mut scratch = FecScratch::new();
-        for (p, seed) in [(0.0, 21u64), (0.02, 22), (0.12, 23), (0.5, 24)] {
-            let a = run_harq(&payload(), 10, bsc(p, seed));
-            let b = run_harq_with(&payload(), 10, bsc(p, seed), &mut scratch);
-            assert_eq!(a, b, "p={p}");
-        }
-    }
-
-    #[test]
-    fn increments_are_disjoint_and_cover_the_mother_code() {
-        let mut s = HarqSender::new(&payload());
-        let mut seen = vec![false; s.mother_len()];
-        for round in 0..4 {
-            let inc = s.next_increment();
-            assert_eq!(inc.round, round);
-            for &(pos, _) in &inc.symbols {
-                assert!(!seen[pos], "position {pos} retransmitted in round {round}");
-                seen[pos] = true;
-            }
-        }
-        assert!(
-            seen.iter().all(|&s| s),
-            "ladder did not cover the mother code"
-        );
-        // Round 4 (Chase) repeats everything.
-        let chase = s.next_increment();
-        assert_eq!(chase.len(), s.mother_len());
-    }
-
-    #[test]
-    fn increment_sizes_follow_the_ladder() {
-        let mut s = HarqSender::new(&payload());
-        let first = s.next_increment();
-        let second = s.next_increment();
-        let third = s.next_increment();
-        // 8/9 sends 9 of 16 positions; the upgrade to 4/5 sends 1 of 16;
-        // to 2/3 sends 2 of 16.
-        assert!((first.len() as f64 / s.mother_len() as f64 - 9.0 / 16.0).abs() < 0.01);
-        assert!((second.len() as f64 / s.mother_len() as f64 - 1.0 / 16.0).abs() < 0.01);
-        assert!((third.len() as f64 / s.mother_len() as f64 - 2.0 / 16.0).abs() < 0.01);
-        assert_eq!(first.reaches, CodeRate::R8_9);
-        assert_eq!(second.reaches, CodeRate::R4_5);
-    }
-
-    #[test]
     fn clean_channel_delivers_in_one_round() {
         let outcome = run_harq(&payload(), 8, bsc(0.0, 1));
         assert!(outcome.delivered);
@@ -463,22 +280,6 @@ mod tests {
         let outcome = run_harq(&payload(), 3, bsc(0.5, 4));
         assert!(!outcome.delivered);
         assert_eq!(outcome.rounds, 3);
-    }
-
-    #[test]
-    fn receiver_coverage_tracks_the_ladder() {
-        let mut s = HarqSender::new(&payload());
-        let mut r = HarqReceiver::new(payload().len());
-        assert_eq!(r.coverage(), 0.0);
-        let inc = s.next_increment();
-        let positions: Vec<usize> = inc.symbols.iter().map(|&(p, _)| p).collect();
-        let soft: Vec<f64> = inc
-            .symbols
-            .iter()
-            .map(|&(_, b)| if b == 1 { 1.0 } else { -1.0 })
-            .collect();
-        r.absorb(&positions, &soft);
-        assert!((r.coverage() - 9.0 / 16.0).abs() < 0.01);
     }
 
     #[test]

@@ -44,10 +44,9 @@ pub mod rcpc;
 pub mod scratch;
 pub mod viterbi;
 
-pub use adaptive::{AdaptiveFec, RateDecision};
-pub use convolutional::ConvolutionalEncoder;
-pub use harq::{run_harq, run_harq_with, HarqOutcome, HarqReceiver, HarqSender};
+pub use adaptive::AdaptiveFec;
+pub use harq::HarqOutcome;
 pub use interleaver::BlockInterleaver;
-pub use rcpc::{CodeRate, RcpcCodec};
+pub use rcpc::RcpcCodec;
 pub use scratch::FecScratch;
 pub use viterbi::ViterbiDecoder;

@@ -29,9 +29,9 @@ use crate::scratch::FecScratch;
 use crate::viterbi::{SoftSymbol, ViterbiDecoder};
 
 /// Puncturing period in information bits.
-pub const PERIOD_INFO_BITS: usize = 8;
+pub(crate) const PERIOD_INFO_BITS: usize = 8;
 /// Mother-coded bits per period.
-pub const PERIOD_CODED_BITS: usize = 16;
+pub(crate) const PERIOD_CODED_BITS: usize = 16;
 
 /// The code rates in the family, highest (least redundancy) first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -60,7 +60,7 @@ impl CodeRate {
     ];
 
     /// Coded symbols kept per period at this rate (with repetition counted).
-    pub fn kept_per_period(self) -> usize {
+    pub(crate) fn kept_per_period(self) -> usize {
         match self {
             CodeRate::R8_9 => 9,
             CodeRate::R4_5 => 10,
@@ -81,14 +81,14 @@ impl CodeRate {
     }
 
     /// The next-stronger (lower) rate, if any.
-    pub fn stronger(self) -> Option<CodeRate> {
+    pub(crate) fn stronger(self) -> Option<CodeRate> {
         let all = CodeRate::ALL;
         let idx = all.iter().position(|&r| r == self).unwrap();
         all.get(idx + 1).copied()
     }
 
     /// The next-weaker (higher) rate, if any.
-    pub fn weaker(self) -> Option<CodeRate> {
+    pub(crate) fn weaker(self) -> Option<CodeRate> {
         let all = CodeRate::ALL;
         let idx = all.iter().position(|&r| r == self).unwrap();
         idx.checked_sub(1).map(|i| all[i])
@@ -233,7 +233,7 @@ impl RcpcCodec {
 
     /// Number of transmitted bits for a payload of `payload_len` bytes at
     /// `rate` (including the mother code's tail).
-    pub fn transmitted_bits(&self, payload_len: usize, rate: CodeRate) -> usize {
+    pub(crate) fn transmitted_bits(&self, payload_len: usize, rate: CodeRate) -> usize {
         let mother_len = 2 * (payload_len * 8 + TAIL_BITS);
         match rate.map() {
             None if rate == CodeRate::R1_2 => mother_len,

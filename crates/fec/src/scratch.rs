@@ -14,7 +14,7 @@ use crate::viterbi::SoftSymbol;
 ///
 /// Create one per worker and pass it to the `_with` variants of the codec
 /// APIs ([`crate::ViterbiDecoder::decode_terminated_with`],
-/// [`crate::RcpcCodec::decode_soft_with`], [`crate::harq::run_harq_with`],
+/// [`crate::RcpcCodec::decode_soft_with`], [`crate::harq::run_harq_encoded_with`],
 /// …). The buffers hold no semantic state between calls — any mixture of
 /// rates, lengths and codecs may share one scratch.
 #[derive(Debug, Default)]
@@ -37,8 +37,6 @@ pub struct FecScratch {
     /// stays integer-valued within the quantizer bound (the common case);
     /// lets HARQ decodes skip the per-round f64 quantization scan.
     pub(crate) harq_acc: Vec<i16>,
-    /// HARQ mother codeword, encoded once per packet.
-    pub(crate) harq_mother: Vec<u8>,
     /// HARQ decode-attempt payload buffer (compared against the original).
     pub(crate) harq_payload: Vec<u8>,
 }

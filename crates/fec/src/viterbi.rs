@@ -31,7 +31,7 @@
 //!   (bit `ns` = which predecessor won), replacing the old
 //!   `Vec<Vec<(u16, u8)>>` matrix; traceback is branchless shifts.
 //! * **i16 metrics + renormalization.** Symbols are bounded by
-//!   [`ViterbiDecoder::MAX_FIXED_MAG`], so metrics grow ≤ 128 per step;
+//!   `ViterbiDecoder::MAX_FIXED_MAG`, so metrics grow ≤ 128 per step;
 //!   subtracting the running maximum every 64 steps (a uniform shift that
 //!   preserves every comparison) keeps all values in `i16` with margin.
 //! * **SIMD kernels.** On x86-64 the ACS inner loop runs 32 butterflies at
@@ -83,7 +83,7 @@ pub fn hard_to_soft(bits: &[u8]) -> Vec<SoftSymbol> {
 
 /// Converts hard bits to soft symbols (±1) into a caller-provided buffer,
 /// avoiding the per-frame allocation of [`hard_to_soft`].
-pub fn hard_to_soft_into(bits: &[u8], out: &mut Vec<SoftSymbol>) {
+pub(crate) fn hard_to_soft_into(bits: &[u8], out: &mut Vec<SoftSymbol>) {
     out.clear();
     out.reserve(bits.len());
     out.extend(bits.iter().map(|&b| if b & 1 == 1 { 1.0 } else { -1.0 }));
@@ -124,7 +124,7 @@ impl ViterbiDecoder {
     /// non-integer) symbols decode via the f64 reference instead — still
     /// correct, just slower. 64 covers every workload in this repo (HARQ
     /// combining sums stay far below it) with proven `i16` headroom.
-    pub const MAX_FIXED_MAG: f64 = 64.0;
+    pub(crate) const MAX_FIXED_MAG: f64 = 64.0;
 
     /// Builds the decoder (precomputes the trellis outputs) and selects the
     /// fastest ACS kernel the host supports.
@@ -219,7 +219,7 @@ impl ViterbiDecoder {
     /// first), reusing `scratch` buffers. Bit-identical to
     /// [`ViterbiDecoder::decode_terminated_reference`] for every input:
     /// integer-valued symbols with magnitude ≤
-    /// [`ViterbiDecoder::MAX_FIXED_MAG`] take the fixed-point kernels;
+    /// `ViterbiDecoder::MAX_FIXED_MAG` take the fixed-point kernels;
     /// anything else falls back to the reference.
     pub fn decode_terminated_with(
         &self,
@@ -328,7 +328,7 @@ impl ViterbiDecoder {
     }
 
     /// Hard-decision convenience wrapper (allocates; see
-    /// [`ViterbiDecoder::decode_hard_with`]).
+    /// `ViterbiDecoder::decode_hard_with`).
     pub fn decode_hard(&self, coded_bits: &[u8]) -> Vec<u8> {
         let mut scratch = FecScratch::new();
         let mut out = Vec::new();
@@ -338,7 +338,12 @@ impl ViterbiDecoder {
 
     /// Allocation-free hard-decision decode: quantizes bits straight to
     /// integer ±1 symbols in a scratch buffer (no f64 soft vector at all).
-    pub fn decode_hard_with(&self, coded_bits: &[u8], scratch: &mut FecScratch, out: &mut Vec<u8>) {
+    pub(crate) fn decode_hard_with(
+        &self,
+        coded_bits: &[u8],
+        scratch: &mut FecScratch,
+        out: &mut Vec<u8>,
+    ) {
         assert!(
             coded_bits.len().is_multiple_of(2),
             "coded bits come in pairs"
@@ -665,19 +670,15 @@ fn quantize_into(symbols: &[SoftSymbol], out: &mut Vec<i16>) -> bool {
     true
 }
 
-/// Free distance of the 133/171 K=7 code. Any error pattern of weight
-/// ≤ ⌊(d_free−1)/2⌋ = 4 within one constraint span is correctable.
-pub const FREE_DISTANCE: usize = 10;
-
-/// The constraint span in coded bits (for tests that place error patterns).
-pub const SPAN_CODED_BITS: usize = 2 * CONSTRAINT;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::convolutional::ConvolutionalEncoder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The constraint span in coded bits (for tests that place error patterns).
+    const SPAN_CODED_BITS: usize = 2 * CONSTRAINT;
 
     fn random_bits(n: usize, seed: u64) -> Vec<u8> {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -1,17 +1,12 @@
 //! Property-based tests for the FEC stack.
 
 use proptest::prelude::*;
-use wavelan_fec::convolutional::{bits_to_bytes, bytes_to_bits, ConvolutionalEncoder};
+use wavelan_fec::convolutional::ConvolutionalEncoder;
 use wavelan_fec::interleaver::BlockInterleaver;
 use wavelan_fec::rcpc::{CodeRate, RcpcCodec};
 use wavelan_fec::viterbi::ViterbiDecoder;
 
 proptest! {
-    /// Bit packing round-trips for any byte string.
-    #[test]
-    fn bit_packing_round_trip(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
-        prop_assert_eq!(bits_to_bytes(&bytes_to_bits(&bytes)), bytes);
-    }
 
     /// Encoding is linear: code(a ⊕ b) = code(a) ⊕ code(b).
     #[test]

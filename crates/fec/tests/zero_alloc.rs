@@ -10,7 +10,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use wavelan_fec::harq::run_harq_with;
+use wavelan_fec::convolutional::{bytes_to_bits, ConvolutionalEncoder};
+use wavelan_fec::harq::run_harq_encoded_with;
 use wavelan_fec::interleaver::BlockInterleaver;
 use wavelan_fec::rcpc::{CodeRate, RcpcCodec};
 use wavelan_fec::scratch::FecScratch;
@@ -40,8 +41,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Reused driver-side buffers (wire copy, soft staging, decode output) —
-/// the counterpart of what the experiment drivers hold per worker.
+/// the counterpart of what the experiment drivers hold per worker — plus
+/// the payload's HARQ mother codeword, encoded once as the drivers do.
 struct Buffers {
+    mother: Vec<u8>,
     wire: Vec<u8>,
     channel: Vec<u8>,
     received: Vec<u8>,
@@ -100,8 +103,9 @@ fn cycle(
     );
     sum += bufs.decoded.len() as u64;
     // A noisy HARQ exchange that runs several incremental-redundancy rounds.
-    let outcome = run_harq_with(
+    let outcome = run_harq_encoded_with(
         payload,
+        &bufs.mother,
         8,
         |bit| {
             let tx = if bit == 1 { 1.0 } else { -1.0 };
@@ -123,6 +127,7 @@ fn steady_state_decode_is_allocation_free() {
     let payload: Vec<u8> = (0..128u32).map(|i| (i * 7 + 3) as u8).collect();
     let mut scratch = FecScratch::new();
     let mut bufs = Buffers {
+        mother: ConvolutionalEncoder::new().encode_terminated(&bytes_to_bits(&payload)),
         wire: Vec::new(),
         channel: Vec::new(),
         received: Vec::new(),

@@ -10,7 +10,7 @@ use rand::Rng;
 
 /// Backoff state for one pending frame.
 #[derive(Debug, Clone)]
-pub struct ExponentialBackoff {
+pub(crate) struct ExponentialBackoff {
     /// Consecutive collisions experienced by the current frame.
     attempts: u32,
     /// Exponent cap (Ethernet uses 10).
@@ -20,17 +20,8 @@ pub struct ExponentialBackoff {
 }
 
 impl ExponentialBackoff {
-    /// Standard Ethernet parameters: exponent capped at 10, 16 attempts.
-    pub fn ethernet() -> ExponentialBackoff {
-        ExponentialBackoff {
-            attempts: 0,
-            cap: 10,
-            max_attempts: 16,
-        }
-    }
-
     /// Custom parameters.
-    pub fn new(cap: u32, max_attempts: u32) -> ExponentialBackoff {
+    pub(crate) fn new(cap: u32, max_attempts: u32) -> ExponentialBackoff {
         ExponentialBackoff {
             attempts: 0,
             cap,
@@ -38,14 +29,9 @@ impl ExponentialBackoff {
         }
     }
 
-    /// Number of collisions the current frame has suffered.
-    pub fn attempts(&self) -> u32 {
-        self.attempts
-    }
-
     /// Records a collision and draws the wait, in slots. Returns `None` when
     /// the frame must be abandoned (excessive collisions).
-    pub fn on_collision<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<u64> {
+    pub(crate) fn on_collision<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<u64> {
         self.attempts += 1;
         if self.attempts >= self.max_attempts {
             return None;
@@ -56,7 +42,7 @@ impl ExponentialBackoff {
     }
 
     /// Resets for the next frame after a successful transmission.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.attempts = 0;
     }
 }
@@ -72,7 +58,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         // Sample maxima over many draws at each attempt count.
         for attempt in 1u32..=6 {
-            let mut b = ExponentialBackoff::ethernet();
+            let mut b = ExponentialBackoff::new(10, 16);
             // Advance to the desired attempt count.
             for _ in 0..attempt - 1 {
                 b.on_collision(&mut rng);
@@ -109,17 +95,17 @@ mod tests {
         assert!(b.on_collision(&mut rng).is_some());
         assert!(b.on_collision(&mut rng).is_some());
         assert!(b.on_collision(&mut rng).is_none());
-        assert_eq!(b.attempts(), 4);
+        assert_eq!(b.attempts, 4);
     }
 
     #[test]
     fn reset_restores_initial_state() {
         let mut rng = StdRng::seed_from_u64(4);
-        let mut b = ExponentialBackoff::ethernet();
+        let mut b = ExponentialBackoff::new(10, 16);
         b.on_collision(&mut rng);
         b.on_collision(&mut rng);
-        assert_eq!(b.attempts(), 2);
+        assert_eq!(b.attempts, 2);
         b.reset();
-        assert_eq!(b.attempts(), 0);
+        assert_eq!(b.attempts, 0);
     }
 }

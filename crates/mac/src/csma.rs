@@ -106,11 +106,6 @@ impl CsmaCa {
         }
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> MacConfig {
-        self.config
-    }
-
     /// Counters accumulated so far.
     pub fn stats(&self) -> MacStats {
         self.stats
@@ -235,7 +230,7 @@ mod tests {
         assert_eq!(mac.attempt(0, false, &mut rng), TxAction::Transmit);
         // After a success, the next collision is a "first" collision again.
         if let TxAction::Retry { at_ns } = mac.attempt(0, true, &mut rng) {
-            let cfg = mac.config();
+            let cfg = mac.config;
             assert!(at_ns <= cfg.ifs_ns + cfg.slot_time_ns);
         } else {
             panic!("expected retry");

@@ -23,22 +23,15 @@
 //! * [`network_id`] — the modem's 16-bit network-ID wrapper,
 //! * [`threshold`] — receive threshold and quality threshold filtering
 //!   (Sections 2, 5.3, 7.4),
-//! * [`controller`] — 82593-style receive-side filtering: promiscuous mode,
-//!   address recognition, CRC filtering,
 //! * [`tdma`] — the reservation TDMA MAC the paper's introduction argues
 //!   future pico-cellular networks should use, with a slot-level
 //!   CSMA-vs-TDMA comparison harness.
 
 pub mod backoff;
-pub mod controller;
 pub mod csma;
 pub mod network_id;
 pub mod tdma;
 pub mod threshold;
 
-pub use backoff::ExponentialBackoff;
-pub use controller::{RxDecision, RxFilter};
-pub use csma::{CsmaCa, MacConfig, TxAction};
-pub use network_id::{strip_network_id, wrap_with_network_id, NetworkId, NETWORK_ID_LEN};
-pub use tdma::{compare_with_csma, jain_index, TdmaScheduler};
+pub use tdma::TdmaScheduler;
 pub use threshold::Thresholds;

@@ -43,26 +43,6 @@ pub fn strip_network_id(wire: &[u8]) -> Option<(NetworkId, &[u8])> {
     Some((id, &wire[NETWORK_ID_LEN..]))
 }
 
-/// Receive-side network-ID filter state: either promiscuous across IDs or
-/// locked to one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetworkIdFilter {
-    /// Accept any network ID (the study's tracing configuration).
-    AcceptAll,
-    /// "reject all but one network ID on receive".
-    Only(NetworkId),
-}
-
-impl NetworkIdFilter {
-    /// Whether a packet with the given ID passes the filter.
-    pub fn accepts(&self, id: NetworkId) -> bool {
-        match self {
-            NetworkIdFilter::AcceptAll => true,
-            NetworkIdFilter::Only(want) => *want == id,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,14 +65,6 @@ mod tests {
         let (id, inner) = strip_network_id(&[0x00, 0x07]).unwrap();
         assert_eq!(id, NetworkId(7));
         assert!(inner.is_empty());
-    }
-
-    #[test]
-    fn filter_semantics() {
-        let f = NetworkIdFilter::Only(NetworkId(5));
-        assert!(f.accepts(NetworkId(5)));
-        assert!(!f.accepts(NetworkId(6)));
-        assert!(NetworkIdFilter::AcceptAll.accepts(NetworkId(6)));
     }
 
     #[test]

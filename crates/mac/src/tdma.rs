@@ -25,16 +25,9 @@ use rand::Rng;
 
 /// A frame schedule: which station owns each slot (None = beacon/idle).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameSchedule {
+pub(crate) struct FrameSchedule {
     /// Slot owners; index 0 is always the beacon (None).
     pub slots: Vec<Option<usize>>,
-}
-
-impl FrameSchedule {
-    /// Number of data slots granted to `station`.
-    pub fn granted(&self, station: usize) -> usize {
-        self.slots.iter().filter(|s| **s == Some(station)).count()
-    }
 }
 
 /// The base station's reservation scheduler.
@@ -49,7 +42,7 @@ pub struct TdmaScheduler {
 impl TdmaScheduler {
     /// A scheduler for `stations` stations and `slots_per_frame` slots
     /// (including the beacon slot). Needs at least 2 slots.
-    pub fn new(stations: usize, slots_per_frame: usize) -> TdmaScheduler {
+    pub(crate) fn new(stations: usize, slots_per_frame: usize) -> TdmaScheduler {
         assert!(slots_per_frame >= 2, "need a beacon slot plus data");
         TdmaScheduler {
             stations,
@@ -59,14 +52,14 @@ impl TdmaScheduler {
     }
 
     /// Records a station's reservation (its current queue depth).
-    pub fn reserve(&mut self, station: usize, queue_depth: u64) {
+    pub(crate) fn reserve(&mut self, station: usize, queue_depth: u64) {
         self.demand[station] = queue_depth;
     }
 
     /// Builds the next frame's schedule: demand-proportional with a one-slot
     /// floor for every station with demand, largest-remainder rounding, and
     /// leftover slots to the most-backlogged stations.
-    pub fn schedule(&self) -> FrameSchedule {
+    pub(crate) fn schedule(&self) -> FrameSchedule {
         let data_slots = self.slots_per_frame - 1;
         let total_demand: u64 = self.demand.iter().sum();
         let mut grants = vec![0usize; self.stations];
@@ -147,7 +140,7 @@ pub struct MacComparison {
 }
 
 /// Jain's fairness index: `(Σx)² / (n·Σx²)`; 1.0 = perfectly fair.
-pub fn jain_index(delivered: &[u64]) -> f64 {
+pub(crate) fn jain_index(delivered: &[u64]) -> f64 {
     let n = delivered.len() as f64;
     let sum: f64 = delivered.iter().map(|&x| x as f64).sum();
     let sum_sq: f64 = delivered.iter().map(|&x| (x as f64) * (x as f64)).sum();
@@ -242,6 +235,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Slots granted to `station` in a frame.
+    fn granted(f: &FrameSchedule, station: usize) -> usize {
+        f.slots.iter().filter(|s| **s == Some(station)).count()
+    }
+
     #[test]
     fn schedule_reserves_the_beacon_slot() {
         let mut s = TdmaScheduler::new(3, 8);
@@ -257,11 +255,11 @@ mod tests {
         s.reserve(1, 5);
         s.reserve(3, 5);
         let f = s.schedule();
-        assert_eq!(f.granted(0), 0);
-        assert_eq!(f.granted(2), 0);
-        assert_eq!(f.granted(1) + f.granted(3), 8);
+        assert_eq!(granted(&f, 0), 0);
+        assert_eq!(granted(&f, 2), 0);
+        assert_eq!(granted(&f, 1) + granted(&f, 3), 8);
         // Equal demand → equal grants.
-        assert_eq!(f.granted(1), f.granted(3));
+        assert_eq!(granted(&f, 1), granted(&f, 3));
     }
 
     #[test]
@@ -270,10 +268,10 @@ mod tests {
         s.reserve(0, 30);
         s.reserve(1, 10);
         let f = s.schedule();
-        assert_eq!(f.granted(0) + f.granted(1), 12);
+        assert_eq!(granted(&f, 0) + granted(&f, 1), 12);
         // 3:1 demand → 9:3 grants.
-        assert_eq!(f.granted(0), 9, "{f:?}");
-        assert_eq!(f.granted(1), 3, "{f:?}");
+        assert_eq!(granted(&f, 0), 9, "{f:?}");
+        assert_eq!(granted(&f, 1), 3, "{f:?}");
     }
 
     #[test]
@@ -287,9 +285,9 @@ mod tests {
         }
         let f = s.schedule();
         for m in 1..4 {
-            assert!(f.granted(m) >= 1, "mouse {m} starved: {f:?}");
+            assert!(granted(&f, m) >= 1, "mouse {m} starved: {f:?}");
         }
-        assert!(f.granted(0) >= 5);
+        assert!(granted(&f, 0) >= 5);
     }
 
     #[test]

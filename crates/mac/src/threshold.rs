@@ -18,8 +18,6 @@
 //! sense from the Ethernet chip", letting a transmitter ignore distant
 //! systems (the Table 14 experiment).
 
-use wavelan_phy::link::RxMetrics;
-
 /// Receive-side masking configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Thresholds {
@@ -52,11 +50,6 @@ impl Thresholds {
         }
     }
 
-    /// Whether a packet with these reported metrics is delivered to the host.
-    pub fn delivers(&self, metrics: &RxMetrics) -> bool {
-        metrics.level.value() >= self.receive_level && metrics.quality >= self.quality
-    }
-
     /// Whether a carrier observed at `sensed_level` asserts carrier sense
     /// (and thus counts as a "collision" for a would-be transmitter).
     pub fn senses_carrier(&self, sensed_level: u8) -> bool {
@@ -67,44 +60,12 @@ impl Thresholds {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wavelan_phy::agc::SignalLevel;
-
-    fn metrics(level: u8, quality: u8) -> RxMetrics {
-        RxMetrics {
-            level: SignalLevel(level),
-            silence: SignalLevel(3),
-            quality,
-            antenna: 0,
-        }
-    }
 
     #[test]
     fn default_matches_study_configuration() {
         let t = Thresholds::default();
         assert_eq!(t.receive_level, 3);
         assert_eq!(t.quality, 1);
-    }
-
-    #[test]
-    fn level_filtering() {
-        let t = Thresholds {
-            receive_level: 25,
-            quality: 1,
-        };
-        assert!(t.delivers(&metrics(25, 15)));
-        assert!(t.delivers(&metrics(30, 15)));
-        assert!(!t.delivers(&metrics(24, 15)));
-        assert!(!t.delivers(&metrics(9, 15)));
-    }
-
-    #[test]
-    fn quality_filtering() {
-        let t = Thresholds {
-            receive_level: 3,
-            quality: 8,
-        };
-        assert!(t.delivers(&metrics(30, 8)));
-        assert!(!t.delivers(&metrics(30, 7)));
     }
 
     #[test]

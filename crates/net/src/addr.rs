@@ -15,29 +15,11 @@ impl MacAddr {
     /// The all-ones broadcast address.
     pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
 
-    /// The all-zero address (never a valid station address).
-    pub const ZERO: MacAddr = MacAddr([0; 6]);
-
     /// Builds a locally-administered unicast address from a small station id,
     /// mirroring the `02-00-00-00-00-xx` convention used by test harnesses.
     pub fn station(id: u16) -> MacAddr {
         let [hi, lo] = id.to_be_bytes();
         MacAddr([0x02, 0x00, 0x00, 0x00, hi, lo])
-    }
-
-    /// True if the group (multicast) bit of the first octet is set.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-
-    /// True if this is the broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
-
-    /// True if the locally-administered bit is set.
-    pub fn is_local(&self) -> bool {
-        self.0[0] & 0x02 != 0
     }
 
     /// Bytes in transmission order.
@@ -86,18 +68,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn station_addresses_are_local_unicast() {
+    fn station_address_carries_the_id() {
         let a = MacAddr::station(7);
-        assert!(a.is_local());
-        assert!(!a.is_multicast());
-        assert!(!a.is_broadcast());
         assert_eq!(a.0[5], 7);
-    }
-
-    #[test]
-    fn broadcast_is_multicast() {
-        assert!(MacAddr::BROADCAST.is_multicast());
-        assert!(MacAddr::BROADCAST.is_broadcast());
     }
 
     #[test]

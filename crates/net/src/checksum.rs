@@ -45,7 +45,7 @@ impl Checksum {
     }
 
     /// Folds a single big-endian 16-bit word into the sum.
-    pub fn update_u16(&mut self, word: u16) {
+    pub(crate) fn update_u16(&mut self, word: u16) {
         self.update(&word.to_be_bytes());
     }
 
@@ -71,12 +71,6 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
     c.finish()
 }
 
-/// Verifies a region that *includes* its checksum field: the ones'-complement
-/// sum over the whole region must be zero (i.e. `internet_checksum` returns 0).
-pub fn verify(data: &[u8]) -> bool {
-    internet_checksum(data) == 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,7 +91,8 @@ mod tests {
         data.extend_from_slice(&[10, 0, 0, 1, 10, 0, 0, 2]);
         let ck = internet_checksum(&data);
         data[10..12].copy_from_slice(&ck.to_be_bytes());
-        assert!(verify(&data));
+        // A region that includes its stored checksum sums to zero.
+        assert_eq!(internet_checksum(&data), 0);
     }
 
     #[test]
@@ -132,8 +127,8 @@ mod tests {
         data[0] = 0x45;
         let ck = internet_checksum(&data);
         data[10..12].copy_from_slice(&ck.to_be_bytes());
-        assert!(verify(&data));
+        assert_eq!(internet_checksum(&data), 0);
         data[4] ^= 0x01;
-        assert!(!verify(&data));
+        assert_ne!(internet_checksum(&data), 0);
     }
 }

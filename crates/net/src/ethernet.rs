@@ -25,8 +25,6 @@ pub const ETHERNET_HEADER_LEN: usize = 14;
 pub const ETHERNET_TRAILER_LEN: usize = 4;
 /// Smallest payload a conforming frame may carry (padding applies below this).
 pub const MIN_PAYLOAD: usize = 46;
-/// Largest payload (we do not model jumbo frames).
-pub const MAX_PAYLOAD: usize = 1500;
 
 /// Well-known ethertype values used by the testbed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -14,7 +14,7 @@ use std::net::Ipv4Addr;
 pub const IPV4_HEADER_LEN: usize = 20;
 
 /// IP protocol number for UDP.
-pub const PROTO_UDP: u8 = 17;
+pub(crate) const PROTO_UDP: u8 = 17;
 
 /// A parsed (or to-be-built) IPv4 header.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,7 +117,7 @@ impl Ipv4Header {
 
     /// Computes the UDP/TCP pseudo-header checksum contribution for this
     /// header and a payload of `len` bytes.
-    pub fn pseudo_header_checksum(&self, len: u16) -> Checksum {
+    pub(crate) fn pseudo_header_checksum(&self, len: u16) -> Checksum {
         let mut c = Checksum::new();
         c.update(&self.src.octets());
         c.update(&self.dst.octets());

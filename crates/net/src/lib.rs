@@ -32,7 +32,6 @@ pub mod udp;
 pub use addr::MacAddr;
 pub use ethernet::{EtherType, EthernetFrame, ETHERNET_HEADER_LEN, ETHERNET_TRAILER_LEN};
 pub use ipv4::{Ipv4Header, IPV4_HEADER_LEN};
-pub use testpkt::{TestPacket, TEST_BODY_BYTES, TEST_BODY_WORDS};
 pub use udp::{UdpHeader, UDP_HEADER_LEN};
 
 /// Errors produced while parsing any of the wire formats in this crate.

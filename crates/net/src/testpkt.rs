@@ -20,9 +20,9 @@ use crate::MacAddr;
 use std::net::Ipv4Addr;
 
 /// Number of 32-bit words in a test packet body.
-pub const TEST_BODY_WORDS: usize = 256;
+pub(crate) const TEST_BODY_WORDS: usize = 256;
 /// Number of body bytes (1024).
-pub const TEST_BODY_BYTES: usize = TEST_BODY_WORDS * 4;
+pub(crate) const TEST_BODY_BYTES: usize = TEST_BODY_WORDS * 4;
 /// Number of body bits (8192) — the unit of the paper's "Bits Received" column.
 pub const TEST_BODY_BITS: u64 = TEST_BODY_BYTES as u64 * 8;
 
@@ -71,11 +71,11 @@ pub struct TestPacket {
 impl TestPacket {
     /// The 32-bit word this packet repeats. Identical to the sequence number;
     /// kept as a function so the mapping is in exactly one place.
-    pub fn word(&self) -> u32 {
+    pub(crate) fn word(&self) -> u32 {
         self.seq
     }
 
-    /// Renders the 1024-byte body: 256 big-endian copies of [`TestPacket::word`].
+    /// Renders the 1024-byte body: 256 big-endian copies of `TestPacket::word`.
     pub fn body(&self) -> Vec<u8> {
         let mut body = Vec::with_capacity(TEST_BODY_BYTES);
         self.write_body(&mut body);

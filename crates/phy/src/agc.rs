@@ -10,32 +10,31 @@
 //! Two calibration constants anchor the whole reproduction to the paper's
 //! unit system and are used throughout the workspace:
 //!
-//! * [`DB_PER_LEVEL_UNIT`] — 1.5 dB per AGC unit. This is pinned by Table 4:
+//! * `DB_PER_LEVEL_UNIT` — 1.5 dB per AGC unit. This is pinned by Table 4:
 //!   a plaster/wire-mesh wall costs ≈5 units and a concrete wall ≈2 units,
 //!   which at 1.5 dB/unit are 7.5 dB and 3 dB — right in the measured range
 //!   for those materials at 900 MHz.
-//! * [`LEVEL_FLOOR_DBM`] — the power that reads as level 0. With −93 dBm the
+//! * `LEVEL_FLOOR_DBM` — the power that reads as level 0. With −93 dBm the
 //!   quiet-room silence level comes out ≈3 (matching Tables 3–9) and the
 //!   in-room signal level ≈30 at 7 ft (matching Table 2's conditions).
 //!
 //! Section 5.1 conjectures that residual in-room packet loss "could indicate
 //! that the modem unit's AGC occasionally reacts too slowly and causes the
-//! beginning of a packet to be missed"; [`AgcModel::miss_probability`] models
+//! beginning of a packet to be missed"; `AgcModel::miss_probability` models
 //! exactly that acquisition failure as a logistic function of the raw
 //! (pre-despreading) SINR at the preamble.
 
 use crate::baseband::gaussian;
-use crate::math::{db_to_linear, dbm_sum};
 use rand::Rng;
 
 /// Decibels per AGC level unit (see module docs for calibration).
-pub const DB_PER_LEVEL_UNIT: f64 = 1.5;
+pub(crate) const DB_PER_LEVEL_UNIT: f64 = 1.5;
 
 /// Received power that maps to level 0.
-pub const LEVEL_FLOOR_DBM: f64 = -93.0;
+pub(crate) const LEVEL_FLOOR_DBM: f64 = -93.0;
 
 /// Largest reportable level (6-bit field).
-pub const MAX_LEVEL: u8 = 63;
+pub(crate) const MAX_LEVEL: u8 = 63;
 
 /// Default thermal noise floor seen by the AGC. −88.5 dBm reads as silence
 /// level 3.0, matching the paper's quiet-environment silence of 2–4.
@@ -119,7 +118,11 @@ impl Default for AgcModel {
 impl AgcModel {
     /// Reports the AGC level for a total received power, with measurement
     /// jitter, quantized and clamped to the 6-bit field.
-    pub fn report_level<R: Rng + ?Sized>(&self, total_power_dbm: f64, rng: &mut R) -> SignalLevel {
+    pub(crate) fn report_level<R: Rng + ?Sized>(
+        &self,
+        total_power_dbm: f64,
+        rng: &mut R,
+    ) -> SignalLevel {
         let units = power_to_level_units(total_power_dbm) + gaussian(rng, self.jitter_sigma_units);
         SignalLevel(units.round().clamp(0.0, f64::from(MAX_LEVEL)) as u8)
     }
@@ -137,25 +140,11 @@ impl AgcModel {
     }
 
     /// Combined miss probability (either mechanism fires independently).
-    pub fn miss_probability(&self, faded_signal_dbm: f64, despread_sinr_db: f64) -> f64 {
+    pub(crate) fn miss_probability(&self, faded_signal_dbm: f64, despread_sinr_db: f64) -> f64 {
         let p1 = self.agc_miss_probability(faded_signal_dbm);
         let p2 = self.corr_miss_probability(despread_sinr_db);
         1.0 - (1.0 - p1) * (1.0 - p2)
     }
-
-    /// Total AGC-visible power: the linear sum of all co-channel components.
-    pub fn total_power_dbm<I: IntoIterator<Item = f64>>(powers_dbm: I) -> f64 {
-        dbm_sum(powers_dbm)
-    }
-}
-
-/// Raw SINR in dB of a signal against a set of co-channel powers.
-pub fn sinr_db(signal_dbm: f64, noise_and_interference_dbm: &[f64]) -> f64 {
-    let denom_mw: f64 = noise_and_interference_dbm
-        .iter()
-        .map(|&p| db_to_linear(p))
-        .sum();
-    signal_dbm - crate::math::mw_to_dbm(denom_mw)
 }
 
 #[cfg(test)]
@@ -235,22 +224,5 @@ mod tests {
         assert!((p - agc.agc_miss_probability(level_units_to_dbm(4.0))).abs() < 1e-6);
         let q = agc.miss_probability(strong, -7.0);
         assert!((q - agc.corr_miss_probability(-7.0)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sinr_with_interference() {
-        // Equal interferer halves the SINR budget relative to noise alone.
-        let quiet = sinr_db(-50.0, &[THERMAL_NOISE_DBM]);
-        let jammed = sinr_db(-50.0, &[THERMAL_NOISE_DBM, -60.0]);
-        assert!(quiet > jammed);
-        assert!((quiet - 38.5).abs() < 0.01);
-        // Interferer dominates noise: SINR ≈ signal − interferer.
-        assert!((jammed - 10.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn total_power_sums_linearly() {
-        let total = AgcModel::total_power_dbm([-50.0, -50.0, -50.0]);
-        assert!((total - (-50.0 + 4.771)).abs() < 0.01);
     }
 }

@@ -26,7 +26,7 @@ pub enum Antenna {
 
 impl Antenna {
     /// Numeric id as reported in the modem status (0 or 1).
-    pub fn id(self) -> u8 {
+    pub(crate) fn id(self) -> u8 {
         self as u8
     }
 }
@@ -61,12 +61,6 @@ impl DiversityReceiver {
             (Antenna::B, fade_b)
         }
     }
-
-    /// The fade a *single*-antenna receiver would see, for diversity-ablation
-    /// benchmarks.
-    pub fn single_branch<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        gaussian(rng, self.branch_sigma_db)
-    }
 }
 
 #[cfg(test)]
@@ -94,7 +88,10 @@ mod tests {
         let rx = DiversityReceiver::default();
         let n = 50_000;
         let div: f64 = (0..n).map(|_| rx.select(&mut rng).1).sum::<f64>() / f64::from(n);
-        let single: f64 = (0..n).map(|_| rx.single_branch(&mut rng)).sum::<f64>() / f64::from(n);
+        let single: f64 = (0..n)
+            .map(|_| gaussian(&mut rng, rx.branch_sigma_db))
+            .sum::<f64>()
+            / f64::from(n);
         // E[max of two N(0,σ)] = σ/√π ≈ 0.564σ.
         assert!(div > single + 1.0, "diversity {div} vs single {single}");
         assert!((div - rx.branch_sigma_db * 0.564).abs() < 0.05, "{div}");
@@ -108,7 +105,7 @@ mod tests {
         let threshold = -2.0 * rx.branch_sigma_db; // a 2σ fade
         let deep_div = (0..n).filter(|_| rx.select(&mut rng).1 < threshold).count();
         let deep_single = (0..n)
-            .filter(|_| rx.single_branch(&mut rng) < threshold)
+            .filter(|_| gaussian(&mut rng, rx.branch_sigma_db) < threshold)
             .count();
         // P(both branches < -2σ) = P(one < -2σ)² — orders of magnitude rarer.
         assert!(deep_div * 10 < deep_single, "{deep_div} vs {deep_single}");

@@ -1,5 +1,4 @@
-//! Small-scale fading: a deterministic two-ray multipath ripple and lognormal
-//! shadowing.
+//! Small-scale fading: a deterministic two-ray multipath ripple.
 //!
 //! Figure 1 of the paper shows signal level falling smoothly with distance
 //! *except* for dips "at six and thirty feet ... probably due to multipath
@@ -11,12 +10,10 @@
 //! 30.7 ft — deliberately close to the paper's, to show the mechanism accounts
 //! for the observation.
 //!
-//! Lognormal shadowing models everything else that changes when "slight
-//! variations of receiver position, orientation, and obstacles" occur between
-//! trials (the paper's Table 3 aggregation).
-
-use crate::baseband::gaussian;
-use rand::Rng;
+//! Lognormal shadowing, which models everything else that changes when
+//! "slight variations of receiver position, orientation, and obstacles" occur
+//! between trials (the paper's Table 3 aggregation), is deterministic per
+//! placement and lives in `wavelan-sim`'s propagation model.
 
 /// Two-ray (direct + single reflection) multipath model.
 ///
@@ -61,14 +58,18 @@ impl TwoRay {
         // diversity never sees a perfect null on both antennas.
         crate::math::linear_to_db(gain * gain).clamp(-12.0, 3.0)
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
 
     /// Distances (in meters, ascending) at which destructive dips occur, i.e.
     /// where the path difference equals an integer number of wavelengths
-    /// (the reflection coefficient being negative). Useful for tests and for
-    /// annotating the Figure 1 reproduction.
-    pub fn dip_distances_m(&self, max_m: f64) -> Vec<f64> {
-        let h2 = 4.0 * self.reflector_offset_m * self.reflector_offset_m;
-        let lambda = self.wavelength_m;
+    /// (the reflection coefficient being negative).
+    fn dip_distances_m(model: &TwoRay, max_m: f64) -> Vec<f64> {
+        let h2 = 4.0 * model.reflector_offset_m * model.reflector_offset_m;
+        let lambda = model.wavelength_m;
         let mut dips = Vec::new();
         for k in 1..1000 {
             let k = f64::from(k);
@@ -83,42 +84,13 @@ impl TwoRay {
         dips.sort_by(|a, b| a.partial_cmp(b).unwrap());
         dips
     }
-}
-
-/// Lognormal shadowing: a Gaussian perturbation in dB, drawn once per
-/// placement (slow fading).
-#[derive(Debug, Clone, Copy)]
-pub struct Shadowing {
-    /// Standard deviation of the dB perturbation.
-    pub sigma_db: f64,
-}
-
-impl Shadowing {
-    /// Typical mild indoor shadowing for a static link.
-    pub fn indoor() -> Shadowing {
-        Shadowing { sigma_db: 1.5 }
-    }
-
-    /// Draws one shadowing realization in dB.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        gaussian(rng, self.sigma_db)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::pathloss::FEET_TO_METERS;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn dips_land_near_six_and_thirty_feet() {
         let model = TwoRay::lecture_hall();
-        let dips_ft: Vec<f64> = model
-            .dip_distances_m(12.0)
+        let dips_ft: Vec<f64> = dip_distances_m(&model, 12.0)
             .into_iter()
-            .map(|d| d / FEET_TO_METERS)
+            .map(|d| d / 0.3048)
             .collect();
         assert!(
             dips_ft.iter().any(|&d| (5.0..7.0).contains(&d)),
@@ -135,7 +107,10 @@ mod tests {
         // Close-in dips are shallow (the reflected ray is relatively weak
         // there), so only check dips beyond 1 m.
         let model = TwoRay::lecture_hall();
-        for dip in model.dip_distances_m(12.0).into_iter().filter(|&d| d > 1.0) {
+        for dip in dip_distances_m(&model, 12.0)
+            .into_iter()
+            .filter(|&d| d > 1.0)
+        {
             let at_dip = model.gain_db(dip);
             let off_dip = model.gain_db(dip * 1.12 + 0.15);
             assert!(at_dip < off_dip, "dip at {dip} m: {at_dip} !< {off_dip}");
@@ -162,25 +137,5 @@ mod tests {
         let g = model.gain_db(500.0);
         let expected = crate::math::linear_to_db((1.0 + model.reflection_coeff).powi(2));
         assert!((g - expected).abs() < 0.5, "{g} vs {expected}");
-    }
-
-    #[test]
-    fn shadowing_is_zero_mean() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let s = Shadowing::indoor();
-        let n = 100_000;
-        let mean: f64 = (0..n).map(|_| s.sample(&mut rng)).sum::<f64>() / f64::from(n);
-        assert!(mean.abs() < 0.05, "{mean}");
-    }
-
-    #[test]
-    fn shadowing_respects_sigma() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let s = Shadowing { sigma_db: 3.0 };
-        let n = 100_000;
-        let samples: Vec<f64> = (0..n).map(|_| s.sample(&mut rng)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!((var.sqrt() - 3.0).abs() < 0.05, "{}", var.sqrt());
     }
 }

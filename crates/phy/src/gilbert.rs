@@ -31,7 +31,7 @@ pub struct GilbertElliott {
 
 /// Channel state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChannelState {
+pub(crate) enum ChannelState {
     /// Low-error state.
     Good,
     /// Burst state.
@@ -53,7 +53,7 @@ impl GilbertElliott {
     }
 
     /// Stationary probability of being in the Bad state.
-    pub fn stationary_bad(&self) -> f64 {
+    pub(crate) fn stationary_bad(&self) -> f64 {
         let denom = self.p_good_to_bad + self.p_bad_to_good;
         if denom == 0.0 {
             return 0.0;

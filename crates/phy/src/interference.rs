@@ -41,7 +41,7 @@ pub enum InterferenceKind {
 impl InterferenceKind {
     /// Gain applied by the receive chain *before* the AGC measures power,
     /// in dB (0 = fully visible). Out-of-band energy is mostly filtered.
-    pub fn agc_visibility_db(self) -> f64 {
+    pub(crate) fn agc_visibility_db(self) -> f64 {
         match self {
             InterferenceKind::NarrowbandInBand
             | InterferenceKind::WidebandInBand
@@ -66,7 +66,7 @@ impl InterferenceKind {
     ///   overloaded).
     /// * WaveLAN: −processing gain (chip-unaligned same-code interference
     ///   decorrelates like noise spread over 11 chips).
-    pub fn despread_delta_db(self) -> f64 {
+    pub(crate) fn despread_delta_db(self) -> f64 {
         match self {
             InterferenceKind::NarrowbandInBand => -(processing_gain_db(11) + 17.0),
             InterferenceKind::WidebandInBand => -4.0,
@@ -113,14 +113,14 @@ pub struct Emission {
 
 impl Emission {
     /// Power as seen by the AGC (after front-end filtering), dBm.
-    pub fn agc_dbm(&self) -> f64 {
+    pub(crate) fn agc_dbm(&self) -> f64 {
         self.raw_dbm + self.kind.agc_visibility_db()
     }
 
     /// Effective power in the despread decision domain, dBm. Out-of-band
     /// energy above the overload point bypasses the filters and lands as
     /// wideband noise 20 dB below its raw power.
-    pub fn despread_dbm(&self) -> f64 {
+    pub(crate) fn despread_dbm(&self) -> f64 {
         if self.kind == InterferenceKind::OutOfBand && self.raw_dbm > FRONT_END_OVERLOAD_DBM {
             self.raw_dbm - 20.0
         } else {
@@ -143,22 +143,12 @@ pub struct Interferer {
 }
 
 impl Interferer {
-    /// A continuous interferer with no burst jitter.
-    pub fn continuous(kind: InterferenceKind, power_dbm: f64) -> Interferer {
-        Interferer {
-            kind,
-            power_dbm,
-            duty: DutyCycle::Continuous,
-            burst_sigma_db: 0.0,
-        }
-    }
-
     /// Produces the emission intervals overlapping a packet of `len_bits`
     /// bits. The burst phase is drawn uniformly per call, modelling the lack
     /// of synchronization between the interferer and the victim link. For
     /// *temporal* correlation across packets (loss runs, outage structure)
-    /// use [`Interferer::emissions_at`], which anchors the phase to absolute
-    /// time.
+    /// use [`Interferer::emissions_at_into`], which anchors the phase to
+    /// absolute time.
     pub fn emissions<R: Rng + ?Sized>(&self, len_bits: u64, rng: &mut R) -> Vec<Emission> {
         let mut out = Vec::new();
         self.emissions_into(len_bits, rng, &mut out);
@@ -168,7 +158,7 @@ impl Interferer {
     /// [`Interferer::emissions`], appending into a caller-owned buffer so
     /// the per-packet hot path can reuse its allocation. Identical RNG draw
     /// sequence and emissions as the allocating variant.
-    pub fn emissions_into<R: Rng + ?Sized>(
+    pub(crate) fn emissions_into<R: Rng + ?Sized>(
         &self,
         len_bits: u64,
         rng: &mut R,
@@ -181,23 +171,9 @@ impl Interferer {
         self.emissions_with_phase_into(len_bits, phase, rng, out);
     }
 
-    /// Emission intervals for a packet that starts at absolute bit-time
-    /// `start_bit_time` — consecutive packets then see one *continuous*
-    /// interferer timeline, so a 20 ms jammer on-period really swallows
-    /// consecutive packets.
-    pub fn emissions_at<R: Rng + ?Sized>(
-        &self,
-        start_bit_time: u64,
-        len_bits: u64,
-        rng: &mut R,
-    ) -> Vec<Emission> {
-        let mut out = Vec::new();
-        self.emissions_at_into(start_bit_time, len_bits, rng, &mut out);
-        out
-    }
-
-    /// [`Interferer::emissions_at`], appending into a caller-owned buffer.
-    /// Identical RNG draw sequence and emissions as the allocating variant.
+    /// Appends the emission intervals overlapping a packet that starts at
+    /// bit time `start_bit_time` to a caller-owned buffer, with the burst
+    /// phase anchored to absolute time.
     pub fn emissions_at_into<R: Rng + ?Sized>(
         &self,
         start_bit_time: u64,
@@ -261,17 +237,6 @@ impl Interferer {
             }
         }
     }
-
-    /// Fraction of time this interferer is on.
-    pub fn duty_fraction(&self) -> f64 {
-        match self.duty {
-            DutyCycle::Continuous => 1.0,
-            DutyCycle::Burst {
-                period_bits,
-                on_bits,
-            } => on_bits as f64 / period_bits as f64,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -279,6 +244,19 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl Interferer {
+        /// A continuous source of the given kind and power (a test fixture;
+        /// production interferers come from scenario specs).
+        pub(crate) fn continuous(kind: InterferenceKind, power_dbm: f64) -> Interferer {
+            Interferer {
+                kind,
+                power_dbm,
+                duty: DutyCycle::Continuous,
+                burst_sigma_db: 0.0,
+            }
+        }
+    }
 
     #[test]
     fn narrowband_is_suppressed_wideband_is_not() {
@@ -375,7 +353,6 @@ mod tests {
             .sum();
         let frac = covered as f64 / (len * n) as f64;
         assert!((frac - 0.5).abs() < 0.02, "{frac}");
-        assert!((i.duty_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -50,7 +50,7 @@
 //! pipeline. It threads a [`scratch::RxScratch`] workspace through reception
 //! so that steady-state packet processing performs **zero heap allocations**
 //! and memoizes the expensive transcendental conversions (`powf`, `log10`,
-//! `erfc`) in a [`scratch::ChannelCache`]. The caches store *exact* `f64`
+//! `erfc`) in a `scratch::ChannelCache`. The caches store *exact* `f64`
 //! results keyed by input bit pattern, so the hot path is bit-identical to
 //! the plain [`link::LinkModel::receive`] reference — same RNG draw
 //! sequence, same outcomes (property-tested in `tests/props.rs`).
@@ -85,21 +85,11 @@ pub mod quality;
 pub mod scratch;
 pub mod spreading;
 
-pub use agc::{AgcModel, SignalLevel};
-pub use interference::{InterferenceKind, Interferer};
-pub use link::{LinkModel, PacketOutcome, RxMetrics};
+pub use agc::SignalLevel;
+pub use interference::InterferenceKind;
+pub use link::RxMetrics;
 pub use materials::Material;
-pub use scratch::{ChannelCache, RxScratch};
-
-/// Data rate of the WaveLAN air interface, bits per second.
-pub const DATA_RATE_BPS: u64 = 2_000_000;
-
-/// Symbol rate: DQPSK carries 2 bits/symbol, so 2 Mb/s → 1 Mbaud.
-pub const SYMBOL_RATE_BAUD: u64 = 1_000_000;
-
-/// Spreading factor: 11 chips per symbol ("an 11 chip per bit sequence" in the
-/// paper's loose wording; the signal is 11 MHz wide at 1 Mbaud).
-pub const CHIPS_PER_SYMBOL: usize = 11;
+pub use scratch::RxScratch;
 
 /// Transmit power: 500 mW ≈ +27 dBm.
 pub const TX_POWER_DBM: f64 = 26.99;

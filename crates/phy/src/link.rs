@@ -30,7 +30,7 @@ use rand::Rng;
 
 /// Bandwidth-to-bit-rate gain: the 11 MHz chip bandwidth versus the 2 Mb/s
 /// data rate gives `10·log10(11/2) ≈ 7.4 dB` between SNR and Eb/N0.
-pub const BANDWIDTH_GAIN_DB: f64 = 7.403;
+pub(crate) const BANDWIDTH_GAIN_DB: f64 = 7.403;
 
 /// How far into the packet the quality sample looks, in bit-times (≈1 ms).
 /// "The signal quality ... is sampled just after the beginning of the packet"
@@ -38,7 +38,7 @@ pub const BANDWIDTH_GAIN_DB: f64 = 7.403;
 /// report down; a later burst does not. This is why the paper's jam-truncated
 /// packets still show mid-range quality (Table 12): they *acquired* in a
 /// burst gap, and the killing burst often arrived after the sample.
-pub const QUALITY_WINDOW_BITS: u64 = 2_000;
+pub(crate) const QUALITY_WINDOW_BITS: u64 = 2_000;
 
 /// Why a packet was lost entirely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,18 +90,6 @@ pub enum PacketOutcome {
     Received(Reception),
 }
 
-impl PacketOutcome {
-    /// Convenience: true when the packet arrived with no damage at all.
-    pub fn is_clean(&self, len_bits: u64) -> bool {
-        match self {
-            PacketOutcome::Lost(_) => false,
-            PacketOutcome::Received(r) => {
-                r.truncated_at_bit.is_none() && r.error_bits.is_empty() && len_bits > 0
-            }
-        }
-    }
-}
-
 /// The tunable reception model. Defaults are the workspace calibration
 /// (see `wavelan-core::calibration` for the paper anchors of each constant).
 #[derive(Debug, Clone, Copy)]
@@ -151,7 +139,7 @@ impl Default for LinkModel {
 /// (`benches/receive_hotpath.rs`) and reused by [`RxScratch`]'s timeline
 /// cache; not part of the modelling API.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Segment {
+pub(crate) struct Segment {
     /// First bit index covered.
     pub start_bit: u64,
     /// One past the last bit index covered.
@@ -164,7 +152,7 @@ pub struct Segment {
 
 /// Splits `[0, len)` at every emission boundary and accumulates per-segment
 /// interference power in both domains.
-pub fn segment_timeline(emissions: &[Emission], len_bits: u64) -> Vec<Segment> {
+pub(crate) fn segment_timeline(emissions: &[Emission], len_bits: u64) -> Vec<Segment> {
     let mut cuts = Vec::new();
     let mut segments = Vec::new();
     segment_timeline_into(emissions, len_bits, &mut cuts, &mut segments, db_to_linear);
@@ -331,7 +319,7 @@ fn sample_bit_errors_with<R: Rng + ?Sized, M: RxMath>(
 /// [`sample_bit_errors`] had decided on. Retrying consumes extra RNG draws
 /// only when a collision actually occurs, so RNG streams shift only for the
 /// (rare) packets that previously undercounted.
-pub fn sample_distinct_positions<R: Rng + ?Sized>(
+pub(crate) fn sample_distinct_positions<R: Rng + ?Sized>(
     count: u64,
     start: u64,
     end: u64,

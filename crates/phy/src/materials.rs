@@ -48,17 +48,6 @@ impl Material {
             Material::CustomTenthsDb(tenths) => f64::from(*tenths) / 10.0,
         }
     }
-
-    /// Attenuation in AGC level units (1.5 dB each), for reasoning in the
-    /// paper's own units.
-    pub fn attenuation_level_units(&self) -> f64 {
-        self.attenuation_db() / crate::agc::DB_PER_LEVEL_UNIT
-    }
-}
-
-/// Total attenuation of a path crossing the given materials, in dB.
-pub fn path_attenuation_db(materials: &[Material]) -> f64 {
-    materials.iter().map(Material::attenuation_db).sum()
 }
 
 #[cfg(test)]
@@ -68,14 +57,21 @@ mod tests {
     #[test]
     fn paper_calibration_wall_units() {
         // Table 4: plaster+mesh ≈ 5 units, concrete ≈ 2 units.
-        assert!((Material::PlasterWireMesh.attenuation_level_units() - 5.0).abs() < 0.1);
-        assert!((Material::ConcreteBlock.attenuation_level_units() - 2.0).abs() < 0.1);
+        assert!(
+            (Material::PlasterWireMesh.attenuation_db() / crate::agc::DB_PER_LEVEL_UNIT - 5.0)
+                .abs()
+                < 0.1
+        );
+        assert!(
+            (Material::ConcreteBlock.attenuation_db() / crate::agc::DB_PER_LEVEL_UNIT - 2.0).abs()
+                < 0.1
+        );
     }
 
     #[test]
     fn paper_calibration_body_units() {
         // Tables 8–9: body costs just under 6 units.
-        let units = Material::HumanBody.attenuation_level_units();
+        let units = Material::HumanBody.attenuation_db() / crate::agc::DB_PER_LEVEL_UNIT;
         assert!((5.0..7.0).contains(&units), "{units}");
     }
 
@@ -84,17 +80,6 @@ mod tests {
         assert!(
             Material::ConcreteBlock.attenuation_db() < Material::PlasterWireMesh.attenuation_db()
         );
-    }
-
-    #[test]
-    fn path_attenuation_sums() {
-        let path = [
-            Material::ConcreteBlock,
-            Material::ConcreteBlock,
-            Material::WoodDoor,
-        ];
-        assert!((path_attenuation_db(&path) - 8.0).abs() < 1e-12);
-        assert_eq!(path_attenuation_db(&[]), 0.0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 ///
 /// Uses Abramowitz & Stegun formula 7.1.26 with the symmetry
 /// `erfc(-x) = 2 - erfc(x)`. Maximum absolute error ≈ 1.5e-7.
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     if x < 0.0 {
         return 2.0 - erfc(-x);
     }
@@ -42,23 +42,9 @@ pub fn linear_to_db(lin: f64) -> f64 {
     10.0 * lin.max(1e-30).log10()
 }
 
-/// Converts dBm to milliwatts.
-pub fn dbm_to_mw(dbm: f64) -> f64 {
-    db_to_linear(dbm)
-}
-
 /// Converts milliwatts to dBm.
-pub fn mw_to_dbm(mw: f64) -> f64 {
+pub(crate) fn mw_to_dbm(mw: f64) -> f64 {
     linear_to_db(mw)
-}
-
-/// Sums a set of powers expressed in dBm, returning dBm.
-///
-/// This is the operation an AGC performs implicitly: co-channel powers add in
-/// the linear domain.
-pub fn dbm_sum<I: IntoIterator<Item = f64>>(powers_dbm: I) -> f64 {
-    let total_mw: f64 = powers_dbm.into_iter().map(dbm_to_mw).sum();
-    mw_to_dbm(total_mw)
 }
 
 #[cfg(test)]
@@ -94,18 +80,6 @@ mod tests {
     fn db_to_linear_anchors() {
         assert!((db_to_linear(3.0103) - 2.0).abs() < 1e-4);
         assert!((db_to_linear(10.0) - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dbm_sum_of_equal_powers_adds_3db() {
-        let sum = dbm_sum([-50.0, -50.0]);
-        assert!((sum - (-46.9897)).abs() < 1e-3);
-    }
-
-    #[test]
-    fn dbm_sum_dominated_by_strongest() {
-        let sum = dbm_sum([-40.0, -80.0]);
-        assert!((sum - (-40.0)).abs() < 0.01);
     }
 
     #[test]

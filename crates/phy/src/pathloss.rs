@@ -13,13 +13,10 @@
 //! indoor exponent `n` (default 2.2 — see `wavelan-core::calibration` for how
 //! this value is pinned against the paper's Tables 6 and 9).
 
-/// Feet → meters (the paper reports all distances in feet).
-pub const FEET_TO_METERS: f64 = 0.3048;
-
 /// Free-space path loss in dB at distance `d_m` meters and frequency `f_hz`.
 ///
 /// `FSPL = 20·log10(d) + 20·log10(f) − 147.55` (d in m, f in Hz).
-pub fn free_space_db(d_m: f64, f_hz: f64) -> f64 {
+pub(crate) fn free_space_db(d_m: f64, f_hz: f64) -> f64 {
     // Guard the near-field singularity: clamp below 10 cm.
     let d = d_m.max(0.1);
     20.0 * d.log10() + 20.0 * f_hz.log10() - 147.55
@@ -49,11 +46,6 @@ impl LogDistance {
     pub fn loss_db(&self, d_m: f64) -> f64 {
         let d = d_m.max(0.3);
         self.pl0_db + 10.0 * self.exponent * d.log10()
-    }
-
-    /// Convenience: path loss at a distance given in feet.
-    pub fn loss_db_feet(&self, d_ft: f64) -> f64 {
-        self.loss_db(d_ft * FEET_TO_METERS)
     }
 }
 
@@ -96,12 +88,6 @@ mod tests {
         let m = LogDistance::indoor(915.0e6, 2.2);
         assert_eq!(m.loss_db(0.0), m.loss_db(0.3));
         assert!(m.loss_db(0.0).is_finite());
-    }
-
-    #[test]
-    fn feet_conversion() {
-        let m = LogDistance::indoor(915.0e6, 2.2);
-        assert!((m.loss_db_feet(10.0) - m.loss_db(3.048)).abs() < 1e-12);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::baseband::gaussian;
 use rand::Rng;
 
 /// Largest reportable quality (4-bit field).
-pub const MAX_QUALITY: u8 = 15;
+pub(crate) const MAX_QUALITY: u8 = 15;
 
 /// Maps despread-domain SINR to the reported 4-bit quality.
 #[derive(Debug, Clone, Copy)]
@@ -52,7 +52,7 @@ impl QualityModel {
     /// early part of the packet (the minimum across early segments — a nearby
     /// interference burst drags quality down even when the exact sampling
     /// instant was clean).
-    pub fn report<R: Rng + ?Sized>(&self, early_min_sinr_db: f64, rng: &mut R) -> u8 {
+    pub(crate) fn report<R: Rng + ?Sized>(&self, early_min_sinr_db: f64, rng: &mut R) -> u8 {
         let penalty = (self.knee_sinr_db - early_min_sinr_db).max(0.0) * self.slope_units_per_db;
         let q = f64::from(MAX_QUALITY) - penalty + gaussian(rng, self.jitter_sigma);
         q.round().clamp(1.0, f64::from(MAX_QUALITY)) as u8

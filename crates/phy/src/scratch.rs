@@ -1,5 +1,5 @@
 //! Reusable per-trial workspaces for the reception hot path: [`RxScratch`]
-//! and [`ChannelCache`].
+//! and `ChannelCache`.
 //!
 //! Every table and figure in the paper is an aggregate over millions of
 //! simulated receptions, so [`crate::link::LinkModel::receive`] is the
@@ -16,7 +16,7 @@
 //!
 //! [`RxScratch`] removes both: it owns the cut/segment buffers, a pool of
 //! recycled error-bit vectors, a one-entry memo of the last segment
-//! timeline, and a [`ChannelCache`] of *exact* memoized conversions. In
+//! timeline, and a `ChannelCache` of *exact* memoized conversions. In
 //! steady state, [`crate::link::LinkModel::receive_with`] performs **zero
 //! heap allocations** (asserted by `tests/zero_alloc.rs`).
 //!
@@ -107,7 +107,7 @@ impl Memo {
 /// is embedded in [`RxScratch`]; it is also usable standalone by code that
 /// performs the same conversions outside `receive` (nothing does today).
 #[derive(Debug, Clone)]
-pub struct ChannelCache {
+pub(crate) struct ChannelCache {
     db_to_linear: Memo,
     mw_to_dbm: Memo,
     ber_from_ebn0_db: Memo,
@@ -122,7 +122,7 @@ impl Default for ChannelCache {
 
 impl ChannelCache {
     /// An empty cache.
-    pub fn new() -> ChannelCache {
+    pub(crate) fn new() -> ChannelCache {
         ChannelCache {
             db_to_linear: Memo::new(),
             mw_to_dbm: Memo::new(),
@@ -133,13 +133,13 @@ impl ChannelCache {
 
     /// Memoized [`crate::math::db_to_linear`].
     #[inline]
-    pub fn db_to_linear(&mut self, db: f64) -> f64 {
+    pub(crate) fn db_to_linear(&mut self, db: f64) -> f64 {
         self.db_to_linear.get_or_insert(db, db_to_linear)
     }
 
     /// Memoized [`crate::math::mw_to_dbm`].
     #[inline]
-    pub fn mw_to_dbm(&mut self, mw: f64) -> f64 {
+    pub(crate) fn mw_to_dbm(&mut self, mw: f64) -> f64 {
         self.mw_to_dbm.get_or_insert(mw, mw_to_dbm)
     }
 
@@ -150,7 +150,7 @@ impl ChannelCache {
     /// segments repeat a handful of keys even though the fade makes every
     /// *packet* unique.
     #[inline]
-    pub fn dqpsk_ber_from_db(&mut self, ebn0_db: f64) -> f64 {
+    pub(crate) fn dqpsk_ber_from_db(&mut self, ebn0_db: f64) -> f64 {
         self.ber_from_ebn0_db
             .get_or_insert(ebn0_db, |db| dqpsk_ber(db_to_linear(db)))
     }
@@ -159,7 +159,7 @@ impl ChannelCache {
     /// [`crate::link::sample_bit_errors`]; segment lengths repeat in
     /// periodic interference schedules, so the mean does too).
     #[inline]
-    pub fn exp_neg(&mut self, x: f64) -> f64 {
+    pub(crate) fn exp_neg(&mut self, x: f64) -> f64 {
         self.exp_neg.get_or_insert(x, |x| (-x).exp())
     }
 }

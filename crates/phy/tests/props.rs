@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use wavelan_phy::agc::{level_units_to_dbm, power_to_level_units, AgcModel};
 use wavelan_phy::interference::{DutyCycle, Emission, InterferenceKind, Interferer};
 use wavelan_phy::link::{LinkModel, PacketOutcome};
-use wavelan_phy::math::{db_to_linear, dbm_sum, linear_to_db, q};
+use wavelan_phy::math::{db_to_linear, linear_to_db, q};
 use wavelan_phy::modulation::{dqpsk_ber, DqpskDemodulator, DqpskModulator};
 use wavelan_phy::pathloss::LogDistance;
 use wavelan_phy::spreading::SpreadingCode;
@@ -15,16 +15,6 @@ proptest! {
     fn db_linear_round_trip(db in -120.0f64..40.0) {
         let back = linear_to_db(db_to_linear(db));
         prop_assert!((back - db).abs() < 1e-9);
-    }
-
-    /// Power sums in dBm dominate their largest term and never exceed
-    /// largest + 10·log10(n).
-    #[test]
-    fn dbm_sum_bounds(powers in proptest::collection::vec(-120.0f64..0.0, 1..8)) {
-        let max = powers.iter().cloned().fold(f64::MIN, f64::max);
-        let sum = dbm_sum(powers.iter().cloned());
-        prop_assert!(sum >= max - 1e-9);
-        prop_assert!(sum <= max + 10.0 * (powers.len() as f64).log10() + 1e-9);
     }
 
     /// Q is a valid decreasing tail probability.

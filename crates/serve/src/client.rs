@@ -3,15 +3,10 @@
 //! no-dependency constraint as the server, so `repro --http-get` works
 //! where `curl` is absent.
 //!
-//! Two shapes:
-//!
-//! - [`get`] / [`get_url`]: one-shot `Connection: close` fetches that read
-//!   to EOF — simplest possible, used where a single request is the point.
-//! - [`Conn`]: a persistent connection that frames responses by
-//!   `Content-Length`, so many requests ride one socket — what the
-//!   keep-alive and pipelining tests use.
+//! [`get`] / [`get_url`] are one-shot `Connection: close` fetches that read
+//! to EOF.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -61,86 +56,6 @@ pub fn split_url(url: &str) -> Option<(&str, &str)> {
         return None;
     }
     Some((addr, path))
-}
-
-/// A persistent keep-alive connection to one daemon.
-///
-/// Responses are framed by their `Content-Length` header (the server
-/// always sends one), so the socket survives across requests; when the
-/// server answers `Connection: close` — or the framing breaks — the next
-/// request fails and the caller reconnects.
-#[derive(Debug)]
-pub struct Conn {
-    addr: String,
-    reader: BufReader<TcpStream>,
-}
-
-impl Conn {
-    /// Connects to `addr` (`host:port`) with `timeout` on connect, read,
-    /// and write.
-    pub fn connect(addr: &str, timeout: Duration) -> std::io::Result<Conn> {
-        let sock_addr = addr
-            .parse::<std::net::SocketAddr>()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-        let stream = TcpStream::connect_timeout(&sock_addr, timeout)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        stream.set_nodelay(true)?;
-        Ok(Conn {
-            addr: addr.to_string(),
-            reader: BufReader::new(stream),
-        })
-    }
-
-    /// Sends one GET and reads its framed response, leaving the socket
-    /// open for the next request.
-    pub fn request(&mut self, path: &str) -> std::io::Result<HttpResponse> {
-        let request = format!(
-            "GET {path} HTTP/1.1\r\nHost: {}\r\nConnection: keep-alive\r\n\r\n",
-            self.addr
-        );
-        self.reader.get_mut().write_all(request.as_bytes())?;
-        self.read_response()
-    }
-
-    fn read_response(&mut self) -> std::io::Result<HttpResponse> {
-        let bad =
-            |what: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, what.to_string());
-        let mut status = None;
-        let mut content_length: Option<usize> = None;
-        loop {
-            let mut line = String::new();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(bad("connection closed mid-response"));
-            }
-            let line = line.trim_end();
-            if status.is_none() {
-                status = Some(
-                    line.split(' ')
-                        .nth(1)
-                        .and_then(|s| s.parse::<u16>().ok())
-                        .ok_or_else(|| bad("malformed status line"))?,
-                );
-                continue;
-            }
-            if line.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = line.split_once(':') {
-                if name.trim().eq_ignore_ascii_case("content-length") {
-                    content_length =
-                        Some(value.trim().parse().map_err(|_| bad("bad content-length"))?);
-                }
-            }
-        }
-        let len = content_length.ok_or_else(|| bad("response without content-length"))?;
-        let mut body = vec![0u8; len];
-        self.reader.read_exact(&mut body)?;
-        Ok(HttpResponse {
-            status: status.expect("status parsed before headers"),
-            body: String::from_utf8(body).map_err(|_| bad("body is not UTF-8"))?,
-        })
-    }
 }
 
 /// Splits raw response text into status and body.

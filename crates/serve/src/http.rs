@@ -3,11 +3,11 @@
 //! build stays registry-offline.
 //!
 //! Requests are read with a hard size cap and a socket read timeout, parsed
-//! into a [`Request`] (method, path, split query pairs, keep-alive); a head
-//! that cannot be served is a typed [`HeadError`], never a panic. Since the
+//! into a `Request` (method, path, split query pairs, keep-alive); a head
+//! that cannot be served is a typed `HeadError`, never a panic. Since the
 //! store tier arrived the daemon speaks **persistent connections**: a
 //! client may send many requests on one socket (and may pipeline them —
-//! [`read_request_from`] keeps the bytes it over-read past one head in a
+//! `read_request_from` keeps the bytes it over-read past one head in a
 //! carry buffer and starts the next head there), and responses are
 //! `Content-Length`-framed with an explicit `Connection: keep-alive` or
 //! `close` header, so either side can end the conversation cleanly. The
@@ -25,12 +25,12 @@ use std::net::TcpStream;
 /// Longest request head (request line + headers, blank line included) the
 /// server will read. Anything larger is malformed by this API's standards
 /// and gets a 400.
-pub const MAX_HEAD_BYTES: usize = 8 * 1024;
+pub(crate) const MAX_HEAD_BYTES: usize = 8 * 1024;
 
 /// Why a request head could not be read. `Display` gives the short reason
 /// the server puts in its 400 body.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HeadError {
+pub(crate) enum HeadError {
     /// The head is longer than [`MAX_HEAD_BYTES`].
     TooLarge,
     /// The head is not UTF-8.
@@ -63,7 +63,7 @@ impl std::error::Error for HeadError {}
 
 /// A parsed request: the parts of the head this API routes on.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
+pub(crate) struct Request {
     /// The HTTP method verbatim (`GET`, `POST`, …).
     pub method: String,
     /// The path with the query string stripped (`/run/table2`).
@@ -78,7 +78,7 @@ pub struct Request {
 
 impl Request {
     /// Looks up a query parameter by key (first occurrence wins).
-    pub fn param(&self, key: &str) -> Option<&str> {
+    pub(crate) fn param(&self, key: &str) -> Option<&str> {
         self.query
             .iter()
             .find(|(k, _)| k == key)
@@ -88,7 +88,7 @@ impl Request {
 
 /// What one attempt to read a request head produced.
 #[derive(Debug)]
-pub enum ReadOutcome {
+pub(crate) enum ReadOutcome {
     /// A complete head was parsed.
     Request(Request),
     /// The peer closed the connection cleanly between requests.
@@ -107,7 +107,7 @@ pub enum ReadOutcome {
 /// come back as a [`HeadError`] (the server answers 400 and closes), while
 /// a clean close or an idle timeout *between* requests are the non-error
 /// [`ReadOutcome`]s.
-pub fn read_request_from<R: Read>(
+pub(crate) fn read_request_from<R: Read>(
     stream: &mut R,
     carry: &mut Vec<u8>,
 ) -> Result<ReadOutcome, HeadError> {
@@ -235,7 +235,7 @@ fn parse_request_line(line: &str) -> Result<(&str, &str, bool), HeadError> {
 }
 
 /// The reason phrase for every status this API emits.
-pub fn reason(status: u16) -> &'static str {
+pub(crate) fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -251,7 +251,7 @@ pub fn reason(status: u16) -> &'static str {
 /// Writes one complete `Content-Length`-framed response. `close` selects
 /// the `Connection` header — the server's promise about what it does with
 /// the socket next.
-pub fn write_response(
+pub(crate) fn write_response(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,

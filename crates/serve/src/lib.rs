@@ -118,15 +118,15 @@ impl Default for Config {
 
 /// The default seed when `/run` or `/validate` omit `seed=` — the same
 /// default as the `repro` CLI.
-pub const DEFAULT_SEED: u64 = 1996;
+pub(crate) const DEFAULT_SEED: u64 = 1996;
 
 /// Ceiling on `/validate?seeds=N` — each seed is a full multi-artifact
 /// sweep, so an unbounded N would be a self-inflicted denial of service.
-pub const MAX_VALIDATE_SEEDS: u64 = 32;
+pub(crate) const MAX_VALIDATE_SEEDS: u64 = 32;
 
 /// Ceiling on `/sweep?points=N` — every point is a full scenario run, so
 /// the same self-DoS logic as [`MAX_VALIDATE_SEEDS`] applies.
-pub const MAX_SWEEP_POINTS: usize = 4_096;
+pub(crate) const MAX_SWEEP_POINTS: usize = 4_096;
 
 /// How long a worker waits for the *first* request after admission before
 /// answering 400 — a connected-but-silent client.
@@ -176,11 +176,6 @@ impl ShutdownHandle {
     pub fn request(&self) {
         self.0.shutdown.store(true, Ordering::SeqCst);
         self.0.available.notify_all();
-    }
-
-    /// True once shutdown has been requested.
-    pub fn is_requested(&self) -> bool {
-        self.0.shutdown.load(Ordering::SeqCst)
     }
 }
 
@@ -245,11 +240,6 @@ impl Server {
     /// The resolved worker count (`Config::workers` with `0` expanded).
     pub fn workers(&self) -> usize {
         self.state.workers
-    }
-
-    /// Keys the store warmed into memory at bind (0 without a store).
-    pub fn warmed(&self) -> u64 {
-        self.state.tier.snapshot().warmed
     }
 
     /// Serves until shutdown is requested, then drains and returns.

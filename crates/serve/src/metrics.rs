@@ -5,7 +5,7 @@
 //! Counters are lock-free atomics on the hot path; the keyed maps (status
 //! codes, endpoint labels, latency histograms) sit behind short-lived
 //! mutexes and are only touched once per request at completion. The
-//! `/metrics` endpoint serializes a [`Snapshot`] through the workspace's
+//! `/metrics` endpoint serializes a `Snapshot` through the workspace's
 //! JSON serializer, so the output parses with `repro --check-json` and the
 //! vendored round-trip parser like every other document the repo emits.
 
@@ -19,7 +19,7 @@ use wavelan_store::TierSnapshot;
 /// Upper bounds (µs) of the latency histogram buckets; one overflow bucket
 /// follows. Log-spaced: cache hits land in the first buckets, cold
 /// paper-scale runs in the last.
-pub const BUCKET_BOUNDS_US: [u64; 6] = [100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
+pub(crate) const BUCKET_BOUNDS_US: [u64; 6] = [100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
 
 /// JSON field names for the buckets, aligned with [`BUCKET_BOUNDS_US`]
 /// plus the overflow bucket.
@@ -29,7 +29,7 @@ const BUCKET_LABELS: [&str; 7] = [
 
 /// One label's latency distribution.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     /// Observations recorded.
     pub count: u64,
     /// Sum of all observations, in seconds.
@@ -86,7 +86,7 @@ impl<K: std::fmt::Display, V: Serialize> Serialize for SortedMap<'_, K, V> {
 /// The daemon's live counters. One instance per server, shared by every
 /// worker.
 #[derive(Debug)]
-pub struct Metrics {
+pub(crate) struct Metrics {
     started: Instant,
     /// Connections admitted to the queue (incremented before service, so
     /// tests can observe a request that is still in flight).
@@ -105,7 +105,7 @@ pub struct Metrics {
 
 impl Metrics {
     /// Fresh, all-zero counters.
-    pub fn new() -> Metrics {
+    pub(crate) fn new() -> Metrics {
         Metrics {
             started: Instant::now(),
             admitted: AtomicU64::new(0),
@@ -120,25 +120,25 @@ impl Metrics {
     }
 
     /// Records a connection entering the service queue.
-    pub fn admit(&self) {
+    pub(crate) fn admit(&self) {
         self.admitted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a queue-full rejection (the 429 itself is recorded
     /// separately via [`Metrics::complete`] by the admission path).
-    pub fn reject(&self) {
+    pub(crate) fn reject(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Marks a request as under service; pair with [`Metrics::complete`].
-    pub fn start(&self) {
+    pub(crate) fn start(&self) {
         self.in_flight.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a served response: status code, routing label, and latency.
     /// `in_service` says whether this request went through
     /// [`Metrics::start`] (admission-path 429s do not).
-    pub fn complete(&self, status: u16, label: &str, elapsed: Duration, in_service: bool) {
+    pub(crate) fn complete(&self, status: u16, label: &str, elapsed: Duration, in_service: bool) {
         if in_service {
             self.in_flight.fetch_sub(1, Ordering::Relaxed);
         }
@@ -153,28 +153,18 @@ impl Metrics {
     }
 
     /// Records a cache hit.
-    pub fn cache_hit(&self) {
+    pub(crate) fn cache_hit(&self) {
         self.cache_hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a cache miss.
-    pub fn cache_miss(&self) {
+    pub(crate) fn cache_miss(&self) {
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Cache hits so far.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Connections admitted so far.
-    pub fn admitted(&self) -> u64 {
-        self.admitted.load(Ordering::Relaxed)
     }
 
     /// A point-in-time copy of every counter, ready to serialize. The
     /// caller supplies the capacity facts that live outside the counters.
-    pub fn snapshot(&self, ctx: SnapshotContext) -> Snapshot {
+    pub(crate) fn snapshot(&self, ctx: SnapshotContext) -> Snapshot {
         Snapshot {
             uptime_seconds: self.started.elapsed().as_secs_f64(),
             admitted: self.admitted.load(Ordering::Relaxed),
@@ -198,7 +188,7 @@ impl Default for Metrics {
 
 /// Server-level facts reported alongside the counters.
 #[derive(Debug, Clone, Copy)]
-pub struct SnapshotContext {
+pub(crate) struct SnapshotContext {
     /// Worker threads in the service pool.
     pub workers: usize,
     /// Admission-queue depth limit (waiting connections beyond the
@@ -211,7 +201,7 @@ pub struct SnapshotContext {
 
 /// A serializable point-in-time view of [`Metrics`].
 #[derive(Debug, Clone)]
-pub struct Snapshot {
+pub(crate) struct Snapshot {
     /// Seconds since the server started.
     pub uptime_seconds: f64,
     /// Connections admitted to the queue.

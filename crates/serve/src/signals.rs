@@ -42,9 +42,3 @@ pub fn install() {
 pub fn triggered() -> bool {
     TERMINATE.load(Ordering::SeqCst)
 }
-
-/// Test hook: raises the flag without a real signal.
-#[doc(hidden)]
-pub fn trigger_for_test() {
-    TERMINATE.store(true, Ordering::SeqCst);
-}

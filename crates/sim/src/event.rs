@@ -89,16 +89,6 @@ impl EventQueue {
             .pop()
             .map(|Reverse((t, _, slot))| (t, slot.unpack()))
     }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -126,16 +116,6 @@ mod tests {
         assert_eq!(q.pop(), Some((10, Event::AppSend { station: 2 })));
         assert_eq!(q.pop(), Some((10, Event::AppSend { station: 1 })));
         assert_eq!(q.pop(), Some((10, Event::AppSend { station: 3 })));
-    }
-
-    #[test]
-    fn len_and_empty() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.schedule(1, Event::TxEnd { tx: 0 });
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! segments that can be added or removed between trials.
 
 use crate::geometry::{Point, Segment};
-use serde::{Deserialize, Serialize};
 use wavelan_phy::Material;
 
 /// A wall (or door, or other planar obstacle) in the floor plan.
@@ -23,39 +22,6 @@ pub struct Wall {
     pub segment: Segment,
     /// What it is made of.
     pub material: Material,
-}
-
-/// Serializable mirror of [`Material`] used in floor-plan files.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MaterialTag {
-    /// Plaster over wire mesh.
-    PlasterWireMesh,
-    /// Concrete block.
-    ConcreteBlock,
-    /// Wooden door.
-    WoodDoor,
-    /// Gypsum partition.
-    Drywall,
-    /// Metal obstacle.
-    Metal,
-    /// A person.
-    HumanBody,
-    /// Furniture clutter.
-    Furniture,
-}
-
-impl From<MaterialTag> for Material {
-    fn from(tag: MaterialTag) -> Material {
-        match tag {
-            MaterialTag::PlasterWireMesh => Material::PlasterWireMesh,
-            MaterialTag::ConcreteBlock => Material::ConcreteBlock,
-            MaterialTag::WoodDoor => Material::WoodDoor,
-            MaterialTag::Drywall => Material::Drywall,
-            MaterialTag::Metal => Material::Metal,
-            MaterialTag::HumanBody => Material::HumanBody,
-            MaterialTag::Furniture => Material::Furniture,
-        }
-    }
 }
 
 /// A building floor plan.
@@ -83,11 +49,6 @@ impl FloorPlan {
         self.walls.len() - 1
     }
 
-    /// Removes a wall previously added with [`FloorPlan::add_wall`].
-    pub fn remove_wall(&mut self, index: usize) {
-        self.walls.remove(index);
-    }
-
     /// All walls.
     pub fn walls(&self) -> &[Wall] {
         &self.walls
@@ -100,7 +61,7 @@ impl FloorPlan {
     }
 
     /// Total wall attenuation along the path, dB.
-    pub fn path_attenuation_db(&self, a: Point, b: Point) -> f64 {
+    pub(crate) fn path_attenuation_db(&self, a: Point, b: Point) -> f64 {
         self.walls_crossed(a, b)
             .map(|w| w.material.attenuation_db())
             .sum()
@@ -178,19 +139,8 @@ mod tests {
         let a = Point::feet(0.0, 0.0);
         let b = Point::feet(56.0, 0.0);
         let before = plan.path_attenuation_db(a, b);
-        let body = plan.add_wall(Segment::feet(28.0, -1.0, 28.0, 1.0), Material::HumanBody);
+        plan.add_wall(Segment::feet(28.0, -1.0, 28.0, 1.0), Material::HumanBody);
         let with_body = plan.path_attenuation_db(a, b);
         assert!((with_body - before - Material::HumanBody.attenuation_db()).abs() < 1e-12);
-        plan.remove_wall(body);
-        assert_eq!(plan.path_attenuation_db(a, b), before);
-    }
-
-    #[test]
-    fn material_tag_conversion() {
-        assert_eq!(
-            Material::from(MaterialTag::ConcreteBlock),
-            Material::ConcreteBlock
-        );
-        assert_eq!(Material::from(MaterialTag::HumanBody), Material::HumanBody);
     }
 }

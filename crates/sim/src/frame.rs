@@ -3,7 +3,7 @@
 //!
 //! Most transmissions are never logged — a saturating jammer's frames, or
 //! packets a receiver filters or loses — and the medium needs only their
-//! length. So a [`crate::medium::Transmission`] carries a [`FrameRecipe`],
+//! length. So a `crate::medium::Transmission` carries a [`FrameRecipe`],
 //! [`FrameRecipe::wire_len`] gives the on-air length without building
 //! anything, and [`FrameRecipe::write`] renders the bytes into a reused
 //! buffer when a recording station logs the reception.

@@ -95,7 +95,7 @@ mod tests {
     use crate::medium::{AmbientSource, Emitter};
     use crate::runner::ScenarioBuilder;
     use crate::station::StationConfig;
-    use crate::{FloorPlan, Propagation};
+    use crate::FloorPlan;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use wavelan_net::testpkt::Endpoint;
@@ -144,9 +144,7 @@ mod tests {
     fn table_equals_direct_propagation_before_and_after_moves() {
         let mut rng = StdRng::seed_from_u64(1996);
         for seed in 0..8 {
-            let mut b = ScenarioBuilder::new(seed)
-                .floorplan(multiroom())
-                .propagation(Propagation::indoor(seed));
+            let mut b = ScenarioBuilder::new(seed).floorplan(multiroom());
             for id in 0..5 {
                 b.station(StationConfig::receiver(
                     Endpoint::station(id + 1),

@@ -37,11 +37,6 @@ impl Point {
         let dy = self.y - other.y;
         (dx * dx + dy * dy).sqrt()
     }
-
-    /// Distance in feet.
-    pub fn distance_feet(&self, other: Point) -> f64 {
-        self.distance(other) / FEET_TO_METERS
-    }
 }
 
 /// A line segment between two points.
@@ -65,11 +60,6 @@ impl Segment {
             a: Point::feet(ax, ay),
             b: Point::feet(bx, by),
         }
-    }
-
-    /// Length, meters.
-    pub fn length(&self) -> f64 {
-        self.a.distance(self.b)
     }
 
     /// Whether this segment properly intersects another (shared endpoints
@@ -127,7 +117,6 @@ mod tests {
         assert!((a.distance(b) - 5.0).abs() < 1e-12);
         let f = Point::feet(10.0, 0.0);
         assert!((f.x - 3.048).abs() < 1e-12);
-        assert!((a.distance_feet(f) - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -179,10 +168,5 @@ mod tests {
         let s1 = Segment::new(Point::new(0.0, 0.0), Point::new(4.0, 0.0));
         let s2 = Segment::new(Point::new(2.0, 0.0), Point::new(2.0, 3.0));
         assert!(s1.intersects(&s2));
-    }
-
-    #[test]
-    fn segment_length() {
-        assert!((Segment::feet(0.0, 0.0, 10.0, 0.0).length() - 3.048).abs() < 1e-12);
     }
 }

@@ -51,5 +51,5 @@ pub use runner::{
     Directive, DirectiveOp, Scenario, ScenarioBuilder, SimScratch, SnapshotData, StationCounters,
     TrialResult,
 };
-pub use station::{Station, StationConfig, StationId};
+pub use station::{StationConfig, StationId};
 pub use trace::{BufferSink, RecordView, Tee, Trace, TraceRecord, TraceSink};

@@ -46,7 +46,7 @@ pub struct AmbientSource {
 
 impl AmbientSource {
     /// Raw power this source delivers to a receiver at `rx`, dBm.
-    pub fn power_at(&self, rx: Point, prop: &Propagation, plan: &FloorPlan) -> f64 {
+    pub(crate) fn power_at(&self, rx: Point, prop: &Propagation, plan: &FloorPlan) -> f64 {
         match self.emitter {
             Emitter::FixedPower(dbm) => dbm,
             Emitter::Positioned { pos, eirp_dbm } => {
@@ -57,7 +57,7 @@ impl AmbientSource {
 
     /// The per-packet interferer view for a receiver where this source's
     /// power is `power_dbm` (see [`AmbientSource::power_at`]).
-    pub fn interferer(&self, power_dbm: f64) -> Interferer {
+    pub(crate) fn interferer(&self, power_dbm: f64) -> Interferer {
         Interferer {
             kind: self.kind,
             power_dbm,
@@ -69,7 +69,7 @@ impl AmbientSource {
 
 /// One WaveLAN packet in flight (or recently completed).
 #[derive(Debug, Clone, Copy)]
-pub struct Transmission {
+pub(crate) struct Transmission {
     /// Transmitting station index.
     pub src: usize,
     /// Start of the packet on the air, ns.
@@ -86,7 +86,7 @@ pub struct Transmission {
 impl Transmission {
     /// `frame` put on the air by station `src` at `start_ns`; it stays on the
     /// air for its length at 2 Mb/s.
-    pub fn new(src: usize, start_ns: u64, frame: FrameRecipe) -> Transmission {
+    pub(crate) fn new(src: usize, start_ns: u64, frame: FrameRecipe) -> Transmission {
         let wire_len = frame.wire_len() as u32;
         Transmission {
             src,
@@ -98,18 +98,18 @@ impl Transmission {
     }
 
     /// Length on the air, bits.
-    pub fn len_bits(&self) -> u64 {
+    pub(crate) fn len_bits(&self) -> u64 {
         u64::from(self.wire_len) * 8
     }
 
     /// Whether this transmission is on the air at instant `t`.
-    pub fn active_at(&self, t_ns: u64) -> bool {
+    pub(crate) fn active_at(&self, t_ns: u64) -> bool {
         self.start_ns <= t_ns && t_ns < self.end_ns
     }
 
     /// Overlap of this transmission with the window `[start, end)`,
     /// expressed in bit offsets relative to `start` at 2 Mb/s.
-    pub fn overlap_bits(&self, start_ns: u64, end_ns: u64) -> Option<(u64, u64)> {
+    pub(crate) fn overlap_bits(&self, start_ns: u64, end_ns: u64) -> Option<(u64, u64)> {
         let s = self.start_ns.max(start_ns);
         let e = self.end_ns.min(end_ns);
         if s >= e {
@@ -120,19 +120,19 @@ impl Transmission {
 }
 
 /// Converts a duration in ns to bit-times at 2 Mb/s (1 bit = 500 ns).
-pub fn ns_to_bits(ns: u64) -> u64 {
+pub(crate) fn ns_to_bits(ns: u64) -> u64 {
     ns / 500
 }
 
 /// Converts bit-times at 2 Mb/s to ns.
-pub fn bits_to_ns(bits: u64) -> u64 {
+pub(crate) fn bits_to_ns(bits: u64) -> u64 {
     bits * 500
 }
 
 /// The medium's transmission log: in-flight and recently ended packets,
 /// pruned as virtual time advances.
 #[derive(Debug, Default)]
-pub struct Medium {
+pub(crate) struct Medium {
     /// Tracked transmissions in ascending id order (ids are handed out in
     /// order and pruning keeps it), so a reused buffer holds them all.
     transmissions: Vec<(usize, Transmission)>,
@@ -141,12 +141,12 @@ pub struct Medium {
 
 impl Medium {
     /// An idle medium.
-    pub fn new() -> Medium {
+    pub(crate) fn new() -> Medium {
         Medium::default()
     }
 
     /// Registers a transmission; returns its id.
-    pub fn begin(&mut self, tx: Transmission) -> usize {
+    pub(crate) fn begin(&mut self, tx: Transmission) -> usize {
         let id = self.next_id;
         self.next_id += 1;
         self.transmissions.push((id, tx));
@@ -154,7 +154,7 @@ impl Medium {
     }
 
     /// Looks up a transmission by id.
-    pub fn get(&self, id: usize) -> Option<&Transmission> {
+    pub(crate) fn get(&self, id: usize) -> Option<&Transmission> {
         let index = self
             .transmissions
             .binary_search_by_key(&id, |(id, _)| *id)
@@ -163,7 +163,7 @@ impl Medium {
     }
 
     /// All transmissions other than `exclude_id` overlapping `[start, end)`.
-    pub fn overlapping(
+    pub(crate) fn overlapping(
         &self,
         start_ns: u64,
         end_ns: u64,
@@ -176,7 +176,7 @@ impl Medium {
     }
 
     /// Transmissions active at instant `t` (for carrier sense).
-    pub fn active_at(&self, t_ns: u64) -> impl Iterator<Item = (usize, &Transmission)> {
+    pub(crate) fn active_at(&self, t_ns: u64) -> impl Iterator<Item = (usize, &Transmission)> {
         self.transmissions
             .iter()
             .filter(move |(_, t)| t.active_at(t_ns))
@@ -185,7 +185,7 @@ impl Medium {
 
     /// Whether station `s` has a transmission of its own overlapping the
     /// window (a half-duplex radio cannot receive while transmitting).
-    pub fn station_transmitting_during(&self, s: usize, start_ns: u64, end_ns: u64) -> bool {
+    pub(crate) fn station_transmitting_during(&self, s: usize, start_ns: u64, end_ns: u64) -> bool {
         self.transmissions
             .iter()
             .any(|(_, t)| t.src == s && t.start_ns < end_ns && t.end_ns > start_ns)
@@ -193,14 +193,9 @@ impl Medium {
 
     /// Drops transmissions that ended more than `horizon_ns` before `now` —
     /// nothing still in flight can overlap them.
-    pub fn prune(&mut self, now_ns: u64, horizon_ns: u64) {
+    pub(crate) fn prune(&mut self, now_ns: u64, horizon_ns: u64) {
         let cutoff = now_ns.saturating_sub(horizon_ns);
         self.transmissions.retain(|(_, t)| t.end_ns >= cutoff);
-    }
-
-    /// Number of transmissions currently tracked.
-    pub fn tracked(&self) -> usize {
-        self.transmissions.len()
     }
 }
 
@@ -248,7 +243,7 @@ mod tests {
         let mut m = Medium::new();
         let a = m.begin(tx(0, 0, 1_000));
         let b = m.begin(tx(1, 500, 2_000));
-        assert_eq!(m.tracked(), 2);
+        assert_eq!(m.transmissions.len(), 2);
         assert!(m.get(a).is_some());
         // Both overlap [400, 900).
         assert_eq!(m.overlapping(400, 900, usize::MAX).count(), 2);
@@ -260,7 +255,7 @@ mod tests {
         assert_eq!(m.active_at(1_500).count(), 1);
         // Prune far in the future.
         m.prune(1_000_000, 10_000);
-        assert_eq!(m.tracked(), 0);
+        assert_eq!(m.transmissions.len(), 0);
         let _ = b;
     }
 

@@ -30,7 +30,7 @@ use wavelan_phy::{CARRIER_HZ, TX_POWER_DBM};
 ///   loss at 2.1 m is ≈ 39 dB, so 27 dBm − 36 dB − 39 dB = −48 dBm = level 30;
 /// * Table 9's "no body" row — 56 ft through two concrete-block walls,
 ///   level 12.55: 27 − 36 − 58.8 − 6 = −73.8 dBm = level 12.8.
-pub const SYSTEM_LOSS_DB: f64 = 36.0;
+pub(crate) const SYSTEM_LOSS_DB: f64 = 36.0;
 
 /// The propagation model for one scenario.
 #[derive(Debug, Clone)]
@@ -97,7 +97,7 @@ impl Propagation {
 
     /// Received power at `to` of a transmitter at `from` with the given EIRP,
     /// through the floor plan, dBm.
-    pub fn received_power_dbm(
+    pub(crate) fn received_power_dbm(
         &self,
         eirp_dbm: f64,
         from: Point,
@@ -114,7 +114,7 @@ impl Propagation {
     }
 
     /// Received power for a standard 500 mW WaveLAN transmitter, including
-    /// the lumped [`SYSTEM_LOSS_DB`].
+    /// the lumped `SYSTEM_LOSS_DB`.
     pub fn wavelan_rx_dbm(&self, from: Point, to: Point, plan: &FloorPlan) -> f64 {
         self.received_power_dbm(TX_POWER_DBM - SYSTEM_LOSS_DB, from, to, plan)
     }

@@ -76,18 +76,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Replaces the propagation model.
-    pub fn propagation(mut self, prop: Propagation) -> ScenarioBuilder {
-        self.scenario.propagation = prop;
-        self
-    }
-
-    /// Replaces the link model.
-    pub fn link(mut self, link: LinkModel) -> ScenarioBuilder {
-        self.scenario.link = link;
-        self
-    }
-
     /// Adds a station; returns its id.
     pub fn station(&mut self, config: StationConfig) -> StationId {
         self.scenario.stations.push(config);
@@ -336,11 +324,6 @@ impl Scenario {
     /// Runs for a fixed amount of virtual time regardless of progress.
     pub fn run_for(&self, duration_ns: u64) -> TrialResult {
         self.run_with_limit(usize::MAX, u64::MAX, duration_ns)
-    }
-
-    /// [`Scenario::run_for`] with a caller-owned [`SimScratch`].
-    pub fn run_for_in(&self, duration_ns: u64, scratch: &mut SimScratch) -> TrialResult {
-        self.run_with_limit_in(usize::MAX, u64::MAX, duration_ns, scratch)
     }
 
     /// The general form: stop when `primary` completes `n_packets`
@@ -768,7 +751,6 @@ impl Runner<'_> {
                     station.captures_made += 1;
                     station.reservation = Some(RxReservation {
                         tx_id,
-                        start_ns,
                         end_ns,
                         signal_dbm,
                     });
@@ -779,7 +761,6 @@ impl Runner<'_> {
             _ => {
                 station.reservation = Some(RxReservation {
                     tx_id,
-                    start_ns,
                     end_ns,
                     signal_dbm,
                 });
@@ -962,7 +943,11 @@ mod tests {
         let trace = result.trace(rx);
         assert_eq!(trace.packets_transmitted, 500);
         // Loss is the host floor only: expect ≥ 498 of 500.
-        assert!(trace.len() >= 498, "received {}", trace.len());
+        assert!(
+            trace.records.len() >= 498,
+            "received {}",
+            trace.records.len()
+        );
         for rec in &trace.records {
             let truth = rec.truth.unwrap();
             assert_eq!(truth.corrupted_bits, 0);
@@ -1144,7 +1129,7 @@ mod scripted_tests {
         let snap = &result.snapshots[0];
         assert_eq!(snap.id, 7);
         assert_eq!(snap.stations[tx].transmitted, 40);
-        assert_eq!(snap.stations[rx].trace_len, result.trace(rx).len());
+        assert_eq!(snap.stations[rx].trace_len, result.trace(rx).records.len());
     }
 
     #[test]

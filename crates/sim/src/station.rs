@@ -54,7 +54,7 @@ pub enum Traffic {
     /// Script-driven: the station transmits only when a scripted `Enqueue`
     /// directive hands it frames (see
     /// [`crate::runner::Scenario::run_scripted`]). Frames arriving while one
-    /// is still pending queue up in [`Station::backlog`].
+    /// is still pending queue up in `Station::backlog`.
     Scripted {
         /// Destination station.
         peer: StationId,
@@ -133,11 +133,9 @@ impl StationConfig {
 
 /// An active receiver lock on an in-flight packet.
 #[derive(Debug, Clone, Copy)]
-pub struct RxReservation {
+pub(crate) struct RxReservation {
     /// Transmission id (medium key).
     pub tx_id: usize,
-    /// Packet start, ns.
-    pub start_ns: u64,
     /// Packet end, ns.
     pub end_ns: u64,
     /// Slow-scale signal power of the locked packet at this receiver, dBm.
@@ -146,7 +144,7 @@ pub struct RxReservation {
 
 /// Mutable per-station simulation state.
 #[derive(Debug)]
-pub struct Station {
+pub(crate) struct Station {
     /// Static configuration.
     pub config: StationConfig,
     /// CSMA/CA machine.
@@ -195,7 +193,7 @@ pub struct Station {
 
 impl Station {
     /// Initializes runtime state from a configuration.
-    pub fn new(config: StationConfig) -> Station {
+    pub(crate) fn new(config: StationConfig) -> Station {
         Station {
             mac: CsmaCa::new(config.mac),
             config,
@@ -217,7 +215,7 @@ impl Station {
     }
 
     /// The peer this station sends test packets to, if it sends at all.
-    pub fn peer(&self) -> Option<StationId> {
+    pub(crate) fn peer(&self) -> Option<StationId> {
         match self.config.traffic {
             Traffic::None => None,
             Traffic::Periodic { peer, .. }

@@ -151,7 +151,7 @@ pub struct BufferSink {
 impl BufferSink {
     /// A sink with one slot per entry of `recording`; stations flagged
     /// `true` get an empty [`Trace`], the rest `None`.
-    pub fn new(recording: impl IntoIterator<Item = bool>) -> BufferSink {
+    pub(crate) fn new(recording: impl IntoIterator<Item = bool>) -> BufferSink {
         BufferSink {
             traces: recording
                 .into_iter()
@@ -161,7 +161,7 @@ impl BufferSink {
     }
 
     /// The per-station traces, consuming the sink.
-    pub fn into_traces(self) -> Vec<Option<Trace>> {
+    pub(crate) fn into_traces(self) -> Vec<Option<Trace>> {
         self.traces
     }
 }
@@ -192,16 +192,6 @@ impl Trace {
     pub fn push(&mut self, record: TraceRecord) {
         self.records.push(record);
     }
-
-    /// Number of logged packets.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -229,10 +219,10 @@ mod tests {
     #[test]
     fn trace_accumulates() {
         let mut t = Trace::default();
-        assert!(t.is_empty());
+        assert!(t.records.is_empty());
         t.push(sample_record());
         t.push(sample_record());
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.records.len(), 2);
     }
 
     #[test]
@@ -270,7 +260,7 @@ mod tests {
         sink.record(0, &r.view());
         sink.record(1, &r.view());
         let traces = sink.into_traces();
-        assert_eq!(traces[0].as_ref().map(Trace::len), Some(1));
+        assert_eq!(traces[0].as_ref().map(|t| t.records.len()), Some(1));
         assert!(traces[1].is_none());
         assert_eq!(traces[0].as_ref().unwrap().records[0], r);
     }
@@ -281,7 +271,13 @@ mod tests {
         let mut b = BufferSink::new([true]);
         let r = sample_record();
         Tee(&mut a, &mut b).record(0, &r.view());
-        assert_eq!(a.into_traces()[0].as_ref().map(Trace::len), Some(1));
-        assert_eq!(b.into_traces()[0].as_ref().map(Trace::len), Some(1));
+        assert_eq!(
+            a.into_traces()[0].as_ref().map(|t| t.records.len()),
+            Some(1)
+        );
+        assert_eq!(
+            b.into_traces()[0].as_ref().map(|t| t.records.len()),
+            Some(1)
+        );
     }
 }

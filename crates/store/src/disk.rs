@@ -34,11 +34,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// File magic.
-pub const MAGIC: &[u8; 4] = b"WLST";
+pub(crate) const MAGIC: &[u8; 4] = b"WLST";
 /// Current entry format version.
-pub const VERSION: u8 = 1;
+pub(crate) const VERSION: u8 = 1;
 /// File extension of persisted entries.
-pub const EXTENSION: &str = "wlst";
+pub(crate) const EXTENSION: &str = "wlst";
 
 /// Sanity cap on a header string (far above any key component).
 const MAX_STRING: u16 = 4096;
@@ -74,11 +74,6 @@ impl DiskStore {
             dir,
             temp_seq: AtomicU64::new(0),
         })
-    }
-
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The path an entry for `key` lives at.
@@ -127,17 +122,12 @@ impl DiskStore {
         result.map_err(StoreError::from)
     }
 
-    /// Loads the entry for `key`. `Ok(None)` means "not stored" — the file
-    /// is absent, or present but holds a different key (hash collision).
-    /// Any structural damage is a typed error, never a panic and never a
+    /// Loads the entry for `key`: its identity header and body, read in one
+    /// decode pass (no second file open, so a concurrent overwrite can't
+    /// split meta from body). `Ok(None)` means "not stored" — the file is
+    /// absent, or present but holds a different key (hash collision). Any
+    /// structural damage is a typed error, never a panic and never a
     /// wrong-bytes body.
-    pub fn get(&self, key: &StoreKey) -> Result<Option<String>, StoreError> {
-        Ok(self.load(key)?.map(|(_, body)| body))
-    }
-
-    /// Like [`get`](DiskStore::get) but also returns the entry's identity
-    /// header, read in the same decode pass (no second file open, so a
-    /// concurrent overwrite can't split meta from body).
     pub fn load(&self, key: &StoreKey) -> Result<Option<(EntryMeta, String)>, StoreError> {
         let path = self.entry_path(key);
         let file = match fs::File::open(&path) {
@@ -152,40 +142,6 @@ impl DiskStore {
             return Ok(None);
         }
         Ok(Some((meta, body)))
-    }
-
-    /// Loads only the identity header of the entry for `key` (no body
-    /// verification) — `Ok(None)` when absent.
-    pub fn meta(&self, key: &StoreKey) -> Result<Option<EntryMeta>, StoreError> {
-        let path = self.entry_path(key);
-        let file = match fs::File::open(&path) {
-            Ok(file) => file,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        Ok(Some(decode_header(&mut io::BufReader::new(file))?.0))
-    }
-
-    /// Persisted entries in the store directory (counts `.wlst` files;
-    /// temp files and foreign names are ignored).
-    pub fn len(&self) -> Result<usize, StoreError> {
-        let mut n = 0;
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            if entry
-                .path()
-                .extension()
-                .is_some_and(|ext| ext == EXTENSION)
-            {
-                n += 1;
-            }
-        }
-        Ok(n)
-    }
-
-    /// True when the directory holds no persisted entry.
-    pub fn is_empty(&self) -> Result<bool, StoreError> {
-        Ok(self.len()? == 0)
     }
 }
 
@@ -299,6 +255,25 @@ pub fn decode_entry<R: Read>(mut r: R) -> Result<(EntryMeta, String), StoreError
 mod tests {
     use super::*;
 
+    /// The stored body for `key`, as a daemon reads it.
+    fn get(store: &DiskStore, key: &StoreKey) -> Result<Option<String>, StoreError> {
+        Ok(store.load(key)?.map(|(_, body)| body))
+    }
+
+    /// Persisted entries in `dir` (temp files and foreign names ignored).
+    fn entries(dir: &Path) -> usize {
+        fs::read_dir(dir)
+            .expect("list store dir")
+            .filter(|e| {
+                e.as_ref()
+                    .unwrap()
+                    .path()
+                    .extension()
+                    .is_some_and(|x| x == EXTENSION)
+            })
+            .count()
+    }
+
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "wavelan-store-{tag}-{}-{:p}",
@@ -314,16 +289,16 @@ mod tests {
         let dir = scratch_dir("roundtrip");
         let store = DiskStore::open(&dir).expect("open");
         let key = StoreKey::run("table2", 1996, "smoke");
-        assert_eq!(store.get(&key).expect("clean miss"), None);
+        assert_eq!(get(&store, &key).expect("clean miss"), None);
         store.put(&key, 0xFEED, "{\"ok\":true}").expect("persist");
         assert_eq!(
-            store.get(&key).expect("clean hit").as_deref(),
+            get(&store, &key).expect("clean hit").as_deref(),
             Some("{\"ok\":true}")
         );
-        let meta = store.meta(&key).expect("meta").expect("present");
+        let meta = store.load(&key).expect("load").expect("present").0;
         assert_eq!(meta.key, key);
         assert_eq!(meta.spec_hash, 0xFEED);
-        assert_eq!(store.len().expect("len"), 1);
+        assert_eq!(entries(&dir), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -337,7 +312,7 @@ mod tests {
             .expect("persist");
         // A fresh handle (a restarted daemon) reads the same entry.
         let reopened = DiskStore::open(&dir).expect("reopen");
-        assert_eq!(reopened.get(&key).expect("hit").as_deref(), Some("body"));
+        assert_eq!(get(&reopened, &key).expect("hit").as_deref(), Some("body"));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -351,7 +326,7 @@ mod tests {
         // address.
         let other = StoreKey::run("harq", 2, "paper");
         fs::rename(store.entry_path(&stored), store.entry_path(&other)).expect("rename");
-        assert_eq!(store.get(&other).expect("typed miss"), None);
+        assert_eq!(get(&store, &other).expect("typed miss"), None);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -362,8 +337,8 @@ mod tests {
         let key = StoreKey::validate(3, 1996, "reduced");
         store.put(&key, 0, "old").expect("persist old");
         store.put(&key, 0, "new").expect("persist new");
-        assert_eq!(store.get(&key).expect("hit").as_deref(), Some("new"));
-        assert_eq!(store.len().expect("len"), 1);
+        assert_eq!(get(&store, &key).expect("hit").as_deref(), Some("new"));
+        assert_eq!(entries(&dir), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -380,20 +355,20 @@ mod tests {
         let mut bad = good.clone();
         bad[0] = b'X';
         fs::write(&path, &bad).expect("write");
-        assert!(matches!(store.get(&key), Err(StoreError::BadMagic)));
+        assert!(matches!(get(&store, &key), Err(StoreError::BadMagic)));
 
         // Version skew.
         let mut bad = good.clone();
         bad[4] = 9;
         fs::write(&path, &bad).expect("write");
         assert!(matches!(
-            store.get(&key),
+            get(&store, &key),
             Err(StoreError::UnsupportedVersion(9))
         ));
 
         // Truncation.
         fs::write(&path, &good[..good.len() - 3]).expect("write");
-        assert!(matches!(store.get(&key), Err(StoreError::Corrupt(_))));
+        assert!(matches!(get(&store, &key), Err(StoreError::Corrupt(_))));
 
         // Body flip → checksum mismatch.
         let mut bad = good.clone();
@@ -401,7 +376,7 @@ mod tests {
         bad[last] ^= 0x55;
         fs::write(&path, &bad).expect("write");
         assert!(matches!(
-            store.get(&key),
+            get(&store, &key),
             Err(StoreError::ChecksumMismatch { .. })
         ));
 
@@ -410,7 +385,7 @@ mod tests {
         bad.push(0);
         fs::write(&path, &bad).expect("write");
         assert!(matches!(
-            store.get(&key),
+            get(&store, &key),
             Err(StoreError::Corrupt("trailing bytes after body"))
         ));
 

@@ -11,7 +11,7 @@
 //!
 //! Three layers, composable but independently usable:
 //!
-//! - [`lru::ShardedLru`] — the in-process L1: a sharded, exactly-LRU map
+//! - `lru::ShardedLru` — the in-process L1: a sharded, exactly-LRU map
 //!   from key to `Arc<String>` body (generalized out of the serve crate's
 //!   original result cache).
 //! - [`disk::DiskStore`] — the durable L2: one self-describing WLST file
@@ -31,7 +31,6 @@ pub mod tier;
 
 pub use disk::DiskStore;
 pub use error::StoreError;
-pub use lru::ShardedLru;
 pub use tier::{TierSnapshot, TieredStore};
 
 /// FNV-1a 64-bit — the workspace's standard content hash (the same
@@ -97,13 +96,13 @@ impl StoreKey {
     }
 
     /// The canonical key string (`kind:ident:seed:scale`).
-    pub fn canonical(&self) -> String {
+    pub(crate) fn canonical(&self) -> String {
         format!("{}:{}:{}:{}", self.kind, self.ident, self.seed, self.scale)
     }
 
     /// FNV-1a of the canonical string — the content address the disk file
     /// name uses.
-    pub fn hash(&self) -> u64 {
+    pub(crate) fn hash(&self) -> u64 {
         fnv64(self.canonical().as_bytes())
     }
 }

@@ -6,13 +6,13 @@
 //! are the canonical key strings (`run:table2:1996:smoke`), values are the
 //! exact response bodies behind [`Arc`] so a hit is one clone of a pointer.
 //!
-//! The map is split into [`SHARDS`] independently locked shards (hash of
+//! The map is split into `SHARDS` independently locked shards (hash of
 //! the key picks the shard) so concurrent workers don't serialize on one
 //! mutex. Recency is a per-shard monotonic tick stamped on every hit;
 //! eviction scans its shard for the smallest stamp, which is exact LRU per
 //! shard and O(shard size) only on insertion past capacity — shards are
-//! small (capacity / [`SHARDS`]), so the scan is a handful of entries.
-//! Evictions are counted ([`ShardedLru::evictions`]) for the tier's
+//! small (capacity / `SHARDS`), so the scan is a handful of entries.
+//! Evictions are counted (`ShardedLru::evictions`) for the tier's
 //! `/metrics` story.
 //!
 //! (This began life as `wavelan-serve`'s private result cache; it was
@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Number of independently locked shards.
-pub const SHARDS: usize = 8;
+pub(crate) const SHARDS: usize = 8;
 
 /// One shard: its own recency clock plus the stamped entries.
 #[derive(Debug, Default)]
@@ -37,7 +37,7 @@ struct Shard {
 
 /// A sharded LRU map from canonical key string to cached response body.
 #[derive(Debug)]
-pub struct ShardedLru {
+pub(crate) struct ShardedLru {
     shards: Vec<Mutex<Shard>>,
     /// Max entries per shard; 0 disables caching entirely.
     shard_capacity: usize,
@@ -47,7 +47,7 @@ pub struct ShardedLru {
 impl ShardedLru {
     /// A cache holding at most `capacity` entries (rounded up to a multiple
     /// of [`SHARDS`]; `0` disables caching — every lookup misses).
-    pub fn new(capacity: usize) -> ShardedLru {
+    pub(crate) fn new(capacity: usize) -> ShardedLru {
         ShardedLru {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             shard_capacity: capacity.div_ceil(SHARDS),
@@ -62,7 +62,7 @@ impl ShardedLru {
     }
 
     /// Looks up `key`, refreshing its recency on a hit.
-    pub fn get(&self, key: &str) -> Option<Arc<String>> {
+    pub(crate) fn get(&self, key: &str) -> Option<Arc<String>> {
         let mut shard = self.shard(key).lock().unwrap();
         shard.tick += 1;
         let tick = shard.tick;
@@ -74,7 +74,7 @@ impl ShardedLru {
 
     /// Inserts (or refreshes) `key`, evicting its shard's least-recently
     /// used entry when the shard is full.
-    pub fn insert(&self, key: String, body: Arc<String>) {
+    pub(crate) fn insert(&self, key: String, body: Arc<String>) {
         if self.shard_capacity == 0 {
             return;
         }
@@ -96,25 +96,20 @@ impl ShardedLru {
     }
 
     /// Total entries across all shards.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.lock().unwrap().entries.len())
             .sum()
     }
 
-    /// True when no shard holds an entry.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The configured total capacity (per-shard capacity × [`SHARDS`]).
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.shard_capacity * SHARDS
     }
 
     /// Entries evicted to make room since construction.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
 }
@@ -181,7 +176,7 @@ mod tests {
         let cache = ShardedLru::new(0);
         cache.insert("a".into(), body("alpha"));
         assert!(cache.get("a").is_none());
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
         assert_eq!(cache.capacity(), 0);
     }
 }

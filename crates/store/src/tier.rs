@@ -87,11 +87,6 @@ impl TieredStore {
         Ok(tier)
     }
 
-    /// The disk tier, when attached.
-    pub fn disk(&self) -> Option<&DiskStore> {
-        self.disk.as_ref()
-    }
-
     /// Looks up `key` across the tiers. `spec_hash` is the expected spec
     /// hash of the artifact behind the key (0 where none applies); a disk
     /// entry recording a different one is stale — counted a miss so the
@@ -244,7 +239,7 @@ mod tests {
             tier.insert(&key, 5, Arc::new("good".into()));
         }
         let tier = TieredStore::with_disk(16, &dir).expect("reopen");
-        let path = tier.disk().expect("disk").entry_path(&key);
+        let path = tier.disk.as_ref().expect("disk").entry_path(&key);
         let mut bytes = fs::read(&path).expect("read entry");
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;

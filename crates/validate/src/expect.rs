@@ -67,7 +67,7 @@ impl CellRef {
 
     /// Resolves the referenced value in `report`, or explains what was
     /// missing.
-    pub fn resolve(&self, report: &Report) -> Result<f64, String> {
+    pub(crate) fn resolve(&self, report: &Report) -> Result<f64, String> {
         let row = self.locate(report)?;
         let idx = self.column_index(report)?;
         let cell = row
@@ -102,7 +102,7 @@ pub enum Quantity {
 
 impl Quantity {
     /// Resolves the quantity against one run's report.
-    pub fn resolve(&self, report: &Report) -> Result<f64, String> {
+    pub(crate) fn resolve(&self, report: &Report) -> Result<f64, String> {
         match self {
             Quantity::Cell(c) => c.resolve(report),
             Quantity::Diff(a, b) => Ok(a.resolve(report)? - b.resolve(report)?),
@@ -159,7 +159,7 @@ pub enum Verdict {
 
 impl Verdict {
     /// Lowercase name, used in both JSON and text output.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Verdict::Pass => "pass",
             Verdict::Warn => "warn",
@@ -171,7 +171,7 @@ impl Verdict {
 
 impl Expected {
     /// Judges an observed (seed-averaged) value against the band.
-    pub fn judge(&self, observed: f64) -> Verdict {
+    pub(crate) fn judge(&self, observed: f64) -> Verdict {
         match *self {
             Expected::Within { target, tol } => {
                 let dev = (observed - target).abs();
@@ -213,7 +213,7 @@ impl Expected {
     }
 
     /// The band as text, for reports (`"14.15 ± 2.5"`, `"[0.35, 0.7]"`).
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match *self {
             Expected::Within { target, tol } => format!("{target} ± {tol}"),
             Expected::Between { min, max } => format!("[{min}, {max}]"),
@@ -243,7 +243,7 @@ pub struct Check {
 
 impl Check {
     /// A check evaluated at every scale.
-    pub fn new(
+    pub(crate) fn new(
         id: &'static str,
         paper: &'static str,
         quantity: Quantity,
@@ -258,14 +258,8 @@ impl Check {
         }
     }
 
-    /// Requires at least `scale` to evaluate (skip below it).
-    pub fn min_scale(mut self, scale: Scale) -> Check {
-        self.min_scale = scale;
-        self
-    }
-
     /// Whether the check runs at `scale`.
-    pub fn runs_at(&self, scale: Scale) -> bool {
+    pub(crate) fn runs_at(&self, scale: Scale) -> bool {
         scale_rank(scale) >= scale_rank(self.min_scale)
     }
 }
@@ -327,7 +321,7 @@ mod tests {
 
     #[test]
     fn min_scale_gates_evaluation() {
-        let c = Check::new(
+        let mut c = Check::new(
             "x",
             "",
             Quantity::Cell(CellRef {
@@ -337,8 +331,8 @@ mod tests {
                 stat: None,
             }),
             Expected::AtLeast(0.0),
-        )
-        .min_scale(Scale::Paper);
+        );
+        c.min_scale = Scale::Paper;
         assert!(!c.runs_at(Scale::Smoke));
         assert!(!c.runs_at(Scale::Reduced));
         assert!(c.runs_at(Scale::Paper));

@@ -9,7 +9,7 @@
 //! regressions but shatter on every legitimate output change and say
 //! nothing about closeness to the paper. This crate instead encodes the
 //! paper's Tables 2–14 and Figures 1–3 as a typed expectation corpus
-//! ([`corpus`]): each [`Check`] names a quantity inside a structured
+//! ([`corpus`]): each [`Check`](expect::Check) names a quantity inside a structured
 //! [`Report`](wavelan_analysis::Report) (a cell, a difference, or a
 //! ratio — always scale-free) and the band the paper puts on it, with the
 //! tolerance calibration documented in EXPERIMENTS.md ("Fidelity"
@@ -18,7 +18,7 @@
 //! The harness ([`run`]) resolves every expectation against the
 //! experiment registry, runs each artifact across N consecutive seeds,
 //! judges the across-seed mean of each quantity, and emits a
-//! [`FidelityReport`] with per-table pass/warn/fail verdicts — `repro
+//! [`FidelityReport`](harness::FidelityReport) with per-table pass/warn/fail verdicts — `repro
 //! --validate` renders it as text or JSON, and `ci.sh` gates on it
 //! (`FIDELITY.json`).
 
@@ -27,5 +27,4 @@ pub mod expect;
 pub mod harness;
 
 pub use corpus::corpus;
-pub use expect::{Check, Expected, Quantity, RowKey, TableExpectation, Verdict};
-pub use harness::{run, CheckResult, Config, Counts, FidelityReport, Observed, TableResult};
+pub use harness::{run, Config};

@@ -15,7 +15,7 @@ fn three_seed_validate_is_bit_identical_across_runs_and_workers() {
         base_seed: 1996,
         seeds: 3,
     };
-    let serial = to_string_pretty(&run(&config, &Executor::serial()));
+    let serial = to_string_pretty(&run(&config, &Executor::new(1)));
     let parallel = to_string_pretty(&run(&config, &Executor::new(2)));
     assert_eq!(
         serial, parallel,

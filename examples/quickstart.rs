@@ -42,7 +42,7 @@ fn main() {
     println!(
         "trial complete: {} packets transmitted, {} logged by the receiver\n",
         trace.packets_transmitted,
-        trace.len()
+        trace.records.len()
     );
 
     // ── 4. Analyze the trace exactly as the paper did: heuristic matching,

@@ -87,7 +87,7 @@ fn main() {
     assert_eq!(reloaded.records, captured);
     println!(
         "captured {} packets → {} ({size} bytes), reloaded bit-identically\n",
-        trace.len(),
+        trace.records.len(),
         path.display()
     );
 

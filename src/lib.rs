@@ -15,7 +15,7 @@
 //! * [`sim`] — discrete-event testbed: floor plans, medium, stations, traces,
 //! * [`analysis`] — the trace-analysis pipeline and paper-style tables,
 //! * [`fec`] — convolutional/Viterbi/RCPC adaptive forward error correction,
-//! * [`cell`] — pseudo-cellular architecture analysis,
+//! * [`cell`] — a mobile client roaming between two pseudo-cells,
 //! * [`experiments`] — one module per paper table/figure.
 //!
 //! A complete measurement in a few lines (also a compiled doc-test):

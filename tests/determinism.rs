@@ -30,7 +30,7 @@ fn assert_identical<T: std::fmt::Debug>(serial: &T, parallel: &T, what: &str, se
 
 #[test]
 fn experiments_are_jobcount_invariant() {
-    let serial = Executor::serial();
+    let serial = Executor::new(1);
     let parallel = Executor::new(8);
     for seed in SEEDS {
         assert_identical(
@@ -65,7 +65,7 @@ fn pooled_traces_merge_in_declaration_order() {
     // signal_vs_error concatenates per-position packet lists into one pooled
     // trace — the most order-sensitive merge in the suite. Check the pooled
     // packets and the per-position floats field by field, bit for bit.
-    let serial = Executor::serial();
+    let serial = Executor::new(1);
     let parallel = Executor::new(8);
     for seed in SEEDS {
         let s = signal_vs_error::run_with(Scale::Smoke, seed, &serial);
@@ -93,7 +93,7 @@ fn pooled_traces_merge_in_declaration_order() {
 fn sweep_experiments_are_jobcount_invariant() {
     // The sweep-style drivers take explicit point lists / packet budgets
     // rather than a Scale; keep the budgets small.
-    let serial = Executor::serial();
+    let serial = Executor::new(1);
     let parallel = Executor::new(8);
     for seed in SEEDS {
         assert_identical(

@@ -1,5 +1,5 @@
 //! Golden-output regression: the full `repro --scale smoke --seed 1996`
-//! transcript, rendered in-process through `wavelan_bench::run_artifact`,
+//! transcript, rendered in-process through `wavelan_bench::run_report`,
 //! must match the committed golden file byte for byte.
 //!
 //! Any change to the simulator, the analysis pipeline, an experiment
@@ -16,7 +16,7 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use wavelan_bench::{run_artifact, ARTIFACTS};
+use wavelan_bench::{run_report, ARTIFACTS};
 use wavelan_core::{Executor, Scale};
 
 const SEED: u64 = 1996;
@@ -39,8 +39,8 @@ fn render_transcript() -> String {
     )
     .unwrap();
     for artifact in ARTIFACTS {
-        let run = run_artifact(artifact, scale, SEED, &exec).expect("known artifact");
-        writeln!(out, "{}", run.text).unwrap();
+        let report = run_report(artifact, scale, SEED, &exec).expect("known artifact");
+        writeln!(out, "{}", report.render()).unwrap();
     }
     out
 }

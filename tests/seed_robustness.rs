@@ -8,7 +8,7 @@
 //! (exact counts at one seed).
 
 use wavelan_core::experiments::signal_vs_error::{self, ERROR_REGION_LEVEL};
-use wavelan_core::Scale;
+use wavelan_core::{Executor, Scale};
 
 /// Three seeds distinct from the repro default (1996) and from the
 /// experiment's own unit-test seed.
@@ -17,7 +17,7 @@ const SEEDS: [u64; 3] = [7, 99, 2024];
 #[test]
 fn table3_separation_holds_across_seeds() {
     for seed in SEEDS {
-        let result = signal_vs_error::run(Scale::Smoke, seed);
+        let result = signal_vs_error::run_with(Scale::Smoke, seed, &Executor::default());
         let rows = result.table3_rows();
         let undamaged = &rows[1];
         let body_damaged = &rows[4];
@@ -50,7 +50,7 @@ fn table3_separation_holds_across_seeds() {
 #[test]
 fn figure2_error_cliff_sits_at_the_papers_level() {
     for seed in SEEDS {
-        let result = signal_vs_error::run(Scale::Smoke, seed);
+        let result = signal_vs_error::run_with(Scale::Smoke, seed, &Executor::default());
 
         // Above the cliff (level ≥ 10): essentially clean at every position.
         // Below it (level < 8.5): the error rate has taken off.

@@ -8,7 +8,7 @@
 //! over TCP with the crate's own minimal client — the same path `repro
 //! --http-get` and the CI smoke test use.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::thread;
@@ -16,7 +16,7 @@ use std::time::Duration;
 use wavelan_analysis::json::{parse, to_string_pretty, Value};
 use wavelan_bench::{run_report, RunDocument};
 use wavelan_core::{Executor, Scale};
-use wavelan_serve::client::{get, Conn, HttpResponse};
+use wavelan_serve::client::{get, HttpResponse};
 use wavelan_serve::{Config, Server, ShutdownHandle};
 
 /// Boots a server, waits for `/healthz`, and returns the address, the
@@ -51,7 +51,7 @@ fn fetch(addr: &str, path: &str) -> HttpResponse {
 /// What `repro --format json <artifact> --scale <scale> --seed <seed>`
 /// prints — the byte-exact contract for `/run/{artifact}`.
 fn cli_json(artifact: &str, scale: Scale, seed: u64) -> String {
-    let exec = Executor::serial();
+    let exec = Executor::new(1);
     let report = run_report(artifact, scale, seed, &exec).expect("known artifact");
     to_string_pretty(&RunDocument {
         scale: scale.name(),
@@ -283,7 +283,7 @@ fn sweep_endpoint_matches_cli_bytes_and_caches() {
     let space = wavelan_core::sweep::preset("oven-smoke").expect("preset exists");
     let expected = to_string_pretty(
         &space
-            .run(Scale::Smoke, 1996, &Executor::serial())
+            .run(Scale::Smoke, 1996, &Executor::new(1))
             .expect("sweep runs"),
     );
 
@@ -429,6 +429,90 @@ fn restart_against_same_store_dir_serves_from_disk_without_recompute() {
     handle.request();
     join.join().expect("server thread").expect("clean run");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A persistent keep-alive connection to one daemon.
+///
+/// Responses are framed by their `Content-Length` header (the server
+/// always sends one), so the socket survives across requests; when the
+/// server answers `Connection: close` — or the framing breaks — the next
+/// request fails and the caller reconnects.
+#[derive(Debug)]
+struct Conn {
+    addr: String,
+    reader: BufReader<TcpStream>,
+}
+
+impl Conn {
+    /// Connects to `addr` (`host:port`) with `timeout` on connect, read,
+    /// and write.
+    fn connect(addr: &str, timeout: Duration) -> std::io::Result<Conn> {
+        let sock_addr = addr
+            .parse::<std::net::SocketAddr>()
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+        let stream = TcpStream::connect_timeout(&sock_addr, timeout)?;
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
+        stream.set_nodelay(true)?;
+        Ok(Conn {
+            addr: addr.to_string(),
+            reader: BufReader::new(stream),
+        })
+    }
+
+    /// Sends one GET and reads its framed response, leaving the socket
+    /// open for the next request.
+    fn request(&mut self, path: &str) -> std::io::Result<HttpResponse> {
+        let request = format!(
+            "GET {path} HTTP/1.1\r\nHost: {}\r\nConnection: keep-alive\r\n\r\n",
+            self.addr
+        );
+        self.reader.get_mut().write_all(request.as_bytes())?;
+        self.read_response()
+    }
+
+    fn read_response(&mut self) -> std::io::Result<HttpResponse> {
+        let bad =
+            |what: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, what.to_string());
+        let mut status = None;
+        let mut content_length: Option<usize> = None;
+        loop {
+            let mut line = String::new();
+            if self.reader.read_line(&mut line)? == 0 {
+                return Err(bad("connection closed mid-response"));
+            }
+            let line = line.trim_end();
+            if status.is_none() {
+                status = Some(
+                    line.split(' ')
+                        .nth(1)
+                        .and_then(|s| s.parse::<u16>().ok())
+                        .ok_or_else(|| bad("malformed status line"))?,
+                );
+                continue;
+            }
+            if line.is_empty() {
+                break;
+            }
+            if let Some((name, value)) = line.split_once(':') {
+                if name.trim().eq_ignore_ascii_case("content-length") {
+                    content_length = Some(
+                        value
+                            .trim()
+                            .parse()
+                            .map_err(|_| bad("bad content-length"))?,
+                    );
+                }
+            }
+        }
+        let len = content_length.ok_or_else(|| bad("response without content-length"))?;
+        let mut body = vec![0u8; len];
+        self.reader.read_exact(&mut body)?;
+        Ok(HttpResponse {
+            status: status.expect("status parsed before headers"),
+            body: String::from_utf8(body).map_err(|_| bad("body is not UTF-8"))?,
+        })
+    }
 }
 
 #[test]

@@ -9,18 +9,16 @@
 //! to move.
 
 use wavelan_analysis::json::to_string_pretty;
-use wavelan_core::{capture_report, export_trace, reanalyze_file, CaptureMode, Executor, Scale};
 use wavelan_core::registry::REGISTRY;
+use wavelan_core::{capture_report, export_trace, reanalyze_file, CaptureMode, Executor, Scale};
 
 #[test]
 fn streamed_equals_buffered_for_every_artifact_and_seed() {
-    let exec = Executor::serial();
+    let exec = Executor::new(1);
     for entry in REGISTRY {
         for seed in [1996u64, 7, 424242] {
-            let buffered =
-                capture_report(entry, Scale::Smoke, seed, &exec, CaptureMode::Buffered);
-            let streamed =
-                capture_report(entry, Scale::Smoke, seed, &exec, CaptureMode::Streamed);
+            let buffered = capture_report(entry, Scale::Smoke, seed, &exec, CaptureMode::Buffered);
+            let streamed = capture_report(entry, Scale::Smoke, seed, &exec, CaptureMode::Streamed);
             assert_eq!(
                 buffered.render(),
                 streamed.render(),
@@ -79,7 +77,7 @@ fn export_then_reanalyze_is_byte_identical_for_every_artifact() {
             entry,
             Scale::Smoke,
             1996,
-            &Executor::serial(),
+            &Executor::new(1),
             CaptureMode::Streamed,
         );
         assert_eq!(
