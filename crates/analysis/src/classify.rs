@@ -149,8 +149,12 @@ pub(crate) fn classify_view(
     expected: &ExpectedSeries,
     scratch: &mut ClassifyScratch,
 ) -> AnalyzedPacket {
-    let evidence =
-        matcher::evaluate_in(view.bytes, view.wire_len as usize, expected, &mut scratch.words);
+    let evidence = matcher::evaluate_in(
+        view.bytes,
+        view.wire_len as usize,
+        expected,
+        &mut scratch.words,
+    );
     let base = AnalyzedPacket {
         index,
         is_test: evidence.is_test_packet(),

@@ -73,7 +73,12 @@ impl StreamAnalysis {
     /// Folds one record in (classify + aggregate). Allocation-free once the
     /// classifier scratch has warmed up.
     pub fn fold(&mut self, view: &RecordView<'_>) {
-        let p = classify_view(self.records as usize, view, &self.expected, &mut self.scratch);
+        let p = classify_view(
+            self.records as usize,
+            view,
+            &self.expected,
+            &mut self.scratch,
+        );
         self.records += 1;
         if !p.is_test {
             self.outsiders += 1;

@@ -510,7 +510,9 @@ mod tests {
     fn sample(seed: u64) -> TraceRecord {
         TraceRecord {
             time_ns: seed.wrapping_mul(6_100_000),
-            bytes: (0..((seed % 40) as u8 + 5)).map(|i| i ^ (seed as u8)).collect(),
+            bytes: (0..((seed % 40) as u8 + 5))
+                .map(|i| i ^ (seed as u8))
+                .collect(),
             wire_len: 1074,
             level: (seed % 64) as u8,
             silence: (seed % 17) as u8,

@@ -67,13 +67,15 @@ fn meta_strategy() -> impl Strategy<Value = TraceMeta> {
         any::<u64>(),
         any::<u64>(),
     )
-        .prop_map(|(artifact, scale, seed, spec_hash, packet_budget)| TraceMeta {
-            artifact,
-            scale,
-            seed,
-            spec_hash,
-            packet_budget,
-        })
+        .prop_map(
+            |(artifact, scale, seed, spec_hash, packet_budget)| TraceMeta {
+                artifact,
+                scale,
+                seed,
+                spec_hash,
+                packet_budget,
+            },
+        )
 }
 
 fn encode(meta: &TraceMeta, streams: &[(String, Vec<TraceRecord>, u64, u64)]) -> Vec<u8> {

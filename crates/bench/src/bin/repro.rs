@@ -605,9 +605,7 @@ fn reanalyze_main(args: &[String]) -> ! {
                     other => usage_error(&format!("unknown format {other:?} (text or json)")),
                 }
             }
-            flag if flag.starts_with('-') => {
-                usage_error(&format!("unknown reanalyze flag {flag}"))
-            }
+            flag if flag.starts_with('-') => usage_error(&format!("unknown reanalyze flag {flag}")),
             file if path.is_none() => path = Some(file.to_string()),
             _ => usage_error("reanalyze takes exactly one trace file"),
         }

@@ -394,24 +394,44 @@ fn handle_connection(state: &Arc<State>, mut stream: TcpStream, admitted_at: Ins
             Ok(ReadOutcome::Idle) => {
                 // Connected, never sent a request: that costs a 400, like
                 // any other malformed exchange.
-                respond(state, &mut stream, 400, "malformed", admitted_at, true, true, |_| {
-                    (
-                        "text/plain; charset=utf-8",
-                        String::from("bad request: timed out waiting for request\n"),
-                    )
-                });
+                respond(
+                    state,
+                    &mut stream,
+                    400,
+                    "malformed",
+                    admitted_at,
+                    true,
+                    true,
+                    |_| {
+                        (
+                            "text/plain; charset=utf-8",
+                            String::from("bad request: timed out waiting for request\n"),
+                        )
+                    },
+                );
                 break;
             }
             Err(why) => {
-                respond(state, &mut stream, 400, "malformed", admitted_at, true, true, |_| {
-                    ("text/plain; charset=utf-8", format!("bad request: {why}\n"))
-                });
+                respond(
+                    state,
+                    &mut stream,
+                    400,
+                    "malformed",
+                    admitted_at,
+                    true,
+                    true,
+                    |_| ("text/plain; charset=utf-8", format!("bad request: {why}\n")),
+                );
                 break;
             }
         };
         // The first request's clock starts at admission (queue wait counts
         // against its deadline); later requests start when they arrive.
-        let started = if served == 0 { admitted_at } else { Instant::now() };
+        let started = if served == 0 {
+            admitted_at
+        } else {
+            Instant::now()
+        };
         served += 1;
         let close = !request.keep_alive
             || served >= MAX_REQUESTS_PER_CONN
@@ -453,9 +473,16 @@ fn handle_request(
         "/healthz" => respond(state, stream, 200, "healthz", started, true, close, |_| {
             ("text/plain; charset=utf-8", String::from("ok\n"))
         }),
-        "/artifacts" => respond(state, stream, 200, "artifacts", started, true, close, |_| {
-            ("application/json", to_string_pretty(&ArtifactsDoc))
-        }),
+        "/artifacts" => respond(
+            state,
+            stream,
+            200,
+            "artifacts",
+            started,
+            true,
+            close,
+            |_| ("application/json", to_string_pretty(&ArtifactsDoc)),
+        ),
         "/metrics" => {
             let snapshot = state.metrics.snapshot(SnapshotContext {
                 workers: state.workers,
@@ -598,36 +625,56 @@ fn handle_sweep(
     let preset_name = request.param("preset").unwrap_or(sweep::PRESET_NAMES[0]);
     let Some(mut space) = sweep::preset(preset_name) else {
         let preset_name = preset_name.to_string();
-        respond(state, stream, 404, "sweep", started, true, close, move |_| {
-            (
-                "text/plain; charset=utf-8",
-                format!(
-                    "unknown sweep preset {preset_name:?}; valid presets: {}\n",
-                    sweep::PRESET_NAMES.join(" ")
-                ),
-            )
-        });
+        respond(
+            state,
+            stream,
+            404,
+            "sweep",
+            started,
+            true,
+            close,
+            move |_| {
+                (
+                    "text/plain; charset=utf-8",
+                    format!(
+                        "unknown sweep preset {preset_name:?}; valid presets: {}\n",
+                        sweep::PRESET_NAMES.join(" ")
+                    ),
+                )
+            },
+        );
         return;
     };
     match request.param("points") {
         None => {}
-        Some(raw) => match raw
-            .parse::<usize>()
-            .ok()
-            .filter(|n| (1..=MAX_SWEEP_POINTS).contains(n))
-        {
-            Some(points) => space = space.with_points(points),
-            None => {
-                let raw = raw.to_string();
-                respond(state, stream, 400, "sweep", started, true, close, move |_| {
-                    (
+        Some(raw) => {
+            match raw
+                .parse::<usize>()
+                .ok()
+                .filter(|n| (1..=MAX_SWEEP_POINTS).contains(n))
+            {
+                Some(points) => space = space.with_points(points),
+                None => {
+                    let raw = raw.to_string();
+                    respond(
+                        state,
+                        stream,
+                        400,
+                        "sweep",
+                        started,
+                        true,
+                        close,
+                        move |_| {
+                            (
                         "text/plain; charset=utf-8",
                         format!("points must be an integer in 1..={MAX_SWEEP_POINTS}, got {raw:?}"),
                     )
-                });
-                return;
+                        },
+                    );
+                    return;
+                }
             }
-        },
+        }
     }
     let space_hash = space.canonical_hash();
     let key = StoreKey::sweep(space_hash, params.seed, scale.name());
@@ -774,9 +821,11 @@ fn respond_computed(
     computed: Computed,
 ) {
     match computed {
-        Computed::Body(body) => respond(state, stream, 200, label, started, true, close, move |_| {
-            ("application/json", body.as_ref().clone())
-        }),
+        Computed::Body(body) => {
+            respond(state, stream, 200, label, started, true, close, move |_| {
+                ("application/json", body.as_ref().clone())
+            })
+        }
         Computed::DeadlineExceeded => {
             respond(state, stream, 503, label, started, true, close, |_| {
                 (

@@ -386,7 +386,8 @@ impl Scenario {
         scratch: &mut SimScratch,
     ) -> TrialResult {
         let mut sink = BufferSink::new(self.stations.iter().map(|s| s.record_trace));
-        let mut result = self.run_sunk(primary, n_packets, limit_ns, directives, scratch, &mut sink);
+        let mut result =
+            self.run_sunk(primary, n_packets, limit_ns, directives, scratch, &mut sink);
         result.traces = sink.into_traces();
         for (trace, &dropped) in result.traces.iter_mut().zip(&result.packets_dropped_by_mac) {
             if let Some(trace) = trace {

@@ -266,8 +266,8 @@ mod tests {
         let tier = TieredStore::with_disk(16, &dir).expect("reopen");
         let loaded = tier.warm(&[
             (keep.clone(), 10),
-            (stale.clone(), 999),                          // spec changed
-            (StoreKey::run("absent", 1996, "smoke"), 0),   // never computed
+            (stale.clone(), 999),                        // spec changed
+            (StoreKey::run("absent", 1996, "smoke"), 0), // never computed
         ]);
         assert_eq!(loaded, 1, "only the fresh persisted key warms");
         let snap = tier.snapshot();

@@ -406,7 +406,10 @@ fn restart_against_same_store_dir_serves_from_disk_without_recompute() {
 
     let r = fetch(&addr, "/run/tdma?seed=7&scale=smoke");
     assert_eq!(r.status, 200);
-    assert_eq!(r.body, expected_odd, "restarted daemon altered the persisted bytes");
+    assert_eq!(
+        r.body, expected_odd,
+        "restarted daemon altered the persisted bytes"
+    );
     let r = fetch(&addr, "/run/tdma?seed=1996&scale=smoke");
     assert_eq!(r.status, 200);
     assert_eq!(r.body, expected_default);

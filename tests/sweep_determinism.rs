@@ -66,5 +66,9 @@ fn thousand_point_grid_seeds_are_collision_free() {
     let mut seeds: Vec<u64> = points.iter().map(|p| p.seed).collect();
     seeds.sort_unstable();
     seeds.dedup();
-    assert_eq!(seeds.len(), 1_000, "per-point seed collision in a 10^3 grid");
+    assert_eq!(
+        seeds.len(),
+        1_000,
+        "per-point seed collision in a 10^3 grid"
+    );
 }
