@@ -11,6 +11,8 @@ mkdir -p "$OUT"
 cargo build --release
 cargo build --release -p wavelan-bench
 REPRO=./target/release/repro
+# Formatting: the tree must be rustfmt's output.
+cargo fmt --all -- --check
 # Lint every target, test code included.
 cargo clippy --workspace --all-targets -- -D warnings
 # Every test in every crate: goldens, determinism, the scenario and trace

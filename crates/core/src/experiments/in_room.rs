@@ -11,13 +11,13 @@
 //! realization and host-loss draws), which is what spreads the loss column
 //! across 0%–.07% exactly as in the paper.
 
-use super::common::{PointTrial, Scale};
+use super::common::Scale;
 use crate::executor::{trial_seed, Executor};
 use crate::registry::Experiment;
 use crate::spec::ScenarioSpec;
 use wavelan_analysis::report::results_table;
 use wavelan_analysis::{Block, Report, TrialSummary};
-use wavelan_sim::{Propagation, SimScratch};
+use wavelan_sim::SimScratch;
 
 /// This experiment's stream id for [`trial_seed`].
 pub(crate) const EXPERIMENT_ID: u64 = 1;
@@ -78,7 +78,11 @@ impl Experiment for Table2 {
     }
 
     fn spec(&self) -> ScenarioSpec {
-        base_spec()
+        // The in-room scenario as a declarative spec: an open office, receiver
+        // and sender 7 ft apart line-of-sight, no walls, no interference. The
+        // driver's nine trials all run this geometry; the budget is the longest
+        // trial's (office5).
+        ScenarioSpec::pair("table2", (0.0, 0.0), (7.0, 0.0), PAPER_TRIALS[4].1)
     }
 
     fn run(&self, scale: Scale, seed: u64, exec: &Executor) -> Report {
@@ -92,30 +96,23 @@ impl Experiment for Table2 {
     }
 }
 
-/// The in-room scenario as a declarative spec: an open office, receiver
-/// and sender 7 ft apart line-of-sight, no walls, no interference. The
-/// driver's nine trials all run this geometry; the budget is the longest
-/// trial's (office5).
-pub(crate) fn base_spec() -> ScenarioSpec {
-    ScenarioSpec::pair("table2", (0.0, 0.0), (7.0, 0.0), PAPER_TRIALS[4].1)
-}
-
-/// Runs the experiment on an explicit executor. Trials fan out across the pool; each
-/// trial's propagation and scenario streams derive purely from its index,
-/// so the result is identical at any worker count.
+/// Runs the experiment on an explicit executor. Trials fan out across the
+/// pool; trial `i` is the spec at its own packet count, seeded
+/// `(trial_seed(1, 2i), trial_seed(1, 2i + 1))` for its scenario and its
+/// propagation, so the result is identical at any worker count.
 pub fn run_with(scale: Scale, base_seed: u64, exec: &Executor) -> InRoomResult {
-    let spec = base_spec();
+    let spec = Table2.spec();
     let trials = exec.map_indices_with(PAPER_TRIALS.len(), SimScratch::new, |scratch, i| {
         let (name, paper_packets) = PAPER_TRIALS[i];
-        let trial = PointTrial::new(
-            spec.floorplan().expect("spec geometry is valid"),
-            Propagation::indoor(trial_seed(EXPERIMENT_ID, 2 * i as u64 + 1, base_seed)),
-            spec.stations[0].position(),
-            spec.stations[1].position(),
-            scale.packets(paper_packets),
-            trial_seed(EXPERIMENT_ID, 2 * i as u64, base_seed),
-        );
-        TrialSummary::from_analysis(name, &trial.analyze_in(scratch))
+        let trial = spec
+            .run_pair(
+                scale.packets(paper_packets),
+                trial_seed(EXPERIMENT_ID, 2 * i as u64, base_seed),
+                trial_seed(EXPERIMENT_ID, 2 * i as u64 + 1, base_seed),
+                scratch,
+            )
+            .expect("the table2 spec builds");
+        TrialSummary::from_analysis(name, &trial.analysis)
     });
     InRoomResult { trials }
 }

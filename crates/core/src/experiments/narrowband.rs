@@ -11,15 +11,14 @@
 //! In the two low-silence trials the paper also logged outsider packets from
 //! nearby buildings; we add the outsider pair there.
 
-use super::common::{add_outsider_pair, expected_series, test_receiver, test_sender, Scale};
+use super::common::Scale;
 use crate::calibration::{narrowband_phone, narrowband_power};
 use crate::executor::{trial_seed, Executor};
 use crate::registry::Experiment;
 use crate::spec::{interferer_from_source, ScenarioSpec};
 use wavelan_analysis::report::{signal_table, SignalRow};
-use wavelan_analysis::{analyze, Block, Report, TraceAnalysis};
-use wavelan_sim::runner::attach_tx_count;
-use wavelan_sim::{Point, Propagation, ScenarioBuilder, SimScratch, StationConfig};
+use wavelan_analysis::{Block, Report, TraceAnalysis};
+use wavelan_sim::SimScratch;
 
 /// The paper collected ≈1,440 packets per trial.
 pub(crate) const PAPER_PACKETS: u64 = 1_440;
@@ -90,9 +89,9 @@ impl Experiment for Table10 {
     }
 
     fn spec(&self) -> ScenarioSpec {
-        // The "Handsets nearby talking" trial (outsiders logged, phones
-        // raising the silence level). Sweeps can walk the phone power
-        // (`interferers[0].power_dbm`).
+        // The "Handsets nearby talking" trial: the pair ≈10 ft apart, the phones
+        // raising the silence level, outsiders logged. Sweeps can walk the phone
+        // power (`interferers[0].power_dbm`).
         ScenarioSpec::pair("table10", (0.0, 0.0), (10.0, 0.0), PAPER_PACKETS)
             .with_interferer(interferer_from_source(&narrowband_phone(
                 narrowband_power::HANDSETS_TALKING,
@@ -111,59 +110,57 @@ impl Experiment for Table10 {
     }
 }
 
-/// Trial specifications: name, phone power (None = phones off), outsiders.
-fn trial_specs() -> Vec<(&'static str, Option<f64>, bool)> {
-    vec![
-        ("Phones off", None, true),
-        ("Cluster", Some(narrowband_power::CLUSTER), false),
-        (
-            "Handsets nearby",
-            Some(narrowband_power::HANDSETS_NEARBY),
-            false,
-        ),
-        (
-            "Handsets nearby talking",
-            Some(narrowband_power::HANDSETS_TALKING),
-            true,
-        ),
-        ("Bases nearby", Some(narrowband_power::BASES_NEARBY), false),
-    ]
-}
+/// The five trials: name, phone power (None = phones off), outsiders.
+const TRIALS: [(&str, Option<f64>, bool); 5] = [
+    ("Phones off", None, true),
+    ("Cluster", Some(narrowband_power::CLUSTER), false),
+    (
+        "Handsets nearby",
+        Some(narrowband_power::HANDSETS_NEARBY),
+        false,
+    ),
+    (
+        "Handsets nearby talking",
+        Some(narrowband_power::HANDSETS_TALKING),
+        true,
+    ),
+    ("Bases nearby", Some(narrowband_power::BASES_NEARBY), false),
+];
 
 /// This experiment's stream id for [`trial_seed`].
 pub(crate) const EXPERIMENT_ID: u64 = 8;
 
-/// Runs the experiment on an explicit executor; the five trials fan out independently.
+/// Runs the experiment on an explicit executor; the five trials fan out
+/// independently. Each is the spec with the phone power set (or the phones
+/// removed) and the outsider pair dropped where the paper logged none; all
+/// share propagation seed `seed`, and trial `i`'s scenario seed is
+/// `trial_seed(8, i)`.
 pub fn run_with(scale: Scale, seed: u64, exec: &Executor) -> NarrowbandResult {
     let packets = scale.packets(PAPER_PACKETS);
+    let base = Table10.spec();
     let trials = exec.map_with(
-        trial_specs(),
+        TRIALS.to_vec(),
         SimScratch::new,
         |scratch, i, (name, phone_power, outsiders)| {
-            let mut b = ScenarioBuilder::new(trial_seed(EXPERIMENT_ID, i as u64, seed));
-            let rx = b.station(StationConfig::receiver(
-                test_receiver(),
-                Point::feet(0.0, 0.0),
-            ));
-            let tx = b.station(StationConfig::sender(
-                test_sender(),
-                Point::feet(10.0, 0.0),
-                rx,
-            ));
-            if outsiders {
-                add_outsider_pair(&mut b, Point::feet(-430.0, 60.0), Point::feet(-540.0, 80.0));
+            let mut spec = base.clone();
+            match phone_power {
+                Some(power) => spec.interferers[0].power_dbm = power,
+                None => spec.interferers.clear(),
             }
-            if let Some(power) = phone_power {
-                b.ambient(narrowband_phone(power));
+            if !outsiders {
+                spec.stations.truncate(2);
             }
-            let mut scenario = b.build();
-            scenario.propagation = Propagation::indoor(seed);
-            let mut result = scenario.run_in(tx, packets, scratch);
-            attach_tx_count(&mut result, rx, tx);
-            let trace = result.traces[rx].clone().expect("receiver records");
+            let trial = spec
+                .run_pair(
+                    packets,
+                    trial_seed(EXPERIMENT_ID, i as u64, seed),
+                    seed,
+                    scratch,
+                )
+                .expect("the table10 spec builds");
             NarrowbandTrial {
                 name,
-                analysis: analyze(&trace, &expected_series()),
+                analysis: trial.analysis,
             }
         },
     );

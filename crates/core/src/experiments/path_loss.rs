@@ -10,14 +10,13 @@
 //! For each distance we run a short packet burst and record the min / mean /
 //! max *reported* level — the error bars of Figure 1.
 
-use super::common::{PointTrial, Scale};
+use super::common::Scale;
 use crate::executor::{trial_seed, Executor};
-use crate::layouts;
 use crate::registry::Experiment;
 use crate::spec::{PropagationSpec, ScenarioSpec};
 use wavelan_analysis::report::{Cell, Column, Table};
 use wavelan_analysis::{Block, Report, SignalStats};
-use wavelan_sim::{Point, Propagation, SimScratch};
+use wavelan_sim::SimScratch;
 
 /// This experiment's stream id for [`trial_seed`].
 pub(crate) const EXPERIMENT_ID: u64 = 2;
@@ -100,8 +99,8 @@ impl Experiment for Figure1 {
     }
 
     fn spec(&self) -> ScenarioSpec {
-        // The far end of the figure's ladder (60 ft) in the open lecture
-        // hall; sweeps perturb `stations[1].x_ft` to walk the ladder.
+        // The far end of the figure's ladder (60 ft) in the open lecture hall;
+        // the driver and sweeps move `stations[1].x_ft` to walk the ladder.
         ScenarioSpec::pair("figure1", (0.0, 0.0), (60.0, 0.0), 1_440)
             .with_propagation(PropagationSpec::lecture_hall())
     }
@@ -117,9 +116,10 @@ impl Experiment for Figure1 {
     }
 }
 
-/// Runs the experiment on an explicit executor; each distance point is an independent
-/// trial. The lecture-hall fading realization is shared (one room, one
-/// afternoon), while each point's traffic stream derives from its index.
+/// Runs the experiment on an explicit executor; each distance point is an
+/// independent trial of the spec with the sender moved. The lecture-hall
+/// fading realization is shared (one room, one afternoon: propagation seed
+/// `seed`), while point `i`'s scenario seed is `trial_seed(2, i)`.
 pub fn run_with(
     distances_ft: &[f64],
     packets_per_point: u64,
@@ -132,18 +132,19 @@ pub fn run_with(
     } else {
         distances_ft
     };
-    let (plan, rx) = layouts::lecture_hall_receiver();
+    let base = Figure1.spec();
     let samples = exec.map_with(distances.to_vec(), SimScratch::new, |scratch, i, d| {
-        let trial = PointTrial::new(
-            plan.clone(),
-            Propagation::lecture_hall(seed),
-            rx,
-            Point::feet(d.max(0.1), 0.0),
-            packets_per_point,
-            trial_seed(EXPERIMENT_ID, i as u64, seed),
-        );
-        let analysis = trial.analyze_in(scratch);
-        let (level, _, _) = analysis.stats_where(|p| p.is_test);
+        let mut spec = base.clone();
+        spec.stations[1].x_ft = d.max(0.1);
+        let trial = spec
+            .run_pair(
+                packets_per_point,
+                trial_seed(EXPERIMENT_ID, i as u64, seed),
+                seed,
+                scratch,
+            )
+            .expect("the figure1 spec builds");
+        let (level, _, _) = trial.analysis.stats_where(|p| p.is_test);
         DistanceSample {
             distance_ft: d,
             level,

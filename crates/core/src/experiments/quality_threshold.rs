@@ -9,16 +9,14 @@
 //! deliveries into silent drops — better for applications that prefer loss
 //! to corruption (video with FEC prefers corruption; TCP prefers loss).
 
-use super::common::{expected_series, test_receiver, test_sender, Scale};
+use super::common::Scale;
 use crate::calibration;
 use crate::executor::{trial_seed, Executor};
 use crate::registry::Experiment;
 use crate::spec::{interferer_from_source, ScenarioSpec};
 use wavelan_analysis::report::{Cell, Column, Table};
-use wavelan_analysis::{analyze, Block, PacketClass, Report};
-use wavelan_mac::Thresholds;
-use wavelan_sim::runner::attach_tx_count;
-use wavelan_sim::{Point, Propagation, ScenarioBuilder, SimScratch, StationConfig};
+use wavelan_analysis::{Block, PacketClass, Report};
+use wavelan_sim::SimScratch;
 
 /// One threshold's outcome.
 #[derive(Debug, Clone, Copy)]
@@ -122,9 +120,9 @@ impl Experiment for QualityThreshold {
     }
 
     fn spec(&self) -> ScenarioSpec {
-        // The mid rung of the quality ladder (threshold 11) over the
-        // AT&T-handset interference stream. Sweeps walk
-        // `stations[0].quality_threshold` through 1..=15.
+        // The mid rung of the quality ladder (threshold 11) over the AT&T-handset
+        // interference stream, shadowing pinned as in Tables 11–13. The driver and
+        // sweeps walk `stations[0].quality_threshold` through 1..=15.
         let mut spec = ScenarioSpec::pair("quality-threshold", (0.0, 0.0), (12.0, 0.0), 1_440)
             .with_interferer(interferer_from_source(&calibration::ss_phone_handset_only()))
             .with_interferer(interferer_from_source(
@@ -149,45 +147,32 @@ impl Experiment for QualityThreshold {
 /// This experiment's stream id for [`trial_seed`].
 pub(crate) const EXPERIMENT_ID: u64 = 11;
 
-/// [`run`] on an explicit executor. All five thresholds deliberately share
-/// one derived seed: the sweep filters the *same* packet stream, so the
-/// monotone filtered/delivered trade is exact, not statistical.
+/// [`run`] on an explicit executor: each sample is the spec at one
+/// receiver quality threshold. All five thresholds deliberately share one
+/// derived seed, `trial_seed(11, 0)`, for both scenario and propagation:
+/// the sweep filters the *same* packet stream, so the monotone
+/// filtered/delivered trade is exact, not statistical.
 pub(crate) fn run_with(scale: Scale, seed: u64, exec: &Executor) -> QualityThresholdResult {
     let packets = scale.packets(1_440);
     let shared = trial_seed(EXPERIMENT_ID, 0, seed);
+    let base = QualityThreshold.spec();
     let samples = exec.map_with(
         vec![1u8, 8, 11, 13, 15],
         SimScratch::new,
         |scratch, _, threshold| {
-            let mut b = ScenarioBuilder::new(shared);
-            let rx = b.station(StationConfig {
-                thresholds: Thresholds {
-                    receive_level: 3,
-                    quality: threshold,
-                },
-                ..StationConfig::receiver(test_receiver(), Point::feet(0.0, 0.0))
-            });
-            let tx = b.station(StationConfig::sender(
-                test_sender(),
-                Point::feet(12.0, 0.0),
-                rx,
-            ));
-            b.ambient(calibration::ss_phone_handset_only());
-            b.ambient(calibration::ss_phone_handset_residual());
-            let mut scenario = b.build();
-            let mut prop = Propagation::indoor(shared);
-            prop.shadowing_sigma_db = 0.0;
-            scenario.propagation = prop;
-            let mut result = scenario.run_in(tx, packets, scratch);
-            attach_tx_count(&mut result, rx, tx);
-            let analysis = analyze(result.trace(rx), &expected_series());
+            let mut spec = base.clone();
+            spec.stations[0].quality_threshold = threshold;
+            let trial = spec
+                .run_pair(packets, shared, shared, scratch)
+                .expect("the quality-threshold spec builds");
+            let analysis = &trial.analysis;
             let delivered = analysis.test_packets().count();
             QualitySample {
                 threshold,
                 delivered,
                 damaged_delivered: delivered - analysis.count(PacketClass::Undamaged),
                 truncated_delivered: analysis.count(PacketClass::Truncated),
-                filtered: result.packets_filtered[rx],
+                filtered: trial.result.packets_filtered[trial.rx],
             }
         },
     );

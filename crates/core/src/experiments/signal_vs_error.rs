@@ -11,14 +11,13 @@
 //! Figure 2 is derived from the same sweep: mean level and error rate per
 //! position, from which the shaded "error region" (level < 8) falls out.
 
-use super::common::{add_outsider_pair, expected_series, test_receiver, test_sender, Scale};
+use super::common::Scale;
 use crate::executor::{trial_seed, Executor};
 use crate::registry::Experiment;
 use crate::spec::ScenarioSpec;
 use wavelan_analysis::report::{signal_table, Cell, Column, SignalRow, Table};
-use wavelan_analysis::{analyze, Block, PacketClass, Report, TraceAnalysis};
-use wavelan_sim::runner::attach_tx_count;
-use wavelan_sim::{Point, ScenarioBuilder, SimScratch, StationConfig};
+use wavelan_analysis::{Block, PacketClass, Report, TraceAnalysis};
+use wavelan_sim::SimScratch;
 
 /// Sender distances (ft) whose calibrated levels ladder from ≈27 down into
 /// the error region (see the module docs of `crate::layouts` on distances).
@@ -142,9 +141,11 @@ fn budget(scale: Scale) -> u64 {
     POSITION_LADDER_FT.len() as u64 * scale.packets(8_634 / POSITION_LADDER_FT.len() as u64)
 }
 
-/// The ladder's deepest error-region rung (330 ft) with the outsider pair —
-/// the trial that produces the damaged-packet population both artifacts are
-/// about. Sweeps walk `stations[1].x_ft` back up the ladder.
+/// The ladder's deepest error-region rung (330 ft) with the outsider pair
+/// from a nearby building (one marginally audible, level ≈ 4–5 and usually
+/// damaged, the other far beyond it) — the trial that produces the
+/// damaged-packet population both artifacts are about. The driver and
+/// sweeps walk `stations[1].x_ft` back up the ladder.
 fn ladder_spec(name: &str) -> ScenarioSpec {
     let far = POSITION_LADDER_FT[POSITION_LADDER_FT.len() - 1];
     ScenarioSpec::pair(
@@ -231,33 +232,25 @@ impl Experiment for Figure2 {
 /// This experiment's stream id for [`trial_seed`].
 pub(crate) const EXPERIMENT_ID: u64 = 3;
 
-/// Runs the experiment on an explicit executor. Positions fan out independently; the
+/// Runs the experiment on an explicit executor. Position `i` is the spec
+/// with the sender on rung `i`, seeded `trial_seed(3, i)` for both its
+/// scenario and its propagation. Positions fan out independently; the
 /// pooled Table 3 trace concatenates per-position packets in ladder order,
 /// which the executor's ordered merge preserves exactly.
 pub fn run_with(scale: Scale, seed: u64, exec: &Executor) -> SignalVsErrorResult {
     let packets_per_position = scale.packets(8_634 / POSITION_LADDER_FT.len() as u64);
+    let base = ladder_spec("table3");
 
     let per_position =
         exec.map_indices_with(POSITION_LADDER_FT.len(), SimScratch::new, |scratch, i| {
             let d = POSITION_LADDER_FT[i];
-            let mut b = ScenarioBuilder::new(trial_seed(EXPERIMENT_ID, i as u64, seed));
-            let rx = b.station(StationConfig::receiver(
-                test_receiver(),
-                Point::feet(0.0, 0.0),
-            ));
-            let tx = b.station(StationConfig::sender(
-                test_sender(),
-                Point::feet(d, 0.0),
-                rx,
-            ));
-            // The outsiders: a pair from a nearby building, one marginally
-            // audible (level ≈ 4–5, usually damaged), the other far beyond it.
-            add_outsider_pair(&mut b, Point::feet(-430.0, 60.0), Point::feet(-540.0, 80.0));
-            let scenario = b.build();
-            let mut result = scenario.run_in(tx, packets_per_position, scratch);
-            attach_tx_count(&mut result, rx, tx);
-            let trace = result.traces[rx].clone().expect("receiver records");
-            let analysis = analyze(&trace, &expected_series());
+            let mut spec = base.clone();
+            spec.stations[1].x_ft = d;
+            let s = trial_seed(EXPERIMENT_ID, i as u64, seed);
+            let analysis = spec
+                .run_pair(packets_per_position, s, s, scratch)
+                .expect("the table3 spec builds")
+                .analysis;
 
             let (level, _, _) = analysis.stats_where(|p| p.is_test);
             let received = analysis.test_packets().count();

@@ -14,15 +14,14 @@
 //! distance is set so the *level* matches the paper's ≈29.6 — see
 //! `crate::layouts`).
 
-use super::common::{add_outsider_pair, expected_series, test_receiver, test_sender, Scale};
+use super::common::Scale;
 use crate::calibration;
 use crate::executor::{trial_seed, Executor};
 use crate::registry::Experiment;
 use crate::spec::{interferer_from_source, ScenarioSpec};
 use wavelan_analysis::report::{results_table, signal_table, SignalRow};
-use wavelan_analysis::{analyze, Block, PacketClass, Report, TraceAnalysis, TrialSummary};
-use wavelan_sim::runner::attach_tx_count;
-use wavelan_sim::{AmbientSource, Point, Propagation, ScenarioBuilder, SimScratch, StationConfig};
+use wavelan_analysis::{Block, PacketClass, Report, TraceAnalysis, TrialSummary};
+use wavelan_sim::{AmbientSource, SimScratch};
 
 /// The paper collected enough packets per run "to yield roughly 10⁷ bits of
 /// packet body" — ≈1,440 arriving packets; the jam trials need about twice
@@ -153,9 +152,11 @@ impl Experiment for Tables11To13 {
     }
 
     fn spec(&self) -> ScenarioSpec {
-        // The "AT&T handset" trial — the intermediate case with correctable
-        // body errors. Sweeps can walk the phone burst duty
-        // (`interferers[0].duty_pct`) or its power.
+        // The "AT&T handset" trial — the intermediate case with correctable body
+        // errors. The six trials share one physical placement; Table 12's tight
+        // per-trial level spreads say shadowing must not vary, so it is pinned.
+        // Sweeps can walk the phone burst duty (`interferers[0].duty_pct`) or its
+        // power.
         let mut spec = ScenarioSpec::pair("table11-13", (0.0, 0.0), (12.0, 0.0), PAPER_PACKETS)
             .with_interferer(interferer_from_source(&calibration::ss_phone_handset_only()))
             .with_interferer(interferer_from_source(
@@ -177,7 +178,7 @@ impl Experiment for Tables11To13 {
     }
 }
 
-/// Trial specifications: name, phone sources, outsiders.
+/// The six trials: name, phone sources, outsiders.
 fn trial_specs() -> Vec<(&'static str, Vec<AmbientSource>, bool)> {
     vec![
         ("Phones off", vec![], true),
@@ -227,8 +228,8 @@ pub(crate) const EXPERIMENT_ID: u64 = 9;
 /// [`run`] on an explicit executor; the six trials fan out independently.
 pub(crate) fn run_with(scale: Scale, seed: u64, exec: &Executor) -> SsPhoneResult {
     let packets = scale.packets(PAPER_PACKETS);
-    let trials = exec.map_with(trial_specs(), SimScratch::new, |scratch, i, spec| {
-        run_spec(i, spec, packets, seed, scratch)
+    let trials = exec.map_with(trial_specs(), SimScratch::new, |scratch, i, trial| {
+        run_spec(i, trial, packets, seed, scratch)
     });
     SsPhoneResult { trials }
 }
@@ -240,15 +241,17 @@ pub(crate) fn run_with(scale: Scale, seed: u64, exec: &Executor) -> SsPhoneResul
 /// "AT&T handset" environment.
 pub(crate) fn run_trial(name: &str, scale: Scale, seed: u64) -> SsPhoneTrial {
     let packets = scale.packets(PAPER_PACKETS);
-    let (i, spec) = trial_specs()
+    let (i, trial) = trial_specs()
         .into_iter()
         .enumerate()
         .find(|(_, s)| s.0 == name)
         .expect("trial exists");
-    run_spec(i, spec, packets, seed, &mut SimScratch::new())
+    run_spec(i, trial, packets, seed, &mut SimScratch::new())
 }
 
-/// One trial: build the scenario, run the channel, analyze the trace.
+/// Trial `i`: the spec with its phones swapped in and the outsider pair
+/// dropped where the paper logged none. All trials share propagation seed
+/// `seed`; trial `i`'s scenario seed is `trial_seed(9, i)`.
 fn run_spec(
     i: usize,
     (name, phones, outsiders): (&'static str, Vec<AmbientSource>, bool),
@@ -256,34 +259,22 @@ fn run_spec(
     seed: u64,
     scratch: &mut SimScratch,
 ) -> SsPhoneTrial {
-    let mut b = ScenarioBuilder::new(trial_seed(EXPERIMENT_ID, i as u64, seed));
-    let rx = b.station(StationConfig::receiver(
-        test_receiver(),
-        Point::feet(0.0, 0.0),
-    ));
-    let tx = b.station(StationConfig::sender(
-        test_sender(),
-        Point::feet(12.0, 0.0),
-        rx,
-    ));
-    if outsiders {
-        add_outsider_pair(&mut b, Point::feet(-430.0, 60.0), Point::feet(-540.0, 80.0));
+    let mut spec = Tables11To13.spec();
+    spec.interferers = phones.iter().map(interferer_from_source).collect();
+    if !outsiders {
+        spec.stations.truncate(2);
     }
-    for phone in phones {
-        b.ambient(phone);
-    }
-    let mut scenario = b.build();
-    // The six trials share one physical placement; Table 12's tight
-    // per-trial level spreads say shadowing must not vary, so pin it.
-    let mut prop = Propagation::indoor(seed);
-    prop.shadowing_sigma_db = 0.0;
-    scenario.propagation = prop;
-    let mut result = scenario.run_in(tx, packets, scratch);
-    attach_tx_count(&mut result, rx, tx);
-    let trace = result.traces[rx].take().expect("receiver records");
+    let trial = spec
+        .run_pair(
+            packets,
+            trial_seed(EXPERIMENT_ID, i as u64, seed),
+            seed,
+            scratch,
+        )
+        .expect("the table11-13 spec builds");
     SsPhoneTrial {
         name,
-        analysis: analyze(&trace, &expected_series()),
+        analysis: trial.analysis,
     }
 }
 

@@ -9,15 +9,15 @@
 //! The second wall consists of concrete blocks and reduces the signal level
 //! by only 2 points."
 
-use super::common::{PointTrial, Scale};
+use super::common::Scale;
 use crate::executor::{trial_seed, Executor};
 use crate::layouts;
 use crate::registry::Experiment;
-use crate::spec::ScenarioSpec;
+use crate::spec::{material_name, ScenarioSpec};
 use wavelan_analysis::report::{signal_table, SignalRow};
 use wavelan_analysis::{Block, Report, TraceAnalysis};
 use wavelan_phy::Material;
-use wavelan_sim::{Propagation, SimScratch};
+use wavelan_sim::SimScratch;
 
 /// This experiment's stream id for [`trial_seed`].
 pub(crate) const EXPERIMENT_ID: u64 = 5;
@@ -81,9 +81,12 @@ impl Experiment for Table4 {
     }
 
     fn spec(&self) -> ScenarioSpec {
-        // The Wall 1 trial: 7 ft separation through the plaster/wire-mesh
-        // wall, shadowing pinned as the driver does. Sweeps can move the
-        // wall (`walls[0].*`) or the sender (`stations[1].x_ft`).
+        // The Wall 1 trial: 7 ft separation through the plaster/wire-mesh wall.
+        // The paper measured these placements once each; its tight per-trial level
+        // spreads say the slow fading realization must not vary, so shadowing is
+        // pinned to zero and the calibrated wall/distance budget carries the
+        // level. Sweeps can move the wall (`walls[0].*`) or the sender
+        // (`stations[1].x_ft`).
         let (plan, _, _) = layouts::single_wall(Material::PlasterWireMesh, 0.0);
         let mut spec =
             ScenarioSpec::pair("table4", (0.0, 0.0), (7.0, 0.0), PAPER_PACKETS).with_plan(&plan);
@@ -102,47 +105,42 @@ impl Experiment for Table4 {
     }
 }
 
-/// Runs the experiment on an explicit executor; the four trials fan out independently.
-/// Each air/wall pair derives its shared seed from the *pair* index, keeping
-/// the paper's matched-placement method intact under parallel execution.
+/// Runs the experiment on an explicit executor; the four trials fan out
+/// independently. Each trial is the spec with the wall's material swapped
+/// (or the wall removed for the matched air trial) and the sender moved
+/// back; an air/wall pair shares one seed, `trial_seed(5, pair)`, for both
+/// its scenario and its propagation, keeping the paper's matched-placement
+/// method intact under parallel execution.
 pub fn run_with(scale: Scale, seed: u64, exec: &Executor) -> WallsResult {
     let packets = scale.packets(PAPER_PACKETS);
-    let specs: [(&'static str, Option<Material>, f64, u64); 4] = [
+    let base = Table4.spec();
+    let cases: [(&'static str, Option<Material>, f64, u64); 4] = [
         ("Air 1", None, 0.0, 0),
         ("Wall 1", Some(Material::PlasterWireMesh), 0.0, 0),
         ("Air 2", None, 4.0, 1),
         ("Wall 2", Some(Material::ConcreteBlock), 4.0, 1),
     ];
     let trials = exec.map_with(
-        specs.to_vec(),
+        cases.to_vec(),
         SimScratch::new,
         |scratch, _, (name, material, extra_ft, pair)| {
+            let mut spec = base.clone();
+            match material {
+                Some(m) => spec.walls[0].material = material_name(m),
+                None => spec.walls.clear(),
+            }
+            spec.stations[1].x_ft += extra_ft;
             let s = trial_seed(EXPERIMENT_ID, pair, seed);
-            let (plan, rx, tx) = match material {
-                Some(m) => layouts::single_wall(m, extra_ft),
-                None => {
-                    // The matched air trial at the same total separation.
-                    let (plan, rx, _) = layouts::office();
-                    (plan, rx, wavelan_sim::Point::feet(7.0 + extra_ft, 0.0))
-                }
-            };
-            let trial = PointTrial::new(plan, pinned_propagation(s), rx, tx, packets, s);
+            let trial = spec
+                .run_pair(packets, s, s, scratch)
+                .expect("the table4 spec builds");
             WallTrial {
                 name,
-                analysis: trial.analyze_in(scratch),
+                analysis: trial.analysis,
             }
         },
     );
     WallsResult { trials }
-}
-
-/// The paper measured these placements once each; its tight per-trial level
-/// spreads say the slow fading realization must not vary, so shadowing is
-/// pinned to zero and the calibrated wall/distance budget carries the level.
-fn pinned_propagation(seed: u64) -> Propagation {
-    let mut p = Propagation::indoor(seed);
-    p.shadowing_sigma_db = 0.0;
-    p
 }
 
 #[cfg(test)]

@@ -9,22 +9,6 @@
 use wavelan_phy::Material;
 use wavelan_sim::{FloorPlan, Point, Segment};
 
-/// The Table 2 office: open room, stations ≈7 ft apart.
-pub(crate) fn office() -> (FloorPlan, Point, Point) {
-    (
-        FloorPlan::open(),
-        Point::feet(0.0, 0.0),
-        Point::feet(7.0, 0.0),
-    )
-}
-
-/// The Figures 1–2 lecture hall: open space; the receiver sits against a
-/// wall and the transmitter moves away from it (use
-/// `Propagation::lecture_hall` with this).
-pub(crate) fn lecture_hall_receiver() -> (FloorPlan, Point) {
-    (FloorPlan::open(), Point::feet(0.0, 0.0))
-}
-
 /// The Table 4 single-wall setup: stations 7 ft apart, a wall of the given
 /// material midway (the concrete case adds ≈4 ft of extra free space, as in
 /// the paper).
@@ -34,8 +18,9 @@ pub(crate) fn single_wall(material: Material, extra_space_ft: f64) -> (FloorPlan
     (plan, Point::feet(0.0, 0.0), Point::feet(tx_x, 0.0))
 }
 
-/// The multi-room layout of the paper's Figure 4 (used by Tables 5–7 and by
-/// the Table 14 competing-transmitter experiment).
+/// The multi-room layout of the paper's Figure 4 (used by Tables 5–7, whose
+/// four sender placements are `crate::experiments::multiroom::LOCATIONS`,
+/// and by the Table 14 competing-transmitter experiment).
 ///
 /// Calibrated levels at the receiver (paper values in parentheses):
 /// Tx1 ≈ 28.5 (28.58), Tx2 ≈ 25.9 (26.66), Tx4 ≈ 14.2 (13.81),
@@ -47,8 +32,6 @@ pub(crate) struct MultiRoom {
     pub rx: Point,
     /// Same office, diagonally opposite (≈9 ft).
     pub tx1: Point,
-    /// Through one concrete-block wall (≈10 ft).
-    pub tx2: Point,
     /// ≈45 ft, two concrete walls.
     pub tx4: Point,
     /// ≈30 ft, a concrete wall plus metal and furniture.
@@ -79,7 +62,6 @@ pub(crate) fn multiroom() -> MultiRoom {
         plan,
         rx: Point::feet(0.0, 0.0),
         tx1: Point::feet(6.0, 6.5),
-        tx2: Point::feet(10.0, 0.0),
         tx4: Point::feet(45.0, 0.0),
         tx5: Point::feet(28.5, -9.5),
     }
@@ -111,6 +93,8 @@ pub(crate) fn add_body(plan: &mut FloorPlan) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{in_room, multiroom};
+    use crate::registry::Experiment;
     use wavelan_phy::agc::power_to_level_units;
     use wavelan_sim::Propagation;
 
@@ -122,6 +106,22 @@ mod tests {
         let mut p = Propagation::indoor(0);
         p.shadowing_sigma_db = 0.0;
         p
+    }
+
+    /// The Table 2 office: open room, the in-room spec's stations.
+    fn office() -> (FloorPlan, Point, Point) {
+        let spec = in_room::Table2.spec();
+        let (rx, tx) = (spec.stations[0].position(), spec.stations[1].position());
+        (FloorPlan::open(), rx, tx)
+    }
+
+    /// One of the multi-room driver's sender placements, by label.
+    fn placement(label: &str) -> Point {
+        let (_, _, (x_ft, y_ft)) = multiroom::LOCATIONS
+            .into_iter()
+            .find(|l| l.0 == label)
+            .expect("location exists");
+        Point::feet(x_ft, y_ft)
     }
 
     #[test]
@@ -136,13 +136,13 @@ mod tests {
         let m = multiroom();
         let p = no_shadow();
         let targets = [
-            (m.tx1, 28.58, 1.5),
-            (m.tx2, 26.66, 1.5),
-            (m.tx4, 13.81, 1.5),
-            (m.tx5, 9.50, 1.5),
+            ("Tx1", 28.58, 1.5),
+            ("Tx2", 26.66, 1.5),
+            ("Tx4", 13.81, 1.5),
+            ("Tx5", 9.50, 1.5),
         ];
         for (tx, target, tol) in targets {
-            let l = level(&p, &m.plan, tx, m.rx);
+            let l = level(&p, &m.plan, placement(tx), m.rx);
             assert!((l - target).abs() < tol, "level {l} vs paper {target}");
         }
     }
@@ -150,12 +150,12 @@ mod tests {
     #[test]
     fn multiroom_walls_crossed_as_designed() {
         let m = multiroom();
-        assert_eq!(m.plan.materials_crossed(m.rx, m.tx1).len(), 0);
+        assert_eq!(m.plan.materials_crossed(m.rx, placement("Tx1")).len(), 0);
         assert_eq!(
-            m.plan.materials_crossed(m.rx, m.tx2),
+            m.plan.materials_crossed(m.rx, placement("Tx2")),
             vec![Material::ConcreteBlock]
         );
-        let tx4 = m.plan.materials_crossed(m.rx, m.tx4);
+        let tx4 = m.plan.materials_crossed(m.rx, placement("Tx4"));
         assert_eq!(
             tx4.iter()
                 .filter(|&&w| w == Material::ConcreteBlock)
@@ -163,7 +163,7 @@ mod tests {
             2,
             "{tx4:?}"
         );
-        let tx5 = m.plan.materials_crossed(m.rx, m.tx5);
+        let tx5 = m.plan.materials_crossed(m.rx, placement("Tx5"));
         assert!(tx5.contains(&Material::Metal), "{tx5:?}");
         assert!(tx5.contains(&Material::ConcreteBlock), "{tx5:?}");
     }

@@ -13,9 +13,7 @@
 //!
 //! Scale-free quantities only: checks constrain loss *fractions*, per-packet
 //! signal means, level *differences* and class *ratios* — never raw packet
-//! counts, which change with `--scale`. The handful of claims that need
-//! paper-length trials to be statistically meaningful carry a
-//! [`min_scale`](Check::min_scale) gate.
+//! counts, which change with `--scale`. Every check runs at every scale.
 
 use crate::expect::{Check, Expected, Quantity, RowKey, TableExpectation};
 use wavelan_analysis::StatField;

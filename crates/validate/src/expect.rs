@@ -8,7 +8,6 @@
 //! the unit the harness reports a verdict for.
 
 use wavelan_analysis::{Report, StatField, Table};
-use wavelan_core::Scale;
 
 /// How a check's row is located inside its table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,10 +149,10 @@ pub enum Verdict {
     /// Outside the stated band but inside the warn band — drifting, not
     /// broken.
     Warn,
-    /// Outside the warn band, the quantity failed to resolve, or a table
-    /// has no checks runnable at this scale.
+    /// Outside the warn band, or the quantity failed to resolve.
     Fail,
-    /// Not evaluated at this scale (too few packets to be meaningful).
+    /// Nothing judged: the worst verdict of an empty set of checks. Every
+    /// corpus check runs at every scale, so no check reports it.
     Skip,
 }
 
@@ -234,15 +233,10 @@ pub struct Check {
     pub quantity: Quantity,
     /// The band it must land in.
     pub expected: Expected,
-    /// Smallest scale at which the claim is statistically meaningful;
-    /// below it the check reports [`Verdict::Skip`]. Claims about
-    /// rare-event counts (truncations in a quiet room) need paper-length
-    /// trials; signal-level means are stable even at smoke scale.
-    pub min_scale: Scale,
 }
 
 impl Check {
-    /// A check evaluated at every scale.
+    /// A check (evaluated at every scale).
     pub(crate) fn new(
         id: &'static str,
         paper: &'static str,
@@ -254,21 +248,7 @@ impl Check {
             paper,
             quantity,
             expected,
-            min_scale: Scale::Smoke,
         }
-    }
-
-    /// Whether the check runs at `scale`.
-    pub(crate) fn runs_at(&self, scale: Scale) -> bool {
-        scale_rank(scale) >= scale_rank(self.min_scale)
-    }
-}
-
-fn scale_rank(scale: Scale) -> u8 {
-    match scale {
-        Scale::Smoke => 0,
-        Scale::Reduced => 1,
-        Scale::Paper => 2,
     }
 }
 
@@ -317,24 +297,5 @@ mod tests {
         assert_eq!(Expected::AtMost(5.0).judge(5.0), Verdict::Pass);
         assert_eq!(Expected::AtMost(5.0).judge(5.1), Verdict::Fail);
         assert_eq!(Expected::AtLeast(5.0).judge(4.9), Verdict::Fail);
-    }
-
-    #[test]
-    fn min_scale_gates_evaluation() {
-        let mut c = Check::new(
-            "x",
-            "",
-            Quantity::Cell(CellRef {
-                table: "T",
-                row: RowKey::Index(0),
-                column: "c",
-                stat: None,
-            }),
-            Expected::AtLeast(0.0),
-        );
-        c.min_scale = Scale::Paper;
-        assert!(!c.runs_at(Scale::Smoke));
-        assert!(!c.runs_at(Scale::Reduced));
-        assert!(c.runs_at(Scale::Paper));
     }
 }

@@ -57,12 +57,11 @@ pub struct CheckResult {
     pub paper: &'static str,
     /// The band, as text (`"14.15 ± 2.5"`).
     pub expected: String,
-    /// The aggregated observation; `None` when skipped or unresolvable.
+    /// The aggregated observation; `None` when unresolvable.
     pub observed: Option<Observed>,
     /// The verdict.
     pub verdict: Verdict,
-    /// Why, when the verdict needs explaining (resolution failure, skip
-    /// reason).
+    /// Why, when the verdict needs explaining (a resolution failure).
     pub note: Option<String>,
 }
 
@@ -86,8 +85,7 @@ pub struct TableResult {
     pub paper_table: &'static str,
     /// The registry artifact the checks resolved against.
     pub artifact: &'static str,
-    /// Worst verdict among non-skipped checks ([`Verdict::Skip`] when the
-    /// scale evaluated none of them).
+    /// Worst verdict among its checks ([`Verdict::Skip`] when it has none).
     pub verdict: Verdict,
     /// Per-check results, corpus order.
     pub checks: Vec<CheckResult>,
@@ -113,7 +111,8 @@ pub struct Counts {
     pub warn: u64,
     /// Checks that failed.
     pub fail: u64,
-    /// Checks skipped at this scale.
+    /// Checks not judged — always 0, as every check runs at every scale;
+    /// kept so the report's shape is stable.
     pub skip: u64,
 }
 
@@ -266,7 +265,7 @@ pub fn run(config: &Config, exec: &Executor) -> FidelityReport {
                 .find(|(name, _)| *name == expectation.artifact)
                 .expect("artifact was run above")
                 .1;
-            let result = judge_table(expectation, runs, config.scale);
+            let result = judge_table(expectation, runs);
             for check in &result.checks {
                 match check.verdict {
                     Verdict::Pass => counts.pass += 1,
@@ -289,24 +288,11 @@ pub fn run(config: &Config, exec: &Executor) -> FidelityReport {
     }
 }
 
-fn judge_table(expectation: &TableExpectation, runs: &[Report], scale: Scale) -> TableResult {
+fn judge_table(expectation: &TableExpectation, runs: &[Report]) -> TableResult {
     let checks: Vec<CheckResult> = expectation
         .checks
         .iter()
         .map(|check| {
-            if !check.runs_at(scale) {
-                return CheckResult {
-                    id: check.id,
-                    paper: check.paper,
-                    expected: check.expected.describe(),
-                    observed: None,
-                    verdict: Verdict::Skip,
-                    note: Some(format!(
-                        "needs --scale {} or larger",
-                        check.min_scale.name()
-                    )),
-                };
-            }
             let mut values = Vec::with_capacity(runs.len());
             for report in runs {
                 match check.quantity.resolve(report) {

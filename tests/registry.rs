@@ -2,7 +2,30 @@
 //! are honest, and the registry's static tables stay in sync.
 
 use std::collections::HashSet;
-use wavelan_core::{registry, Executor, Scale};
+use std::path::Path;
+use wavelan_core::{registry, registry_spec_hashes, Executor, Scale};
+
+/// Every artifact's canonical spec hash is pinned: an edit to any `spec()`
+/// re-keys the result store and every trace header, so it must show up as
+/// a diff of `tests/golden/spec_hashes.txt` (regenerate an intentional one
+/// with `UPDATE_GOLDEN=1 cargo test --test registry`).
+#[test]
+fn spec_hashes_match_golden() {
+    let rendered: String = registry_spec_hashes()
+        .iter()
+        .map(|(name, hash)| format!("{name} {hash:016x}\n"))
+        .collect();
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/spec_hashes.txt");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &rendered).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).expect("golden spec hashes");
+    assert_eq!(
+        rendered, golden,
+        "an artifact spec changed — if intentional, regenerate with UPDATE_GOLDEN=1"
+    );
+}
 
 /// Canonical names and aliases never collide.
 #[test]
