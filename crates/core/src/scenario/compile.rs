@@ -9,13 +9,17 @@
 //! not the station ids, not a single directive.
 
 use super::error::ScenarioError;
-use super::model::{Action, Knob, Require, Role, ScenarioScript, StationSpec, TrafficSpec};
+use super::model::{Action, Knob, Require, Role, ScenarioScript, StationSpec};
 use std::collections::{BTreeMap, HashMap};
 use wavelan_sim::station::{FrameKind, Traffic};
 use wavelan_sim::{
     Directive, DirectiveOp, Point, Scenario as SimScenario, ScenarioBuilder, StationConfig,
     StationId,
 };
+
+/// Virtual time every scenario runs past its last scheduled event before it
+/// is declared quiescent, ns: gives in-flight MAC backlogs time to drain.
+const DRAIN_NS: u64 = 50_000_000;
 
 /// A mid-run probe: an `assert` event lowered to a counter snapshot plus the
 /// condition judged against it.
@@ -164,7 +168,7 @@ impl ScenarioScript {
 
         // --- Pass 2: build station configs (all places are known now, so
         // peers can point forward) ---------------------------------------
-        let mut builder = ScenarioBuilder::new(self.seed).floorplan(self.floorplan.clone());
+        let mut builder = ScenarioBuilder::new(self.seed);
         let mut configs: Vec<Option<StationConfig>> = vec![None; station_names.len()];
         let mut positions: Vec<Point> = vec![Point::new(0.0, 0.0); station_names.len()];
         let mut records_trace: Vec<bool> = vec![false; station_names.len()];
@@ -193,60 +197,21 @@ impl ScenarioScript {
                 Action::PlaceInterferer { source } => {
                     builder.ambient(*source);
                 }
-                Action::SetKnob { knob } => match knob {
-                    Knob::CaptureMarginDb(margin_db) => directives.push(Directive {
-                        at_ns,
-                        op: DirectiveOp::SetCaptureMargin {
-                            margin_db: *margin_db,
-                        },
-                    }),
-                    Knob::ShadowingSigmaDb(sigma) => {
-                        if at_ns != 0 {
-                            return Err(ScenarioError::KnobNotScriptable {
-                                event: e.name.clone(),
-                                knob: "shadowing_sigma_db",
-                                detail: format!(
-                                    "propagation is frozen once the trial starts; this knob \
-                                     would fire at t={at_ns} ns, it must fire at t=0"
-                                ),
-                            });
-                        }
-                        shadowing_override = Some(*sigma);
-                    }
-                    Knob::Thresholds {
-                        station,
-                        thresholds,
-                    } => {
-                        let id = station_id(station, ctx())?;
-                        directives.push(Directive {
-                            at_ns,
-                            op: DirectiveOp::SetThresholds {
-                                station: id,
-                                thresholds: *thresholds,
-                            },
+                Action::SetKnob {
+                    knob: Knob::ShadowingSigmaDb(sigma),
+                } => {
+                    if at_ns != 0 {
+                        return Err(ScenarioError::KnobNotScriptable {
+                            event: e.name.clone(),
+                            knob: "shadowing_sigma_db",
+                            detail: format!(
+                                "propagation is frozen once the trial starts; this knob \
+                                 would fire at t={at_ns} ns, it must fire at t=0"
+                            ),
                         });
                     }
-                    Knob::Traffic { station, traffic } => {
-                        let id = station_id(station, ctx())?;
-                        let traffic = match traffic {
-                            TrafficSpec::None => Traffic::None,
-                            TrafficSpec::Periodic { peer, interval_ns } => Traffic::Periodic {
-                                peer: station_id(peer, ctx())?,
-                                interval_ns: *interval_ns,
-                            },
-                            TrafficSpec::Saturate { peer } => Traffic::Saturate {
-                                peer: station_id(peer, ctx())?,
-                            },
-                        };
-                        directives.push(Directive {
-                            at_ns,
-                            op: DirectiveOp::SetTraffic {
-                                station: id,
-                                traffic,
-                            },
-                        });
-                    }
-                },
+                    shadowing_override = Some(*sigma);
+                }
                 Action::Move {
                     station,
                     to,
@@ -347,7 +312,7 @@ impl ScenarioScript {
             sim.propagation.shadowing_sigma_db = sigma;
         }
 
-        let limit_ns = end_ns.iter().copied().max().unwrap_or(0) + self.drain_ns;
+        let limit_ns = end_ns.iter().copied().max().unwrap_or(0) + DRAIN_NS;
         Ok(CompiledScenario {
             name: self.name.clone(),
             sim,
@@ -391,7 +356,6 @@ fn station_config(
 ) -> Result<StationConfig, ScenarioError> {
     let mut config = match &spec.role {
         Role::Receiver => StationConfig::receiver(spec.endpoint, spec.pos),
-        Role::Sender { peer } => StationConfig::sender(spec.endpoint, spec.pos, station_id(peer)?),
         Role::Chatterer { peer, interval_ns } => {
             let peer = station_id(peer)?;
             let mut c = StationConfig::sender(spec.endpoint, spec.pos, peer);

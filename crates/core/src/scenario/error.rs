@@ -1,11 +1,11 @@
-//! Typed failures of scenario compilation and judging. Every variant names
-//! the offending event or require — scripts fail with diagnoses, never
-//! panics.
+//! Typed failures of scenario compilation. Every variant names the
+//! offending event or require — scripts fail with diagnoses, never panics.
+//! A condition that does not hold at run time is not an error: it is a
+//! failed [`super::run::Judgment`].
 
-use super::model::Cmp;
 use std::fmt;
 
-/// Why a scenario script could not be compiled or did not hold.
+/// Why a scenario script could not be compiled.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
     /// Two events share a name.
@@ -69,31 +69,6 @@ pub enum ScenarioError {
         /// The traceless station.
         station: String,
     },
-    /// A judged condition did not hold. Boxed: this diagnosis-rich variant
-    /// would otherwise dominate the size of every compile-path `Result`.
-    RequireUnsatisfied(Box<RequireFailure>),
-}
-
-/// The full diagnosis of a violated `require` —
-/// [`ScenarioError::RequireUnsatisfied`]'s payload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RequireFailure {
-    /// The scenario.
-    pub scenario: String,
-    /// The failed require's name.
-    pub require: String,
-    /// The `assert` event that carried it (None for a final require).
-    pub event: Option<String>,
-    /// The quantity, rendered.
-    pub quantity: String,
-    /// The measured value.
-    pub actual: f64,
-    /// The comparison that failed.
-    pub cmp: Cmp,
-    /// The bound.
-    pub bound: f64,
-    /// The relevant trace slice (or counter context) at judging time.
-    pub context: String,
 }
 
 impl fmt::Display for ScenarioError {
@@ -145,25 +120,6 @@ impl fmt::Display for ScenarioError {
                     f,
                     "{context} needs a receive trace, but station {station:?} records none"
                 )
-            }
-            ScenarioError::RequireUnsatisfied(fail) => {
-                write!(
-                    f,
-                    "scenario {:?}: require {:?} violated: {} = {} (want {} {})",
-                    fail.scenario,
-                    fail.require,
-                    fail.quantity,
-                    fail.actual,
-                    fail.cmp.symbol(),
-                    fail.bound
-                )?;
-                if let Some(event) = &fail.event {
-                    write!(f, " at assert event {event:?}")?;
-                }
-                if !fail.context.is_empty() {
-                    write!(f, "\n{}", fail.context)?;
-                }
-                Ok(())
             }
         }
     }

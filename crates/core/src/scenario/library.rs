@@ -400,6 +400,20 @@ pub(crate) const OVEN_DUTIES: [u32; 3] = [0, 25, 50];
 /// test packets).
 pub(crate) const OVEN_BODIES: [u16; 3] = [64, 512, 1024];
 
+/// Every duty × length cell, in grid order (the order of the report's rows
+/// and of the per-cell seeds).
+fn oven_cells() -> Vec<OvenCell> {
+    OVEN_DUTIES
+        .iter()
+        .flat_map(|&duty_percent| {
+            OVEN_BODIES.iter().map(move |&body_bytes| OvenCell {
+                duty_percent,
+                body_bytes,
+            })
+        })
+        .collect()
+}
+
 /// Packets per sweep cell at `scale`.
 pub(crate) fn oven_cell_packets(scale: Scale) -> u64 {
     match scale {
@@ -524,6 +538,18 @@ pub(crate) struct DenseCell {
 pub(crate) const DENSE_NEAR_FT: [f64; 2] = [7.0, 14.0];
 /// Interferer distances swept, feet.
 pub(crate) const DENSE_FAR_FT: [f64; 3] = [25.0, 60.0, 160.0];
+
+/// Every sender × rival distance cell, in grid order.
+fn dense_cells() -> Vec<DenseCell> {
+    DENSE_NEAR_FT
+        .iter()
+        .flat_map(|&near_ft| {
+            DENSE_FAR_FT
+                .iter()
+                .map(move |&far_ft| DenseCell { near_ft, far_ft })
+        })
+        .collect()
+}
 
 /// Packets per matrix cell at `scale`.
 pub(crate) fn dense_cell_packets(scale: Scale) -> u64 {
@@ -728,23 +754,17 @@ fn judged_value(outcome: &ScenarioOutcome, require_name: &str) -> f64 {
 /// are reassembled in grid order).
 pub(crate) fn oven_sweep(seed: u64, scale: Scale, exec: &Executor) -> ScenarioRun {
     let packets = oven_cell_packets(scale);
-    let cells: Vec<OvenCell> = OVEN_DUTIES
-        .iter()
-        .flat_map(|&duty_percent| {
-            OVEN_BODIES.iter().map(move |&body_bytes| OvenCell {
-                duty_percent,
-                body_bytes,
-            })
-        })
-        .collect();
-    let outcomes: Vec<(OvenCell, ScenarioOutcome)> =
-        exec.map_with(cells, SimScratch::new, move |scratch, index, cell| {
+    let outcomes: Vec<(OvenCell, ScenarioOutcome)> = exec.map_with(
+        oven_cells(),
+        SimScratch::new,
+        move |scratch, index, cell| {
             let script = oven_cell(trial_seed(STREAM_OVEN, index as u64, seed), cell, packets);
             let compiled = script
                 .compile()
                 .unwrap_or_else(|e| panic!("oven cell must compile: {e}"));
             (cell, compiled.run_in(scratch))
-        });
+        },
+    );
 
     // Judgments: every cell's, then the sweep-shape conditions. Intact
     // delivery must not *improve* when packets get longer at a fixed duty
@@ -849,16 +869,10 @@ pub(crate) fn oven_sweep(seed: u64, scale: Scale, exec: &Executor) -> ScenarioRu
 /// The dense-cell capture matrix, fanned out through `exec`.
 pub(crate) fn dense_cell_matrix(seed: u64, scale: Scale, exec: &Executor) -> ScenarioRun {
     let packets = dense_cell_packets(scale);
-    let cells: Vec<DenseCell> = DENSE_NEAR_FT
-        .iter()
-        .flat_map(|&near_ft| {
-            DENSE_FAR_FT
-                .iter()
-                .map(move |&far_ft| DenseCell { near_ft, far_ft })
-        })
-        .collect();
-    let outcomes: Vec<(DenseCell, ScenarioOutcome, f64)> =
-        exec.map_with(cells, SimScratch::new, move |scratch, index, cell| {
+    let outcomes: Vec<(DenseCell, ScenarioOutcome, f64)> = exec.map_with(
+        dense_cells(),
+        SimScratch::new,
+        move |scratch, index, cell| {
             let script = dense_cell(trial_seed(STREAM_DENSE, index as u64, seed), cell, packets);
             let compiled = script
                 .compile()
@@ -875,7 +889,8 @@ pub(crate) fn dense_cell_matrix(seed: u64, scale: Scale, exec: &Executor) -> Sce
                 .count() as f64;
             let delivery = delivered / outcome.result.packets_transmitted[tx] as f64;
             (cell, outcome, delivery)
-        });
+        },
+    );
 
     let delivery = |near: f64, far: f64| -> f64 {
         outcomes
@@ -968,5 +983,115 @@ pub(crate) fn dense_cell_matrix(seed: u64, scale: Scale, exec: &Executor) -> Sce
             blocks,
         ),
         judgments,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// Every script the library runs: the three single runs and every oven
+    /// and dense-cell matrix cell.
+    fn library_scripts() -> Vec<ScenarioScript> {
+        let scale = Scale::Smoke;
+        let mut scripts = vec![
+            capture_chatter(1, scale, threshold_25()),
+            equal_power(1),
+            walk_by(1, scale),
+        ];
+        scripts.extend(oven_cells().into_iter().map(|c| oven_cell(1, c, 1)));
+        scripts.extend(dense_cells().into_iter().map(|c| dense_cell(1, c, 1)));
+        scripts
+    }
+
+    // The matches below are exhaustive on purpose: a new variant does not
+    // compile until it gets an arm (and a name in the test's `vocabulary`),
+    // and the test then fails until some library scenario uses it.
+
+    fn action_name(action: &Action) -> &'static str {
+        match action {
+            Action::Place { .. } => "place",
+            Action::PlaceInterferer { .. } => "place_interferer",
+            Action::SetKnob {
+                knob: Knob::ShadowingSigmaDb(_),
+            } => "set_knob(shadowing_sigma_db)",
+            Action::Move { .. } => "move",
+            Action::Transmit { .. } => "transmit",
+            Action::Wait { .. } => "wait",
+            Action::Assert { .. } => "assert",
+        }
+    }
+
+    fn role_name(role: &Role) -> &'static str {
+        match role {
+            Role::Receiver => "receiver",
+            Role::Chatterer { .. } => "chatterer",
+            Role::Jammer { .. } => "jammer",
+            Role::Scripted { .. } => "scripted",
+        }
+    }
+
+    fn quantity_name(quantity: &Quantity) -> &'static str {
+        match quantity {
+            Quantity::Transmitted { .. } => "transmitted",
+            Quantity::Delivered { .. } => "delivered",
+            Quantity::Truncated { .. } => "truncated",
+            Quantity::CapturesMade { .. } => "captures_made",
+            Quantity::Deferrals { .. } => "deferrals",
+            Quantity::OverlapCount => "overlap_count",
+            Quantity::DeliveryRatio { .. } => "delivery_ratio",
+            Quantity::IntactRatio { .. } => "intact_ratio",
+        }
+    }
+
+    #[test]
+    fn every_vocabulary_variant_has_a_library_user() {
+        let mut seen: BTreeSet<&str> = BTreeSet::new();
+        for script in library_scripts() {
+            seen.extend(script.requires.iter().map(|r| quantity_name(&r.quantity)));
+            for event in &script.events {
+                seen.insert(action_name(&event.action));
+                match &event.action {
+                    Action::Place { spec, .. } => {
+                        seen.insert(role_name(&spec.role));
+                    }
+                    Action::Assert { require } => {
+                        seen.insert(quantity_name(&require.quantity));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let vocabulary = [
+            "place",
+            "place_interferer",
+            "set_knob(shadowing_sigma_db)",
+            "move",
+            "transmit",
+            "wait",
+            "assert",
+            "receiver",
+            "chatterer",
+            "jammer",
+            "scripted",
+            "transmitted",
+            "delivered",
+            "truncated",
+            "captures_made",
+            "deferrals",
+            "overlap_count",
+            "delivery_ratio",
+            "intact_ratio",
+        ];
+        let unused: Vec<&str> = vocabulary
+            .iter()
+            .copied()
+            .filter(|name| !seen.contains(name))
+            .collect();
+        assert!(unused.is_empty(), "no library scenario uses {unused:?}");
+        // Every name a match can return is listed above.
+        let unlisted: Vec<&&str> = seen.iter().filter(|n| !vocabulary.contains(n)).collect();
+        assert!(unlisted.is_empty(), "unlisted vocabulary {unlisted:?}");
     }
 }

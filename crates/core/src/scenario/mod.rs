@@ -17,15 +17,17 @@
 //!   parents, waits and walks advance time, and the trial runs until the
 //!   timetable is exhausted and the MAC drains.
 //! * **Structured verdicts.** Mid-run `assert` probes and post-run
-//!   `require` conditions become [`run::Judgment`]s; a failure names the
-//!   violated condition and quotes the relevant trace slice
-//!   ([`error::ScenarioError::RequireUnsatisfied`]). Malformed scripts —
-//!   cyclic DAGs, unknown stations, late placements — fail compilation
-//!   with typed errors, never panics.
+//!   `require` conditions become [`run::Judgment`]s; a failed one names
+//!   the violated condition, its value and bound, and quotes the relevant
+//!   trace slice ([`run::Judgment::context`]). Malformed scripts — cyclic
+//!   DAGs, unknown stations, late placements — fail compilation with typed
+//!   [`ScenarioError`]s, never panics.
 //!
 //! [`library`] holds the named scenarios (`repro --scenario <name>`): the
 //! ported capture/chatter conformance scripts plus the walk-by,
-//! oven-sweep, and dense-cell studies.
+//! oven-sweep, and dense-cell studies. The vocabulary holds only what they
+//! use; a unit test there fails if some `Action`, `Role` or `Quantity`
+//! variant has no library user.
 
 pub mod compile;
 pub mod error;

@@ -10,7 +10,7 @@
 
 use wavelan_mac::Thresholds;
 use wavelan_net::testpkt::Endpoint;
-use wavelan_sim::{AmbientSource, FloorPlan, Point};
+use wavelan_sim::{AmbientSource, Point};
 
 /// A complete declarative scenario: events on a happens-after DAG plus the
 /// post-quiescence `require` conditions.
@@ -20,11 +20,6 @@ pub struct ScenarioScript {
     pub name: String,
     /// Master seed: same seed + same DAG ⇒ bit-identical trace.
     pub seed: u64,
-    /// Building geometry (default: open floor).
-    pub floorplan: FloorPlan,
-    /// Extra virtual time after the last scheduled event before the run is
-    /// declared quiescent, ns. Gives in-flight MAC backlogs time to drain.
-    pub drain_ns: u64,
     /// The event DAG.
     pub events: Vec<EventSpec>,
     /// Conditions judged against the final state.
@@ -32,13 +27,12 @@ pub struct ScenarioScript {
 }
 
 impl ScenarioScript {
-    /// An empty script with an open floor plan and a 50 ms drain.
+    /// An empty script. Every script runs on the open floor and drains for
+    /// 50 ms after its last event (see [`super::compile`]).
     pub fn new(name: impl Into<String>, seed: u64) -> ScenarioScript {
         ScenarioScript {
             name: name.into(),
             seed,
-            floorplan: FloorPlan::open(),
-            drain_ns: 50_000_000,
             events: Vec::new(),
             requires: Vec::new(),
         }
@@ -100,7 +94,7 @@ pub enum Action {
         /// The source.
         source: AmbientSource,
     },
-    /// Turn a model knob (capture margin, shadowing, thresholds, traffic).
+    /// Turn a model knob.
     SetKnob {
         /// The knob and its new value.
         knob: Knob,
@@ -206,11 +200,6 @@ impl StationSpec {
 pub enum Role {
     /// Quiet, trace-recording receiver (the study's receiver laptop).
     Receiver,
-    /// Periodic test-packet sender at the study's ≈1.4 Mb/s rate.
-    Sender {
-        /// Destination station name.
-        peer: String,
-    },
     /// Periodic foreign chatterer (ARP-style broadcast frames).
     Chatterer {
         /// Destination station name.
@@ -233,44 +222,9 @@ pub enum Role {
 /// A scriptable model knob.
 #[derive(Debug, Clone)]
 pub enum Knob {
-    /// Receiver capture margin, dB (`f64::INFINITY` ablates capture).
-    CaptureMarginDb(f64),
     /// Lognormal shadowing σ, dB. Compile-time only: the propagation model
     /// is frozen once the trial starts, so this knob must fire at time 0.
     ShadowingSigmaDb(f64),
-    /// Swap a station's receive/quality thresholds.
-    Thresholds {
-        /// Station name.
-        station: String,
-        /// New thresholds.
-        thresholds: Thresholds,
-    },
-    /// Replace a station's autonomous traffic pattern.
-    Traffic {
-        /// Station name.
-        station: String,
-        /// New pattern.
-        traffic: TrafficSpec,
-    },
-}
-
-/// A name-resolved traffic pattern for [`Knob::Traffic`].
-#[derive(Debug, Clone)]
-pub enum TrafficSpec {
-    /// Stop sending.
-    None,
-    /// Periodic sends to `peer` every `interval_ns`.
-    Periodic {
-        /// Destination station name.
-        peer: String,
-        /// Application interval, ns.
-        interval_ns: u64,
-    },
-    /// Saturate toward `peer`.
-    Saturate {
-        /// Destination station name.
-        peer: String,
-    },
 }
 
 /// A judged condition: `quantity cmp bound`.
@@ -315,14 +269,6 @@ pub enum Quantity {
         /// Restrict to this sender.
         from: Option<String>,
     },
-    /// Delivered packets that arrived intact: not truncated, zero corrupted
-    /// bits (the paper's error-free packet count). Trace-based.
-    Intact {
-        /// Receiver name.
-        receiver: String,
-        /// Restrict to this sender.
-        from: Option<String>,
-    },
     /// Delivered packets cut short (capture cut or PHY unlock).
     Truncated {
         /// Receiver name.
@@ -341,23 +287,10 @@ pub enum Quantity {
         /// Station name.
         station: String,
     },
-    /// Frames the MAC abandoned after excessive collisions.
-    MacDrops {
-        /// Station name.
-        station: String,
-    },
     /// Transmissions that began while a foreign one was already on the air
     /// (global). Zero means the choreography never actually overlapped —
     /// the PR 4 mutual-CSMA-deferral failure mode.
     OverlapCount,
-    /// Bit error rate over `receiver`'s delivered bytes from `from`
-    /// (corrupted bits / delivered bits). Trace-based.
-    Ber {
-        /// Receiver name.
-        receiver: String,
-        /// Restrict to this sender.
-        from: Option<String>,
-    },
     /// `Delivered{receiver, from: sender} / Transmitted{sender}` (0 when
     /// nothing was sent). Trace-based.
     DeliveryRatio {
@@ -366,7 +299,8 @@ pub enum Quantity {
         /// Sender name.
         sender: String,
     },
-    /// `Intact{receiver, from: sender} / Transmitted{sender}` — the paper's
+    /// Packets from `sender` that `receiver` got intact (not truncated,
+    /// zero corrupted bits) over `Transmitted{sender}` — the paper's
     /// error-free delivery rate. Trace-based.
     IntactRatio {
         /// Receiver name.
@@ -381,17 +315,12 @@ impl Quantity {
     /// trace: `(name, needs_trace)`.
     pub(crate) fn station_refs(&self) -> Vec<(&str, bool)> {
         match self {
-            Quantity::Transmitted { station }
-            | Quantity::Deferrals { station }
-            | Quantity::MacDrops { station } => vec![(station, false)],
+            Quantity::Transmitted { station } | Quantity::Deferrals { station } => {
+                vec![(station, false)]
+            }
             Quantity::CapturesMade { receiver } => vec![(receiver, false)],
-            Quantity::Delivered { receiver, from }
-            | Quantity::Intact { receiver, from }
-            | Quantity::Truncated { receiver, from }
-            | Quantity::Ber { receiver, from } => {
-                let needs_trace = from.is_some()
-                    || matches!(self, Quantity::Intact { .. } | Quantity::Ber { .. });
-                let mut refs = vec![(receiver.as_str(), needs_trace)];
+            Quantity::Delivered { receiver, from } | Quantity::Truncated { receiver, from } => {
+                let mut refs = vec![(receiver.as_str(), from.is_some())];
                 if let Some(f) = from {
                     refs.push((f.as_str(), false));
                 }
@@ -416,17 +345,12 @@ impl Quantity {
             Quantity::Delivered { receiver, from } => {
                 format!("delivered({receiver}{})", from_part(from))
             }
-            Quantity::Intact { receiver, from } => {
-                format!("intact({receiver}{})", from_part(from))
-            }
             Quantity::Truncated { receiver, from } => {
                 format!("truncated({receiver}{})", from_part(from))
             }
             Quantity::CapturesMade { receiver } => format!("captures_made({receiver})"),
             Quantity::Deferrals { station } => format!("deferrals({station})"),
-            Quantity::MacDrops { station } => format!("mac_drops({station})"),
             Quantity::OverlapCount => String::from("overlap_count"),
-            Quantity::Ber { receiver, from } => format!("ber({receiver}{})", from_part(from)),
             Quantity::DeliveryRatio { receiver, sender } => {
                 format!("delivery_ratio({receiver} ← {sender})")
             }

@@ -4,7 +4,6 @@
 //! condition and quote the relevant trace slice.
 
 use super::compile::CompiledScenario;
-use super::error::{RequireFailure, ScenarioError};
 use super::model::{Cmp, Quantity};
 use wavelan_sim::{SimScratch, SnapshotData, StationId, Trace, TrialResult};
 
@@ -77,30 +76,9 @@ impl ScenarioOutcome {
         self.judgments.iter().all(|j| j.passed)
     }
 
-    /// The failed judgments, in judging order.
-    pub(crate) fn failures(&self) -> impl Iterator<Item = &Judgment> {
-        self.judgments.iter().filter(|j| !j.passed)
-    }
-
     /// The sim station id bound to a script station name.
     pub(crate) fn station_id(&self, name: &str) -> Option<StationId> {
         self.station_names.iter().position(|n| n == name)
-    }
-
-    /// The first failure as a typed error, if any condition failed.
-    pub(crate) fn first_error(&self) -> Option<ScenarioError> {
-        self.failures().next().map(|j| {
-            ScenarioError::RequireUnsatisfied(Box::new(RequireFailure {
-                scenario: self.name.clone(),
-                require: j.require.clone(),
-                event: j.event.clone(),
-                quantity: j.quantity.clone(),
-                actual: j.actual,
-                cmp: j.cmp,
-                bound: j.bound,
-                context: j.context.clone(),
-            }))
-        })
     }
 }
 
@@ -138,24 +116,6 @@ impl CompiledScenario {
             judgments,
             result,
             station_names: self.station_names.clone(),
-        }
-    }
-
-    /// Runs and converts the first failed condition into a typed error.
-    pub fn run_checked(&self) -> Result<ScenarioOutcome, ScenarioError> {
-        let mut scratch = SimScratch::new();
-        self.run_checked_in(&mut scratch)
-    }
-
-    /// [`CompiledScenario::run_checked`] with a caller-owned scratch.
-    pub(crate) fn run_checked_in(
-        &self,
-        scratch: &mut SimScratch,
-    ) -> Result<ScenarioOutcome, ScenarioError> {
-        let outcome = self.run_in(scratch);
-        match outcome.first_error() {
-            Some(err) => Err(err),
-            None => Ok(outcome),
         }
     }
 
@@ -266,8 +226,8 @@ impl Evaluator<'_> {
         self.trace_count(self.id(receiver), Some(self.id(from)), |_| true)
     }
 
-    fn intact_from(&self, receiver: StationId, from: Option<StationId>) -> u64 {
-        self.trace_count(receiver, from, |r| {
+    fn intact_from(&self, receiver: &str, from: &str) -> u64 {
+        self.trace_count(self.id(receiver), Some(self.id(from)), |r| {
             let t = r.truth.expect("simulated traces carry ground truth");
             !t.truncated && t.corrupted_bits == 0
         })
@@ -282,9 +242,6 @@ impl Evaluator<'_> {
                 None => self.counter(self.id(receiver), Ctr::Delivered) as f64,
                 Some(f) => self.delivered_from(receiver, f) as f64,
             },
-            Quantity::Intact { receiver, from } => {
-                self.intact_from(self.id(receiver), from.as_deref().map(|f| self.id(f))) as f64
-            }
             Quantity::Truncated { receiver, from } => match from {
                 None => self.counter(self.id(receiver), Ctr::Truncated) as f64,
                 Some(f) => self.trace_count(self.id(receiver), Some(self.id(f)), |r| {
@@ -299,30 +256,10 @@ impl Evaluator<'_> {
             Quantity::Deferrals { station } => {
                 self.counter(self.id(station), Ctr::Deferrals) as f64
             }
-            Quantity::MacDrops { station } => self.counter(self.id(station), Ctr::MacDrops) as f64,
             Quantity::OverlapCount => match self.snap {
                 Some(s) => s.overlap_count as f64,
                 None => self.result.overlap_count as f64,
             },
-            Quantity::Ber { receiver, from } => {
-                let rx = self.id(receiver);
-                let from = from.as_deref().map(|f| self.id(f));
-                let (trace, len) = self.trace_view(rx);
-                let mut corrupted: u64 = 0;
-                let mut delivered_bits: u64 = 0;
-                for r in &trace.records[..len] {
-                    let truth = r.truth.expect("simulated traces carry ground truth");
-                    if from.is_none_or(|f| truth.src_station == f) {
-                        corrupted += u64::from(truth.corrupted_bits);
-                        delivered_bits += r.bytes.len() as u64 * 8;
-                    }
-                }
-                if delivered_bits == 0 {
-                    0.0
-                } else {
-                    corrupted as f64 / delivered_bits as f64
-                }
-            }
             Quantity::DeliveryRatio { receiver, sender } => {
                 let sent = self.counter(self.id(sender), Ctr::Transmitted);
                 if sent == 0 {
@@ -336,7 +273,7 @@ impl Evaluator<'_> {
                 if sent == 0 {
                     0.0
                 } else {
-                    self.intact_from(self.id(receiver), Some(self.id(sender))) as f64 / sent as f64
+                    self.intact_from(receiver, sender) as f64 / sent as f64
                 }
             }
         }

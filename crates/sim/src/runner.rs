@@ -13,7 +13,6 @@ use crate::trace::{BufferSink, GroundTruth, RecordView, Trace, TraceSink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wavelan_mac::csma::{MacStats, TxAction};
-use wavelan_mac::threshold::Thresholds;
 use wavelan_phy::agc::power_to_level_units;
 use wavelan_phy::baseband::gaussian;
 use wavelan_phy::interference::{Emission, InterferenceKind};
@@ -153,29 +152,6 @@ pub enum DirectiveOp {
         /// New position.
         to: Point,
     },
-    /// Change the receiver capture margin for the rest of the run
-    /// (`f64::INFINITY` ablates capture).
-    SetCaptureMargin {
-        /// New margin, dB.
-        margin_db: f64,
-    },
-    /// Swap a station's receive/quality thresholds (Section 7.4's
-    /// threshold-25 unmasking, scripted).
-    SetThresholds {
-        /// Station to retune.
-        station: StationId,
-        /// New thresholds.
-        thresholds: Thresholds,
-    },
-    /// Replace a station's traffic pattern. Setting [`Traffic::Periodic`]
-    /// or [`Traffic::Saturate`] starts it immediately; [`Traffic::None`]
-    /// stops future sends (one already-scheduled send may still fire).
-    SetTraffic {
-        /// Station to reconfigure.
-        station: StationId,
-        /// New pattern.
-        traffic: Traffic,
-    },
     /// Hand `packets` frames to a [`Traffic::Scripted`] station, spaced
     /// `spacing_ns` apart; frames that find the previous one still pending
     /// queue in the station's backlog.
@@ -208,8 +184,6 @@ pub struct StationCounters {
     pub captures_made: u64,
     /// MAC-abandoned frames.
     pub dropped_by_mac: u64,
-    /// Threshold-masked packets.
-    pub filtered: u64,
     /// MAC counters (attempts / collisions-i.e.-deferrals / transmissions).
     pub mac: MacStats,
     /// Trace records logged so far (usize::MAX if not recording).
@@ -288,8 +262,6 @@ struct Runner<'s> {
     primary: usize,
     /// TxEnd events resolved for the primary station.
     primary_completed: u64,
-    /// Capture margin in effect (scripted runs can retune it mid-trial).
-    capture_margin_db: f64,
     /// Scripted directive table (empty for unscripted runs).
     directives: &'s [Directive],
     /// Snapshots recorded so far.
@@ -415,7 +387,6 @@ impl Scenario {
             gains: LinkGains::new(self),
             primary,
             primary_completed: 0,
-            capture_margin_db: self.capture_margin_db,
             directives,
             snapshots: Vec::new(),
             overlap_count: 0,
@@ -505,21 +476,6 @@ impl Runner<'_> {
             DirectiveOp::MoveStation { station, to } => {
                 self.gains.move_station(self.scenario, station, to);
             }
-            DirectiveOp::SetCaptureMargin { margin_db } => {
-                self.capture_margin_db = margin_db;
-            }
-            DirectiveOp::SetThresholds {
-                station,
-                thresholds,
-            } => {
-                self.stations[station].config.thresholds = thresholds;
-            }
-            DirectiveOp::SetTraffic { station, traffic } => {
-                self.stations[station].config.traffic = traffic;
-                if matches!(traffic, Traffic::Periodic { .. } | Traffic::Saturate { .. }) {
-                    self.queue.schedule(now, Event::AppSend { station });
-                }
-            }
             DirectiveOp::Enqueue {
                 station,
                 packets,
@@ -540,7 +496,6 @@ impl Runner<'_> {
                         truncated: s.packets_truncated_rx,
                         captures_made: s.captures_made,
                         dropped_by_mac: s.packets_dropped_by_mac,
-                        filtered: s.packets_filtered,
                         mac: s.mac.stats(),
                         trace_len: if s.config.record_trace {
                             s.records_logged as usize
@@ -562,8 +517,8 @@ impl Runner<'_> {
     fn on_app_send(&mut self, now: u64, idx: usize) {
         let station = &mut self.stations[idx];
         match station.config.traffic {
-            // A quiet station ignores stray sends (possible after a scripted
-            // SetTraffic to None raced an already-scheduled AppSend).
+            // A quiet station ignores stray sends: an `Enqueue` directive
+            // aimed at it would otherwise put a frame with no peer on the MAC.
             Traffic::None => return,
             // Scripted frames behind a pending one wait in the backlog; the
             // TxEnd/Drop paths pump them out.
@@ -747,7 +702,7 @@ impl Runner<'_> {
                 // Receiver busy: a much stronger packet captures it
                 // (Section 7.4's conjectured capture effect); anything else
                 // is just interference to the locked packet.
-                if signal_dbm >= res.signal_dbm + self.capture_margin_db {
+                if signal_dbm >= res.signal_dbm + self.scenario.capture_margin_db {
                     station.capture_cuts.insert(res.tx_id, start_ns);
                     station.captures_made += 1;
                     station.reservation = Some(RxReservation {
@@ -1180,44 +1135,5 @@ mod scripted_tests {
         assert_eq!(result.packets_transmitted[tx], 30);
         let delivered = result.packets_delivered[rx];
         assert!((10..=20).contains(&delivered), "delivered {delivered}");
-    }
-
-    #[test]
-    fn set_traffic_directive_starts_and_stops_a_sender() {
-        let mut b = ScenarioBuilder::new(21);
-        let rx = b.station(StationConfig::receiver(
-            Endpoint::station(1),
-            Point::feet(0.0, 0.0),
-        ));
-        let tx = b.station(StationConfig {
-            traffic: Traffic::None,
-            record_trace: false,
-            ..StationConfig::receiver(Endpoint::station(2), Point::feet(7.0, 0.0))
-        });
-        let scenario = b.build();
-        let directives = [
-            Directive {
-                at_ns: 10_000_000,
-                op: DirectiveOp::SetTraffic {
-                    station: tx,
-                    traffic: Traffic::Periodic {
-                        peer: rx,
-                        interval_ns: 6_100_000,
-                    },
-                },
-            },
-            Directive {
-                at_ns: 110_000_000,
-                op: DirectiveOp::SetTraffic {
-                    station: tx,
-                    traffic: Traffic::None,
-                },
-            },
-        ];
-        let mut scratch = SimScratch::new();
-        let result = scenario.run_scripted(&directives, 600_000_000, &mut scratch);
-        let sent = result.packets_transmitted[tx];
-        // ~100 ms of periodic sending at 6.1 ms — and nothing after the stop.
-        assert!((15..=19).contains(&sent), "sent {sent}");
     }
 }

@@ -13,9 +13,26 @@
 //!   needs a ≥ 6 dB edge), so nothing is truncated.
 
 use wavelan_core::scenario::library::{capture_chatter, equal_power, threshold_25};
+use wavelan_core::scenario::run::ScenarioOutcome;
 use wavelan_core::Scale;
 
 const SEEDS: [u64; 3] = [1996, 1, 2];
+
+/// Panics with every failed judgment's line and trace-slice context.
+fn assert_passed(outcome: &ScenarioOutcome, seed: u64) {
+    let failures: Vec<String> = outcome
+        .judgments
+        .iter()
+        .filter(|j| !j.passed)
+        .map(|j| format!("{}\n{}", j.line(), j.context))
+        .collect();
+    assert!(
+        failures.is_empty(),
+        "{} seed {seed} failed:\n{}",
+        outcome.name,
+        failures.join("\n")
+    );
+}
 
 #[test]
 fn capture_chatter_conformance_across_seeds() {
@@ -23,8 +40,8 @@ fn capture_chatter_conformance_across_seeds() {
         let outcome = capture_chatter(seed, Scale::Smoke, threshold_25())
             .compile()
             .expect("library script compiles")
-            .run_checked()
-            .unwrap_or_else(|e| panic!("capture-chatter seed {seed} failed: {e}"));
+            .run();
+        assert_passed(&outcome, seed);
         // Every named condition of the ported test is judged, in order.
         let names: Vec<&str> = outcome
             .judgments
@@ -42,7 +59,6 @@ fn capture_chatter_conformance_across_seeds() {
             ],
             "seed {seed}"
         );
-        assert!(outcome.passed(), "seed {seed}");
     }
 }
 
@@ -52,9 +68,8 @@ fn equal_power_never_captures_across_seeds() {
         let outcome = equal_power(seed)
             .compile()
             .expect("library script compiles")
-            .run_checked()
-            .unwrap_or_else(|e| panic!("equal-power seed {seed} failed: {e}"));
-        assert!(outcome.passed(), "seed {seed}");
+            .run();
+        assert_passed(&outcome, seed);
         // The null result the scenario exists for: contention happened, yet
         // the symmetric geometry produced zero captures and zero truncation.
         let by_name = |n: &str| {

@@ -18,8 +18,8 @@
 //!   of letting the capture numbers pass vacuously.
 
 use wavelan_core::scenario::library::{capture_chatter, run_named, threshold_25};
+use wavelan_core::scenario::ScenarioScript;
 use wavelan_core::scenario::{Action, Cmp, Quantity, Role, StationSpec};
-use wavelan_core::scenario::{ScenarioError, ScenarioScript};
 use wavelan_core::{Executor, Scale};
 use wavelan_mac::Thresholds;
 use wavelan_net::testpkt::Endpoint;
@@ -184,31 +184,36 @@ fn deaf_sender_transmits_over_chatter_hearing_sender_fails_the_overlap_require()
     let deaf = capture_chatter(1996, Scale::Smoke, threshold_25())
         .compile()
         .expect("compiles");
-    let outcome = deaf.run_checked().expect("threshold-25 sender passes");
-    assert!(outcome.passed());
+    let outcome = deaf.run();
+    assert!(outcome.passed(), "threshold-25 sender passes");
 
     // Default thresholds: the sender hears the chatter and defers (the PR 4
     // mutual-CSMA-deferral shape). The first require must catch it by name.
     let hearing = capture_chatter(1996, Scale::Smoke, Thresholds::default())
         .compile()
         .expect("compiles");
-    let err = hearing
-        .run_checked()
-        .expect_err("a deferring sender cannot satisfy the overlap require");
-    match &err {
-        ScenarioError::RequireUnsatisfied(fail) => {
-            assert_eq!(fail.scenario, "capture-chatter");
-            assert_eq!(
-                fail.require, "chatter-overlapped",
-                "the overlap guard must be the require that fails"
-            );
-        }
-        other => panic!("expected RequireUnsatisfied, got {other:?}"),
-    }
-    // The rendered diagnostic names the condition and the observed value.
-    let msg = err.to_string();
+    let outcome = hearing.run();
+    assert_eq!(outcome.name, "capture-chatter");
+    let fail = outcome
+        .judgments
+        .iter()
+        .find(|j| !j.passed)
+        .expect("a deferring sender cannot satisfy the overlap require");
+    assert_eq!(
+        fail.require, "chatter-overlapped",
+        "the overlap guard must be the require that fails"
+    );
+    assert_eq!(fail.actual, 0.0);
+    // The rendered verdict names the condition and the observed value, and
+    // the context quotes the global overlap count at judging time.
+    let msg = fail.line();
     assert!(
         msg.contains("chatter-overlapped") && msg.contains("overlap_count"),
         "diagnostic should name the violated condition: {msg}"
+    );
+    assert!(
+        fail.context.contains("overlap_count=0"),
+        "context should quote the overlap count: {}",
+        fail.context
     );
 }

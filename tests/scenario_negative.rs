@@ -152,22 +152,48 @@ fn unsatisfiable_require_fails_with_the_condition_spelled_out() {
         Cmp::Ge,
         1_000_000.0,
     );
-    let err = s
-        .compile()
-        .expect("the script itself is well-formed")
-        .run_checked()
-        .expect_err("five packets can never satisfy a million-packet bound");
-    match &err {
-        ScenarioError::RequireUnsatisfied(fail) => {
-            assert_eq!(fail.require, "five-is-not-a-million");
-            assert_eq!(fail.actual, 5.0);
-            assert_eq!(fail.bound, 1_000_000.0);
-        }
-        other => panic!("expected RequireUnsatisfied, got {other:?}"),
-    }
-    let msg = err.to_string();
+    s.require(
+        "nor-a-million-deliveries",
+        Quantity::Delivered {
+            receiver: "rx".into(),
+            from: Some("tx".into()),
+        },
+        Cmp::Ge,
+        1_000_000.0,
+    );
+    let outcome = s.compile().expect("the script itself is well-formed").run();
+    let fail = outcome
+        .judgments
+        .iter()
+        .find(|j| !j.passed)
+        .expect("five packets can never satisfy a million-packet bound");
+    assert_eq!(fail.require, "five-is-not-a-million");
+    assert_eq!(fail.quantity, "transmitted(tx)");
+    assert_eq!(fail.actual, 5.0);
+    assert_eq!(fail.bound, 1_000_000.0);
+    let msg = fail.line();
     assert!(
         msg.contains("five-is-not-a-million") && msg.contains("1000000"),
         "diagnostic should spell out the condition: {msg}"
+    );
+    // The context carries the referenced station's counters ...
+    assert!(
+        fail.context.contains("station \"tx\"") && fail.context.contains("transmitted=5"),
+        "context should quote the sender's counters: {}",
+        fail.context
+    );
+    // ... and, for a trace-based quantity, the tail of the receiver's trace
+    // nearest the judging instant.
+    let fail = outcome
+        .judgments
+        .iter()
+        .find(|j| j.require == "nor-a-million-deliveries")
+        .expect("judged");
+    assert!(!fail.passed);
+    assert_eq!(fail.quantity, "delivered(rx from tx)");
+    assert!(
+        fail.context.contains("trace slice of \"rx\"") && fail.context.contains("seq="),
+        "context should quote the receiver's trace slice: {}",
+        fail.context
     );
 }
