@@ -13,7 +13,8 @@
 //!
 //! The paper also discusses (Section 8) extending WaveLAN with *multiple*
 //! spreading sequences for cell isolation; [`cross_correlation`] and
-//! [`SpreadingCode::family`] support that extension study in `wavelan-cell`.
+//! [`SpreadingCode::family`] model such a code family (no artifact runs
+//! that extension study).
 
 use crate::baseband::Complex;
 

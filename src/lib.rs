@@ -15,8 +15,8 @@
 //! * [`sim`] — discrete-event testbed: floor plans, medium, stations, traces,
 //! * [`analysis`] — the trace-analysis pipeline and paper-style tables,
 //! * [`fec`] — convolutional/Viterbi/RCPC adaptive forward error correction,
-//! * [`cell`] — a mobile client roaming between two pseudo-cells,
-//! * [`experiments`] — one module per paper table/figure.
+//! * [`experiments`] — one module per paper table/figure, the Section 7.4
+//!   roaming walk between two pseudo-cells included.
 //!
 //! A complete measurement in a few lines (also a compiled doc-test):
 //!
@@ -49,7 +49,6 @@
 //! See `examples/quickstart.rs` for the longer tour.
 
 pub use wavelan_analysis as analysis;
-pub use wavelan_cell as cell;
 pub use wavelan_core as experiments;
 pub use wavelan_fec as fec;
 pub use wavelan_mac as mac;
