@@ -149,6 +149,24 @@ fn check_json_exit_codes() {
 }
 
 #[test]
+fn misspelled_space_file_key_exits_two_naming_it() {
+    // A base spelling "wals" for "walls" used to run the pair with no wall.
+    let space = wavelan_core::sweep::preset("oven-smoke").expect("preset");
+    let text = wavelan_analysis::json::to_string_pretty(&space).replace("\"walls\"", "\"wals\"");
+    let path = std::env::temp_dir().join("repro_cli_misspelled_space.json");
+    std::fs::write(&path, text).expect("write");
+    let out = repro(&["sweep", "--space", path.to_str().expect("utf-8")]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        stderr(&out).contains("unknown key \"wals\""),
+        "{}",
+        stderr(&out)
+    );
+    assert!(out.stdout.is_empty(), "no sweep may run");
+}
+
+#[test]
 fn http_get_requires_a_real_url() {
     // Not a URL at all → usage error (2).
     let out = repro(&["--http-get", "not-a-url"]);

@@ -980,20 +980,64 @@ fn want_u64(value: &Value, key: &str, what: &str) -> Result<u64, SpecError> {
 fn want_array<'v>(value: &'v Value, key: &str, what: &str) -> Result<&'v [Value], SpecError> {
     match value.get(key) {
         Some(Value::Array(items)) => Ok(items),
-        None => Ok(&[]),
-        _ => err(format!("{what}: {key:?} must be an array")),
+        _ => err(format!("{what}: missing or non-array {key:?}")),
     }
 }
 
+/// Reads an object field.
+fn want_object<'v>(value: &'v Value, key: &str, what: &str) -> Result<&'v Value, SpecError> {
+    match value.get(key) {
+        Some(object @ Value::Object(_)) => Ok(object),
+        _ => err(format!("{what}: missing or non-object {key:?}")),
+    }
+}
+
+/// Rejects any key of the object `value` outside `allowed`: a misspelled
+/// key is an error, not a silently dropped field.
+pub(crate) fn check_keys(value: &Value, allowed: &[&str], what: &str) -> Result<(), SpecError> {
+    if let Value::Object(entries) = value {
+        for (key, _) in entries {
+            if !allowed.contains(&key.as_str()) {
+                return err(format!(
+                    "{what}: unknown key {key:?}; allowed: {}",
+                    allowed.join(" ")
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 impl ScenarioSpec {
-    /// Rebuilds a spec from a parsed JSON value.
+    /// Rebuilds a spec from a parsed JSON value. Every key [`Self::to_json`]
+    /// writes is required (`fec` only when present), and no other key is
+    /// accepted, at any level.
     pub(crate) fn from_value(value: &Value) -> Result<ScenarioSpec, SpecError> {
         let what = "scenario spec";
+        check_keys(
+            value,
+            &[
+                "name",
+                "walls",
+                "propagation",
+                "stations",
+                "interferers",
+                "capture_margin_db",
+                "fec",
+                "packet_budget",
+            ],
+            what,
+        )?;
         let mut spec = ScenarioSpec {
             name: want_str(value, "name", what)?.to_string(),
             ..ScenarioSpec::default()
         };
         for wall in want_array(value, "walls", what)? {
+            check_keys(
+                wall,
+                &["x0_ft", "y0_ft", "x1_ft", "y1_ft", "material"],
+                "wall",
+            )?;
             spec.walls.push(WallSpec {
                 x0_ft: want_f64(wall, "x0_ft", "wall")?,
                 y0_ft: want_f64(wall, "y0_ft", "wall")?,
@@ -1003,14 +1047,27 @@ impl ScenarioSpec {
             });
             material_from_name(&spec.walls.last().expect("just pushed").material)?;
         }
-        if let Some(prop) = value.get("propagation") {
-            spec.propagation = PropagationSpec {
-                model: want_str(prop, "model", "propagation")?.to_string(),
-                shadowing_sigma_db: want_f64(prop, "shadowing_sigma_db", "propagation")?,
-            };
-            spec.propagation.build(0)?;
-        }
+        let prop = want_object(value, "propagation", what)?;
+        check_keys(prop, &["model", "shadowing_sigma_db"], "propagation")?;
+        spec.propagation = PropagationSpec {
+            model: want_str(prop, "model", "propagation")?.to_string(),
+            shadowing_sigma_db: want_f64(prop, "shadowing_sigma_db", "propagation")?,
+        };
+        spec.propagation.build(0)?;
         for station in want_array(value, "stations", what)? {
+            check_keys(
+                station,
+                &[
+                    "role",
+                    "x_ft",
+                    "y_ft",
+                    "receive_threshold",
+                    "quality_threshold",
+                    "interval_ns",
+                    "frame_bytes",
+                ],
+                "station",
+            )?;
             spec.stations.push(StationSpec {
                 role: Role::from_name(want_str(station, "role", "station")?)?,
                 x_ft: want_f64(station, "x_ft", "station")?,
@@ -1024,6 +1081,17 @@ impl ScenarioSpec {
             });
         }
         for interferer in want_array(value, "interferers", what)? {
+            check_keys(
+                interferer,
+                &[
+                    "kind",
+                    "power_dbm",
+                    "duty_pct",
+                    "period_bits",
+                    "burst_sigma_db",
+                ],
+                "interferer",
+            )?;
             let parsed = InterfererSpec {
                 kind: want_str(interferer, "kind", "interferer")?.to_string(),
                 power_dbm: want_f64(interferer, "power_dbm", "interferer")?,
@@ -1036,6 +1104,7 @@ impl ScenarioSpec {
         }
         spec.capture_margin_db = want_f64(value, "capture_margin_db", what)?;
         if let Some(fec) = value.get("fec") {
+            check_keys(fec, &["code_rate", "harq_rounds"], "fec")?;
             spec.fec = Some(FecSpec {
                 code_rate: want_str(fec, "code_rate", "fec")?.to_string(),
                 harq_rounds: want_u64(fec, "harq_rounds", "fec")?.min(u64::from(u32::MAX)) as u32,

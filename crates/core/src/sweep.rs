@@ -18,7 +18,7 @@
 
 use crate::executor::{trial_seed, Executor};
 use crate::experiments::common::Scale;
-use crate::spec::{InterfererSpec, ScenarioSpec, SpecError, SpecMetrics, METRIC_NAMES};
+use crate::spec::{check_keys, InterfererSpec, ScenarioSpec, SpecError, SpecMetrics, METRIC_NAMES};
 use serde::{Serialize, SerializeStruct, Serializer};
 use wavelan_analysis::json::{self, Value};
 use wavelan_analysis::{Block, Cell, Column, Report, Table};
@@ -715,8 +715,23 @@ impl Serialize for ParameterSpace {
 
 impl ParameterSpace {
     /// Rebuilds a space from a parsed JSON value (the `--space <file>`
-    /// format; see EXPERIMENTS.md "Parameter sweeps").
+    /// format; see EXPERIMENTS.md "Parameter sweeps"). Every key
+    /// serialization writes is required (`points` exactly for the sampled
+    /// spaces), and no other key is accepted, at any level.
     pub(crate) fn from_value(value: &Value) -> Result<ParameterSpace, SpecError> {
+        check_keys(
+            value,
+            &[
+                "name",
+                "sampling",
+                "points",
+                "axes",
+                "objective",
+                "maximize",
+                "base",
+            ],
+            "space",
+        )?;
         let name = match value.get("name") {
             Some(Value::Str(s)) => s.clone(),
             _ => return Err(SpecError("space: missing or non-string \"name\"".into())),
@@ -735,7 +750,12 @@ impl ParameterSpace {
             };
         let sampling = match value.get("sampling") {
             Some(Value::Str(s)) => match (s.as_str(), points) {
-                ("grid", _) => Sampling::Grid,
+                ("grid", None) => Sampling::Grid,
+                ("grid", Some(_)) => {
+                    return Err(SpecError(
+                        "space: sampling \"grid\" takes no \"points\"".into(),
+                    ));
+                }
                 ("random", Some(points)) => Sampling::Random { points },
                 ("latin-hypercube", Some(points)) => Sampling::LatinHypercube { points },
                 ("random" | "latin-hypercube", None) => {
@@ -757,6 +777,7 @@ impl ParameterSpace {
         match value.get("axes") {
             Some(Value::Array(items)) => {
                 for item in items {
+                    check_keys(item, &["field", "levels", "lo", "hi"], "axis")?;
                     let field = match item.get("field") {
                         Some(Value::Str(s)) => s.clone(),
                         _ => return Err(SpecError("axis: missing \"field\"".into())),
@@ -804,14 +825,20 @@ impl ParameterSpace {
         }
         let mut space = ParameterSpace::new(&name, base, sampling, axes);
         match value.get("objective") {
-            None => {}
             Some(Value::Str(objective)) => space.objective = objective.clone(),
-            Some(_) => return Err(SpecError("space: \"objective\" must be a string".into())),
+            _ => {
+                return Err(SpecError(
+                    "space: missing or non-string \"objective\"".into(),
+                ))
+            }
         }
         match value.get("maximize") {
-            None => {}
             Some(Value::Bool(maximize)) => space.maximize = *maximize,
-            Some(_) => return Err(SpecError("space: \"maximize\" must be a boolean".into())),
+            _ => {
+                return Err(SpecError(
+                    "space: missing or non-boolean \"maximize\"".into(),
+                ))
+            }
         }
         space.canonicalize()
     }

@@ -1,9 +1,10 @@
 //! Property tests for the sweep-space boundary: `ParameterSpace::parse` is
 //! the only way outside text reaches `ScenarioSpec::from_value`, so every
 //! malformed space — arbitrary bytes, a truncated preset, or a preset with
-//! one field of the wrong type or an impossible value — must come back as
-//! a typed `SpecError`, never a panic and never a silently accepted space.
-//! Each preset also round-trips through `parse` to its canonical form.
+//! one field of the wrong type or an impossible value, or one key renamed,
+//! dropped or added — must come back as a typed `SpecError`, never a panic
+//! and never a silently accepted space. Each preset also round-trips
+//! through `parse` to its canonical form.
 
 use proptest::prelude::*;
 use wavelan_analysis::json::{self, to_string_pretty, Value};
@@ -33,6 +34,28 @@ fn node_paths(value: &Value, path: &mut Vec<Step>, key: &str, out: &mut Vec<(Vec
             for (i, v) in items.iter().enumerate() {
                 path.push(Step::Index(i));
                 node_paths(v, path, key, out);
+                path.pop();
+            }
+        }
+        _ => {}
+    }
+}
+
+/// The path of every object in the document, the root included.
+fn object_paths(value: &Value, path: &mut Vec<Step>, out: &mut Vec<Vec<Step>>) {
+    match value {
+        Value::Object(entries) => {
+            out.push(path.clone());
+            for (k, v) in entries {
+                path.push(Step::Key(k.clone()));
+                object_paths(v, path, out);
+                path.pop();
+            }
+        }
+        Value::Array(items) => {
+            for (i, v) in items.iter().enumerate() {
+                path.push(Step::Index(i));
+                object_paths(v, path, out);
                 path.pop();
             }
         }
@@ -137,6 +160,52 @@ fn every_single_field_mutation_is_rejected() {
     }
     assert!(checked > 500, "only {checked} mutations checked");
     assert!(non_finite > 50, "only {non_finite} non-finite mutations");
+}
+
+#[test]
+fn every_key_rename_drop_and_addition_is_rejected() {
+    let mut checked = 0;
+    for (name, text) in preset_texts() {
+        let doc = json::parse(&text).expect("preset JSON parses");
+        let mut objects = Vec::new();
+        object_paths(&doc, &mut Vec::new(), &mut objects);
+        for path in objects {
+            let mut rejects = |mutated: Value, what: String| {
+                assert!(
+                    ParameterSpace::parse(&to_string_pretty(&mutated)).is_err(),
+                    "{name}: {path:?}: {what} was accepted"
+                );
+                checked += 1;
+            };
+            let Value::Object(entries) = node_mut(&mut doc.clone(), &path).clone() else {
+                unreachable!("object paths lead to objects");
+            };
+            for (i, (key, _)) in entries.iter().enumerate() {
+                // A typo'd key: the last letter dropped ("objectiv", "wall").
+                let typo = key[..key.len() - 1].to_string();
+                let mut renamed = doc.clone();
+                let Value::Object(e) = node_mut(&mut renamed, &path) else {
+                    unreachable!()
+                };
+                e[i].0 = typo.clone();
+                rejects(renamed, format!("{key:?} renamed to {typo:?}"));
+
+                let mut dropped = doc.clone();
+                let Value::Object(e) = node_mut(&mut dropped, &path) else {
+                    unreachable!()
+                };
+                e.remove(i);
+                rejects(dropped, format!("{key:?} dropped"));
+            }
+            let mut added = doc.clone();
+            let Value::Object(e) = node_mut(&mut added, &path) else {
+                unreachable!()
+            };
+            e.push(("colour".into(), Value::Str("metal".into())));
+            rejects(added, "an added \"colour\" key".into());
+        }
+    }
+    assert!(checked > 100, "only {checked} key mutations checked");
 }
 
 proptest! {
