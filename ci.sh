@@ -72,6 +72,9 @@ cmp "$OUT/TRACE_INFO.txt" tests/golden/trace_header_smoke.txt
 # with the vendored JSON parser.
 "$REPRO" --validate --scale smoke --format json > FIDELITY.json
 "$REPRO" --check-json FIDELITY.json
+# The same gate at paper scale over three seeds (the committed
+# FIDELITY.json stays the smoke run); `set -e` fails CI on its exit 1.
+"$REPRO" --validate --seeds 3 --scale paper --format json > "$OUT/FIDELITY_PAPER.json"
 
 # FEC hot-path gate: fail if either decode-heavy artifact's smoke-scale
 # throughput (the per-artifact `[name: S s, N packets, R pkt/s]` stderr

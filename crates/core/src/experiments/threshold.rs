@@ -177,7 +177,7 @@ pub fn run_with(thresholds: &[u8], packets: u64, seed: u64, exec: &Executor) -> 
         let mut result = scenario.run_in(enemy_id, packets, scratch);
         attach_tx_count(&mut result, victim_id, enemy_id);
 
-        let trace = result.traces[victim_id].clone().expect("victim records");
+        let trace = result.traces[victim_id].take().expect("victim records");
         let analysis = analyze(&trace, &expected_series());
         let delivered = trace.records.len() as u64;
         let filtered = result.packets_filtered[victim_id];
