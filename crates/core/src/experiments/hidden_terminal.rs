@@ -11,15 +11,13 @@
 //! the hidden one is farther away, so capture can rescue the near link's
 //! packets from collisions carrier sense cannot prevent.
 
-use super::common::{expected_series, test_receiver, test_sender, Scale};
+use super::common::Scale;
 use crate::executor::{trial_seed, Executor};
 use crate::registry::Experiment;
 use crate::spec::{Role, ScenarioSpec, StationSpec, WallSpec};
 use wavelan_analysis::report::{Cell, Column, Table};
-use wavelan_analysis::{analyze, Block, Report};
-use wavelan_net::testpkt::Endpoint;
-use wavelan_sim::runner::attach_tx_count;
-use wavelan_sim::{Point, Propagation, ScenarioBuilder, SimScratch, StationConfig};
+use wavelan_analysis::{Block, PacketClass, Report};
+use wavelan_sim::SimScratch;
 
 /// One configuration's outcome.
 #[derive(Debug, Clone, Copy)]
@@ -127,14 +125,22 @@ impl Experiment for HiddenTerminal {
     }
 
     fn spec(&self) -> ScenarioSpec {
-        // The textbook geometry: victim at the origin, near partner 28 ft
-        // out, the hidden transmitter off-axis behind the metal cabinet at
-        // the study's default carrier threshold (its far peer is a
-        // driver-only bookkeeping station). Sweeps can walk the capture
-        // margin (`capture_margin_db`) or the hidden station's position.
+        // Victim at the origin; near partner 28 ft away (level ≈ 18); the
+        // hidden transmitter 194 ft away off-axis (level ≈ 9.5 at the
+        // victim). A metal cabinet blocks only the near↔hidden path: the
+        // victim hears both transmitters, the transmitters cannot hear each
+        // other — the textbook hidden-terminal geometry, at the study's
+        // default thresholds ("operated without thresholding"). The hidden
+        // transmitter keeps the *default* carrier threshold and saturates
+        // toward its own silent far peer (station 3), so its packets are not
+        // part of the test series. Shadowing is off and the run is bounded
+        // at 60 s of virtual time (the ablated run crawls). Sweeps can walk
+        // the capture margin (`capture_margin_db`) or the hidden station's
+        // position.
         let mut hidden = StationSpec::new(Role::Jammer, -190.0, 40.0);
         hidden.receive_threshold = 3;
-        ScenarioSpec {
+        hidden.peer = Some(3);
+        let mut spec = ScenarioSpec {
             name: "hidden-terminal".into(),
             walls: vec![WallSpec {
                 x0_ft: 2.0,
@@ -147,10 +153,14 @@ impl Experiment for HiddenTerminal {
                 StationSpec::new(Role::Receiver, 0.0, 0.0),
                 StationSpec::new(Role::Sender, 28.0, 0.0),
                 hidden,
+                StationSpec::new(Role::Receiver, -220.0, 45.0),
             ],
             packet_budget: 1_000,
+            time_limit_ns: Some(60_000_000_000),
             ..ScenarioSpec::default()
-        }
+        };
+        spec.propagation.shadowing_sigma_db = 0.0;
+        spec
     }
 
     fn run(&self, scale: Scale, seed: u64, exec: &Executor) -> Report {
@@ -164,73 +174,38 @@ impl Experiment for HiddenTerminal {
     }
 }
 
+/// Runs the spec at one capture margin.
 fn run_once(
+    spec: &ScenarioSpec,
     capture_margin_db: f64,
     packets: u64,
     seed: u64,
     scratch: &mut SimScratch,
 ) -> HiddenOutcome {
-    // Victim at the origin; near partner 28 ft away (level ≈ 18); the hidden
-    // transmitter 194 ft away off-axis (level ≈ 9.5 at the victim). A metal
-    // cabinet is placed so that it blocks only the near↔hidden path: the
-    // victim hears both transmitters, the transmitters cannot hear each
-    // other — the textbook hidden-terminal geometry, at the study's default
-    // thresholds ("operated without thresholding").
-    let mut b = ScenarioBuilder::new(seed);
-    let victim = b.station(StationConfig::receiver(
-        test_receiver(),
-        Point::feet(0.0, 0.0),
-    ));
-    let near = b.station(StationConfig::sender(
-        test_sender(),
-        Point::feet(28.0, 0.0),
-        victim,
-    ));
-    // The hidden transmitter saturates toward its own far peer so its
-    // packets are not part of the test series. It keeps the *default*
-    // carrier threshold — it simply cannot hear the near sender.
-    let h = b.next_station_id();
-    let mut hidden = StationConfig::jammer(Endpoint::foreign(5), Point::feet(-190.0, 40.0), h + 1);
-    hidden.thresholds = wavelan_mac::Thresholds::default();
-    b.station(hidden);
-    b.station(StationConfig {
-        record_trace: false,
-        ..StationConfig::receiver(Endpoint::foreign(6), Point::feet(-220.0, 45.0))
-    });
-
-    let plan = wavelan_sim::FloorPlan::open().with_wall(
-        wavelan_sim::Segment::feet(2.0, 2.0, 2.0, 20.0),
-        wavelan_phy::Material::Metal,
-    );
-    let mut scenario = b.floorplan(plan).build();
-    let mut prop = Propagation::indoor(seed);
-    prop.shadowing_sigma_db = 0.0;
-    scenario.propagation = prop;
-    scenario.capture_margin_db = capture_margin_db;
-
-    let mut result = scenario.run_with_limit_in(near, packets, 60_000_000_000, scratch);
-    attach_tx_count(&mut result, victim, near);
-    let analysis = analyze(result.trace(victim), &expected_series());
+    let mut spec = spec.clone();
+    spec.capture_margin_db = capture_margin_db;
+    let trial = spec
+        .run_pair(packets, seed, seed, scratch)
+        .expect("the hidden-terminal spec builds");
     HiddenOutcome {
         capture_margin_db,
-        transmitted: result.packets_transmitted[near],
-        delivered: analysis
-            .test_packets()
-            .filter(|p| p.class == wavelan_analysis::PacketClass::Undamaged)
-            .count() as u64,
+        transmitted: trial.result.packets_transmitted[trial.tx],
+        delivered: trial.analysis.count(PacketClass::Undamaged) as u64,
     }
 }
 
 /// This experiment's stream id for [`trial_seed`].
 pub(crate) const EXPERIMENT_ID: u64 = 13;
 
-/// Runs the experiment on an explicit executor. Both configurations share one derived
-/// seed — the ablation must differ only in the capture margin.
+/// Runs the experiment on an explicit executor. Both configurations share
+/// one derived seed, `trial_seed(13, 0)`, for both scenario and propagation
+/// — the ablation must differ only in the capture margin.
 pub fn run_with(packets: u64, seed: u64, exec: &Executor) -> HiddenTerminalResult {
     let shared = trial_seed(EXPERIMENT_ID, 0, seed);
+    let base = HiddenTerminal.spec();
     let margins = vec![wavelan_sim::runner::CAPTURE_MARGIN_DB, f64::INFINITY];
     let mut outcomes = exec.map_with(margins, SimScratch::new, |scratch, _, margin| {
-        run_once(margin, packets, shared, scratch)
+        run_once(&base, margin, packets, shared, scratch)
     });
     let without_capture = outcomes.pop().expect("ablated config");
     let with_capture = outcomes.pop().expect("default config");

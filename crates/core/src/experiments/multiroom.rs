@@ -140,7 +140,7 @@ impl Experiment for Tables5To7 {
         // the building.
         let (_, packets, tx) = LOCATIONS[3];
         let mut spec = ScenarioSpec::pair("table5-7", (0.0, 0.0), tx, packets)
-            .with_plan(&layouts::multiroom().plan);
+            .with_plan(&layouts::multiroom());
         spec.propagation.shadowing_sigma_db = 0.0;
         spec
     }

@@ -15,15 +15,13 @@
 //! edge plus an aggressive close reflector whose ripple swings the level
 //! across the error boundary as the transmitter moves.
 
-use super::common::{expected_series, test_receiver, test_sender, Scale};
+use super::common::Scale;
 use crate::executor::{trial_seed, Executor};
 use crate::registry::Experiment;
-use crate::spec::{PropagationSpec, ScenarioSpec};
+use crate::spec::{PropagationSpec, ScenarioSpec, WallSpec};
 use wavelan_analysis::report::{Cell, Column, Table};
-use wavelan_analysis::{analyze, Block, PacketClass, Report};
-use wavelan_phy::fading::TwoRay;
-use wavelan_sim::runner::attach_tx_count;
-use wavelan_sim::{FloorPlan, Point, Propagation, ScenarioBuilder, SimScratch, StationConfig};
+use wavelan_analysis::{Block, PacketClass, Report};
+use wavelan_sim::SimScratch;
 
 /// One distance sample of the sweep.
 #[derive(Debug, Clone, Copy)]
@@ -119,8 +117,8 @@ impl Experiment for RelatedWork {
 
     fn spec(&self) -> ScenarioSpec {
         // The far end of the benign sweep (60 ft, open lecture hall); the
-        // difficult regime's two-ray reflector is a driver-only knob.
-        // Sweeps perturb `stations[1].x_ft` to walk either regime's ladder.
+        // difficult regime adds a metal partition and a close reflector.
+        // Sweeps perturb `stations[1].x_ft` to walk the benign ladder.
         ScenarioSpec::pair("related-work", (0.0, 0.0), (60.0, 0.0), 800)
             .with_propagation(PropagationSpec::lecture_hall())
     }
@@ -139,31 +137,29 @@ impl Experiment for RelatedWork {
 /// This experiment's stream id for [`trial_seed`].
 pub(crate) const EXPERIMENT_ID: u64 = 12;
 
+/// Runs `spec` with its sender at each distance: point `i` draws scenario
+/// seed `trial_seed(12, stream_offset + i, seed)` and propagation seed
+/// `seed`.
 fn sweep(
+    spec: &ScenarioSpec,
     distances: &[f64],
-    propagation: &Propagation,
-    plan: &FloorPlan,
     packets: u64,
     seed: u64,
     stream_offset: u64,
     exec: &Executor,
 ) -> Vec<ScatterSample> {
     exec.map_with(distances.to_vec(), SimScratch::new, |scratch, i, d| {
-        let mut b = ScenarioBuilder::new(trial_seed(EXPERIMENT_ID, stream_offset + i as u64, seed));
-        let rx = b.station(StationConfig::receiver(
-            test_receiver(),
-            Point::feet(0.0, 0.0),
-        ));
-        let tx = b.station(StationConfig::sender(
-            test_sender(),
-            Point::feet(d, 0.0),
-            rx,
-        ));
-        let mut scenario = b.floorplan(plan.clone()).build();
-        scenario.propagation = propagation.clone();
-        let mut result = scenario.run_in(tx, packets, scratch);
-        attach_tx_count(&mut result, rx, tx);
-        let analysis = analyze(result.trace(rx), &expected_series());
+        let mut spec = spec.clone();
+        spec.stations[1].x_ft = d;
+        let analysis = spec
+            .run_pair(
+                packets,
+                trial_seed(EXPERIMENT_ID, stream_offset + i as u64, seed),
+                seed,
+                scratch,
+            )
+            .expect("the related-work spec builds")
+            .analysis;
         let received = analysis.test_packets().count().max(1);
         let corrupted = received - analysis.count(PacketClass::Undamaged);
         let (level, _, _) = analysis.stats_where(|p| p.is_test);
@@ -177,45 +173,29 @@ fn sweep(
 }
 
 /// [`run`] on an explicit executor; the two regimes' distance points all fan
-/// out independently (the difficult sweep gets a disjoint index range).
+/// out independently (the difficult sweep gets a disjoint index range and
+/// the seed `seed + 1`).
 pub(crate) fn run_with(packets: u64, seed: u64, exec: &Executor) -> RelatedWorkResult {
     // Typical: 10–60 ft, ordinary lecture-hall propagation, open space.
+    let mut spec = RelatedWork.spec();
     let benign_distances: Vec<f64> = (1..=6).map(|i| f64::from(i) * 10.0).collect();
-    let benign = sweep(
-        &benign_distances,
-        &Propagation::lecture_hall(seed),
-        &FloorPlan::open(),
-        packets,
-        seed,
-        0,
-        exec,
-    );
+    let benign = sweep(&spec, &benign_distances, packets, seed, 0, exec);
 
     // Difficult: attenuation (a metal partition drags the level to the cell
     // edge) combined with local scatter from a large reflecting wall 6 m
     // off-axis. At 70–110 ft that geometry packs destructive dips every
     // 10–20 ft, so the level ripples across the error boundary as the
     // transmitter moves — Duchamp & Reynolds' unstable regime.
-    let mut difficult_prop = Propagation::lecture_hall(seed + 1);
-    difficult_prop.two_ray = Some(TwoRay {
-        reflector_offset_m: 6.0,
-        reflection_coeff: -0.45,
-        wavelength_m: 299_792_458.0 / wavelan_phy::CARRIER_HZ,
+    spec.walls.push(WallSpec {
+        x0_ft: 35.0,
+        y0_ft: -40.0,
+        x1_ft: 35.0,
+        y1_ft: 40.0,
+        material: "metal".into(),
     });
-    let partition = FloorPlan::open().with_wall(
-        wavelan_sim::Segment::feet(35.0, -40.0, 35.0, 40.0),
-        wavelan_phy::Material::Metal,
-    );
+    spec.propagation.reflector = Some((6.0, -0.45));
     let difficult_distances: Vec<f64> = (0..10).map(|i| 72.0 + f64::from(i) * 5.0).collect();
-    let difficult = sweep(
-        &difficult_distances,
-        &difficult_prop,
-        &partition,
-        packets,
-        seed + 1,
-        100,
-        exec,
-    );
+    let difficult = sweep(&spec, &difficult_distances, packets, seed + 1, 100, exec);
 
     RelatedWorkResult { benign, difficult }
 }

@@ -15,17 +15,13 @@
 //! tests: "the receive threshold ... seems to cleanly filter packets" — no
 //! damaged packets appear, they simply vanish.
 
-use super::common::{expected_series, test_receiver, test_sender, Scale};
+use super::common::Scale;
 use crate::executor::{trial_seed, Executor};
 use crate::registry::Experiment;
 use crate::spec::{Role, ScenarioSpec, StationSpec};
-use wavelan_analysis::analyze;
 use wavelan_analysis::report::{Cell, Column, Table};
-use wavelan_analysis::{Block, Report};
-use wavelan_mac::Thresholds;
-use wavelan_sim::runner::attach_tx_count;
-use wavelan_sim::station::Traffic;
-use wavelan_sim::{Point, ScenarioBuilder, SimScratch, StationConfig};
+use wavelan_analysis::{Block, PacketClass, Report};
+use wavelan_sim::SimScratch;
 
 /// One point of the Figure 3 curves.
 #[derive(Debug, Clone, Copy)]
@@ -109,10 +105,16 @@ impl Experiment for Figure3 {
 
     fn spec(&self) -> ScenarioSpec {
         // The mid-window rung of the sweep: victim filtering at 20 against
-        // a saturating, carrier-deaf enemy 40 ft away (level ≈ 20). Sweeps
-        // walk `stations[0].receive_threshold` through the window.
+        // a saturating, carrier-deaf enemy 40 ft away (level ≈ 20). The
+        // victim also sends to the enemy every 25 ms, so collisions can be
+        // counted: a light rate, so it spends most of its time *receiving*
+        // (the filtering curve) while still generating enough attempts for
+        // the collision curve. Sweeps walk `stations[0].receive_threshold`
+        // through the window.
         let mut victim = StationSpec::new(Role::Receiver, 0.0, 0.0);
         victim.receive_threshold = 20;
+        victim.interval_ns = 25_000_000;
+        victim.peer = Some(1);
         let mut enemy = StationSpec::new(Role::Sender, 40.0, 0.0);
         enemy.receive_threshold = 35;
         enemy.interval_ns = 0;
@@ -149,38 +151,23 @@ pub fn run_with(thresholds: &[u8], packets: u64, seed: u64, exec: &Executor) -> 
         thresholds
     };
 
+    // Every rung runs under the same shadowing realization: propagation
+    // seed `seed`, scenario seed `trial_seed(4, i)`.
+    let base = Figure3.spec();
     let per_threshold = exec.map_with(sweep.to_vec(), SimScratch::new, |scratch, i, threshold| {
-        let mut b = ScenarioBuilder::new(trial_seed(EXPERIMENT_ID, i as u64, seed));
-        // Victim: records a trace, filters at `threshold`, and also tries to
-        // send its own traffic (to the enemy) so collisions can be counted.
-        let victim_id = b.next_station_id();
-        let enemy_id = victim_id + 1;
-        let mut victim = StationConfig::receiver(test_receiver(), Point::feet(0.0, 0.0));
-        victim.thresholds = Thresholds {
-            receive_level: threshold,
-            quality: 1,
-        };
-        // A light send rate: the victim must spend most of its time
-        // *receiving* (the filtering curve) while still generating enough
-        // attempts for the collision curve.
-        victim.traffic = Traffic::Periodic {
-            peer: enemy_id,
-            interval_ns: 25_000_000,
-        };
-        assert_eq!(b.station(victim), victim_id);
-        // Enemy: saturating transmitter 40 ft away, deaf to the victim.
-        let enemy = StationConfig::jammer(test_sender(), Point::feet(40.0, 0.0), victim_id);
-        assert_eq!(b.station(enemy), enemy_id);
-        // Keep the shadowing realization fixed across the sweep: same seed.
-        let mut scenario = b.build();
-        scenario.propagation = wavelan_sim::Propagation::indoor(seed);
-        let mut result = scenario.run_in(enemy_id, packets, scratch);
-        attach_tx_count(&mut result, victim_id, enemy_id);
-
-        let trace = result.traces[victim_id].take().expect("victim records");
-        let analysis = analyze(&trace, &expected_series());
-        let delivered = trace.records.len() as u64;
-        let filtered = result.packets_filtered[victim_id];
+        let mut spec = base.clone();
+        spec.stations[0].receive_threshold = threshold;
+        let trial = spec
+            .run_pair(
+                packets,
+                trial_seed(EXPERIMENT_ID, i as u64, seed),
+                seed,
+                scratch,
+            )
+            .expect("the figure3 spec builds");
+        let analysis = &trial.analysis;
+        let delivered = analysis.packets.len() as u64;
+        let filtered = trial.result.packets_filtered[trial.rx];
         let observable = delivered + filtered;
         let filtered_pct = if observable == 0 {
             100.0
@@ -190,9 +177,9 @@ pub fn run_with(thresholds: &[u8], packets: u64, seed: u64, exec: &Executor) -> 
         let damaged_delivered = analysis
             .packets
             .iter()
-            .filter(|p| p.class != wavelan_analysis::PacketClass::Undamaged)
+            .filter(|p| p.class != PacketClass::Undamaged)
             .count() as u64;
-        let mac = result.mac_stats[victim_id];
+        let mac = trial.result.mac_stats[trial.rx];
         let (level_stats, _, _) = analysis.stats_where(|p| p.is_test);
         let extremes = if level_stats.count() > 0 {
             Some((level_stats.min(), level_stats.max()))

@@ -20,27 +20,14 @@ pub(crate) fn single_wall(material: Material, extra_space_ft: f64) -> (FloorPlan
 
 /// The multi-room layout of the paper's Figure 4 (used by Tables 5–7, whose
 /// four sender placements are `crate::experiments::multiroom::LOCATIONS`,
-/// and by the Table 14 competing-transmitter experiment).
+/// and by the Table 14 competing-transmitter experiment), with the fixed
+/// receiver at the origin.
 ///
 /// Calibrated levels at the receiver (paper values in parentheses):
 /// Tx1 ≈ 28.5 (28.58), Tx2 ≈ 25.9 (26.66), Tx4 ≈ 14.2 (13.81),
 /// Tx5 ≈ 9.8 (9.50).
-pub(crate) struct MultiRoom {
-    /// The building.
-    pub plan: FloorPlan,
-    /// The fixed receiver.
-    pub rx: Point,
-    /// Same office, diagonally opposite (≈9 ft).
-    pub tx1: Point,
-    /// ≈45 ft, two concrete walls.
-    pub tx4: Point,
-    /// ≈30 ft, a concrete wall plus metal and furniture.
-    pub tx5: Point,
-}
-
-/// Builds the multi-room layout.
-pub(crate) fn multiroom() -> MultiRoom {
-    let plan = FloorPlan::open()
+pub(crate) fn multiroom() -> FloorPlan {
+    FloorPlan::open()
         // Office wall between the receiver's office and the corridor.
         .with_wall(
             Segment::feet(8.0, -30.0, 8.0, 30.0),
@@ -57,14 +44,7 @@ pub(crate) fn multiroom() -> MultiRoom {
         // ("several intervening walls and metal objects").
         .with_wall(Segment::feet(15.0, -6.0, 15.0, -4.0), Material::Metal)
         .with_wall(Segment::feet(22.0, -8.5, 22.0, -6.5), Material::Furniture)
-        .with_wall(Segment::feet(25.0, -9.0, 25.0, -7.5), Material::Furniture);
-    MultiRoom {
-        plan,
-        rx: Point::feet(0.0, 0.0),
-        tx1: Point::feet(6.0, 6.5),
-        tx4: Point::feet(45.0, 0.0),
-        tx5: Point::feet(28.5, -9.5),
-    }
+        .with_wall(Segment::feet(25.0, -9.0, 25.0, -7.5), Material::Furniture)
 }
 
 /// The Section 6.3 human-body layout: two rooms across a hallway, direct
@@ -131,9 +111,12 @@ mod tests {
         assert!((28.0..32.0).contains(&l), "{l}");
     }
 
+    /// The multi-room receiver.
+    const RX: Point = Point { x: 0.0, y: 0.0 };
+
     #[test]
     fn multiroom_levels_match_table_6() {
-        let m = multiroom();
+        let plan = multiroom();
         let p = no_shadow();
         let targets = [
             ("Tx1", 28.58, 1.5),
@@ -142,20 +125,20 @@ mod tests {
             ("Tx5", 9.50, 1.5),
         ];
         for (tx, target, tol) in targets {
-            let l = level(&p, &m.plan, placement(tx), m.rx);
+            let l = level(&p, &plan, placement(tx), RX);
             assert!((l - target).abs() < tol, "level {l} vs paper {target}");
         }
     }
 
     #[test]
     fn multiroom_walls_crossed_as_designed() {
-        let m = multiroom();
-        assert_eq!(m.plan.materials_crossed(m.rx, placement("Tx1")).len(), 0);
+        let plan = multiroom();
+        assert_eq!(plan.materials_crossed(RX, placement("Tx1")).len(), 0);
         assert_eq!(
-            m.plan.materials_crossed(m.rx, placement("Tx2")),
+            plan.materials_crossed(RX, placement("Tx2")),
             vec![Material::ConcreteBlock]
         );
-        let tx4 = m.plan.materials_crossed(m.rx, placement("Tx4"));
+        let tx4 = plan.materials_crossed(RX, placement("Tx4"));
         assert_eq!(
             tx4.iter()
                 .filter(|&&w| w == Material::ConcreteBlock)
@@ -163,7 +146,7 @@ mod tests {
             2,
             "{tx4:?}"
         );
-        let tx5 = m.plan.materials_crossed(m.rx, placement("Tx5"));
+        let tx5 = plan.materials_crossed(RX, placement("Tx5"));
         assert!(tx5.contains(&Material::Metal), "{tx5:?}");
         assert!(tx5.contains(&Material::ConcreteBlock), "{tx5:?}");
     }

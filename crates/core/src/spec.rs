@@ -11,10 +11,14 @@
 //!
 //! The runnable half is `ScenarioSpec::run_pair`, the one builder and
 //! runner of single-pair trials: build the scenario from the trial's
-//! scenario and propagation seeds (receiver is station 0, the measured
-//! sender station 1, then extras, then ambient sources), run it, and
-//! analyze the receiver trace. The paper's single-pair drivers derive each
-//! of their trials from their artifact's spec by editing fields;
+//! scenario and propagation seeds (spec station `i` is simulator station
+//! `i`: the receiver 0, the measured sender the first sender, then the
+//! ambient sources), run it up to the spec's time limit, and analyze the
+//! receiver trace. Every simulated driver except `roaming` derives each of
+//! its trials from its artifact's spec by editing fields; a station's
+//! optional `peer`, a later silent receiver, a sending receiver, the time
+//! limit and the propagation reflector cover the competing-unit,
+//! hidden-terminal, receive-threshold and related-work setups.
 //! `ScenarioSpec::run_in` runs a spec at a [`Scale`] and folds the analysis
 //! into a small [`SpecMetrics`] record the sweep summary ranks on.
 
@@ -26,6 +30,7 @@ use wavelan_analysis::{analyze, PacketClass, TraceAnalysis};
 use wavelan_mac::network_id::NetworkId;
 use wavelan_mac::Thresholds;
 use wavelan_net::testpkt::Endpoint;
+use wavelan_phy::fading::TwoRay;
 use wavelan_phy::interference::DutyCycle;
 use wavelan_phy::{InterferenceKind, Material};
 use wavelan_sim::runner::attach_tx_count;
@@ -122,6 +127,10 @@ pub struct PropagationSpec {
     pub model: String,
     /// Shadowing standard deviation, dB (0 disables).
     pub shadowing_sigma_db: f64,
+    /// A reflecting surface that replaces the model's two-ray term:
+    /// `(reflector_offset_m, reflection_coeff)`, the surface's perpendicular
+    /// offset in meters and its reflection coefficient.
+    pub reflector: Option<(f64, f64)>,
 }
 
 impl PropagationSpec {
@@ -130,6 +139,7 @@ impl PropagationSpec {
         PropagationSpec {
             model: "indoor".into(),
             shadowing_sigma_db: 1.5,
+            reflector: None,
         }
     }
 
@@ -138,6 +148,7 @@ impl PropagationSpec {
         PropagationSpec {
             model: "lecture-hall".into(),
             shadowing_sigma_db: 0.0,
+            reflector: None,
         }
     }
 
@@ -149,6 +160,14 @@ impl PropagationSpec {
             other => return err(format!("unknown propagation model {other:?}")),
         };
         prop.shadowing_sigma_db = self.shadowing_sigma_db;
+        if let Some((reflector_offset_m, reflection_coeff)) = self.reflector {
+            // Only the geometry changes; the wavelength stays the carrier's.
+            prop.two_ray = Some(TwoRay {
+                reflector_offset_m,
+                reflection_coeff,
+                ..TwoRay::lecture_hall()
+            });
+        }
         Ok(prop)
     }
 }
@@ -156,13 +175,16 @@ impl PropagationSpec {
 /// What a station does in the scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
-    /// The measured, trace-recording receiver (station 0; exactly one).
+    /// Station 0 is the measured, trace-recording receiver; a later
+    /// receiver records nothing (a jammer's far peer). A receiver with a
+    /// non-zero `interval_ns` also sends to its `peer`.
     Receiver,
     /// A test-packet sender; the first sender is the measured series.
     Sender,
-    /// A saturating, carrier-deaf competitor (Section 7.4 style).
+    /// A saturating competitor, carrier-deaf by default (Section 7.4 style).
     Jammer,
-    /// Foreign-building chatter; outsiders pair up in declaration order.
+    /// Foreign-building chatter; outsiders pair up in declaration order and
+    /// take no peer.
     Outsider,
 }
 
@@ -201,11 +223,16 @@ pub struct StationSpec {
     pub receive_threshold: u8,
     /// Quality threshold (the study's default is 1).
     pub quality_threshold: u8,
-    /// Application send interval, ns; 0 means saturate (senders only).
+    /// Application send interval, ns. A sender saturates at 0; a receiver
+    /// sends only when it is non-zero; jammers always saturate and
+    /// outsiders keep their chatter intervals.
     pub interval_ns: u64,
     /// Explicit test-frame body size, bytes; 0 means the study's standard
     /// 1070-byte test packet.
     pub frame_bytes: u16,
+    /// The station index this station sends to; `None` is the receiver
+    /// (station 0). A sending receiver must name one.
+    pub peer: Option<usize>,
 }
 
 impl StationSpec {
@@ -227,6 +254,7 @@ impl StationSpec {
                 _ => 0,
             },
             frame_bytes: 0,
+            peer: None,
         }
     }
 
@@ -387,6 +415,8 @@ pub struct ScenarioSpec {
     /// Paper-scale packet budget of the measured sender (scaled by
     /// [`Scale::packets`] at run time).
     pub packet_budget: u64,
+    /// Virtual-time bound of a run, ns; `None` keeps the simulator's hour.
+    pub time_limit_ns: Option<u64>,
 }
 
 impl ScenarioSpec {
@@ -404,6 +434,7 @@ impl ScenarioSpec {
             capture_margin_db: 6.0,
             fec: None,
             packet_budget: budget,
+            time_limit_ns: None,
         }
     }
 
@@ -460,10 +491,52 @@ impl ScenarioSpec {
     }
 
     /// Builds the runnable scenario at the given seed: the scenario draws
-    /// from `seed` and the propagation model from [`paired_propagation_seed`]
-    /// (see [`ScenarioSpec::build_seeded`]).
+    /// from `seed` and the propagation model from a seed derived from it
+    /// (`trial_seed(0x5EC, 1, seed)`).
     pub fn build(&self, seed: u64) -> Result<(Scenario, usize, usize), SpecError> {
         self.build_seeded(seed, paired_propagation_seed(seed))
+    }
+
+    /// Checks the station list: the receiver comes first, a sender exists,
+    /// outsiders come in pairs, and every `peer` names another station of
+    /// the list (outsiders take none, a sending receiver needs one).
+    /// Returns the measured sender's index, the first sender's.
+    fn check_stations(&self) -> Result<usize, SpecError> {
+        if self.stations.first().map(|s| s.role) != Some(Role::Receiver) {
+            return err("the first station must be the receiver");
+        }
+        let n = self.stations.len();
+        for (i, station) in self.stations.iter().enumerate() {
+            match (station.role, station.peer) {
+                (Role::Outsider, Some(_)) => {
+                    return err(format!(
+                        "stations[{i}]: an outsider pairs with the next outsider and takes no peer"
+                    ));
+                }
+                (Role::Receiver, None) if station.interval_ns > 0 => {
+                    return err(format!("stations[{i}]: a sending receiver needs a peer"));
+                }
+                (_, Some(peer)) if peer == i => {
+                    return err(format!("stations[{i}]: peer {peer} is the station itself"));
+                }
+                (_, Some(peer)) if peer >= n => {
+                    return err(format!("stations[{i}]: peer {peer} out of range (len {n})"));
+                }
+                _ => {}
+            }
+        }
+        if self.outsiders().count() % 2 == 1 {
+            return err("outsider stations must come in pairs");
+        }
+        self.stations
+            .iter()
+            .position(|s| s.role == Role::Sender)
+            .ok_or_else(|| SpecError("a sender station is required".into()))
+    }
+
+    /// The indices of the outsider stations, in declaration order.
+    fn outsiders(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.stations.len()).filter(|&i| self.stations[i].role == Role::Outsider)
     }
 
     /// Builds the runnable scenario from its two seeds: `scenario_seed`
@@ -471,96 +544,83 @@ impl ScenarioSpec {
     /// fading realization. Returns the scenario plus the receiver and
     /// measured-sender station ids.
     ///
-    /// The receiver must be declared first and becomes station 0, the
-    /// measured sender second; extra stations and outsider pairs follow in
-    /// declaration order, then the ambient sources.
+    /// Station `i` of the spec is simulator station `i`, so a `peer` is a
+    /// station id. The receiver is station 0 and the measured sender the
+    /// first sender; the ambient sources follow the stations.
     pub(crate) fn build_seeded(
         &self,
         scenario_seed: u64,
         propagation_seed: u64,
     ) -> Result<(Scenario, usize, usize), SpecError> {
-        match self.stations.first() {
-            Some(s) if s.role == Role::Receiver => {}
-            _ => return err("the first station must be the receiver"),
-        }
-        if self
-            .stations
-            .iter()
-            .skip(1)
-            .any(|s| s.role == Role::Receiver)
-        {
-            return err("exactly one receiver station is supported");
-        }
-        if !self.stations.iter().any(|s| s.role == Role::Sender) {
-            return err("a sender station is required");
-        }
+        let measured_tx = self.check_stations()?;
+        let outsiders: Vec<usize> = self.outsiders().collect();
         let mut b = ScenarioBuilder::new(scenario_seed);
-        let rx = b.station(StationConfig {
-            thresholds: self.stations[0].thresholds(),
-            ..StationConfig::receiver(test_receiver(), self.stations[0].position())
-        });
-        let mut measured_tx = None;
-        let mut pending_outsider: Option<usize> = None;
         let mut extras = 0u8;
-        for station in self.stations.iter().skip(1) {
-            match station.role {
-                Role::Receiver => unreachable!("validated above"),
+        let mut extra_endpoint = |foreign: bool| {
+            extras += 1;
+            if foreign {
+                Endpoint::foreign(100 + extras)
+            } else {
+                Endpoint::station(2 + extras)
+            }
+        };
+        for (id, station) in self.stations.iter().enumerate() {
+            let peer = station.peer.unwrap_or(0);
+            let position = station.position();
+            let interval_ns = station.interval_ns;
+            let mut config = match station.role {
+                Role::Receiver => {
+                    let endpoint = if id == 0 {
+                        test_receiver()
+                    } else {
+                        extra_endpoint(true)
+                    };
+                    let mut config = StationConfig::receiver(endpoint, position);
+                    config.record_trace = id == 0;
+                    if interval_ns > 0 {
+                        config.traffic = Traffic::Periodic { peer, interval_ns };
+                    }
+                    config
+                }
                 Role::Sender => {
-                    let endpoint = if measured_tx.is_none() {
+                    let endpoint = if id == measured_tx {
                         test_sender()
                     } else {
-                        extras += 1;
-                        Endpoint::station(2 + extras)
+                        extra_endpoint(false)
                     };
-                    let mut config = StationConfig::sender(endpoint, station.position(), rx);
-                    config.thresholds = station.thresholds();
-                    config.frame = station.frame();
-                    config.traffic = if station.interval_ns == 0 {
-                        Traffic::Saturate { peer: rx }
+                    let mut config = StationConfig::sender(endpoint, position, peer);
+                    config.traffic = if interval_ns == 0 {
+                        Traffic::Saturate { peer }
                     } else {
-                        Traffic::Periodic {
-                            peer: rx,
-                            interval_ns: station.interval_ns,
-                        }
+                        Traffic::Periodic { peer, interval_ns }
                     };
-                    let id = b.station(config);
-                    if measured_tx.is_none() {
-                        measured_tx = Some(id);
-                    }
+                    config
                 }
-                Role::Jammer => {
-                    extras += 1;
-                    let mut config = StationConfig::jammer(
-                        Endpoint::foreign(100 + extras),
-                        station.position(),
-                        rx,
-                    );
-                    config.thresholds = station.thresholds();
-                    config.frame = station.frame();
-                    b.station(config);
-                }
+                Role::Jammer => StationConfig::jammer(extra_endpoint(true), position, peer),
                 Role::Outsider => {
                     // Outsiders pair up: each chatters to the other at the
                     // conventional 9 ms / 13 ms intervals.
-                    let id = b.next_station_id();
-                    let (peer, interval_ns, tag) = match pending_outsider.take() {
-                        None => {
-                            pending_outsider = Some(id);
-                            (id + 1, 9_000_000, 200)
-                        }
-                        Some(first) => (first, 13_000_000, 201),
+                    let k = outsiders
+                        .iter()
+                        .position(|&o| o == id)
+                        .expect("an outsider");
+                    let (interval_ns, tag) = if k % 2 == 0 {
+                        (9_000_000, 200)
+                    } else {
+                        (13_000_000, 201)
                     };
-                    let mut config =
-                        StationConfig::sender(Endpoint::foreign(tag), station.position(), peer);
+                    let peer = outsiders[k ^ 1];
+                    let mut config = StationConfig::sender(Endpoint::foreign(tag), position, peer);
                     config.network_id = NetworkId(0x0B5D);
                     config.frame = FrameKind::Chatter;
                     config.traffic = Traffic::Periodic { peer, interval_ns };
-                    assert_eq!(b.station(config), id);
+                    b.station(config);
+                    continue;
                 }
-            }
-        }
-        if pending_outsider.is_some() {
-            return err("outsider stations must come in pairs");
+            };
+            config.thresholds = station.thresholds();
+            config.frame = station.frame();
+            b.station(config);
         }
         for interferer in &self.interferers {
             if let Some(source) = interferer.build()? {
@@ -569,13 +629,17 @@ impl ScenarioSpec {
         }
         let mut scenario = b.floorplan(self.floorplan()?).build();
         scenario.capture_margin_db = self.capture_margin_db;
+        if let Some(limit) = self.time_limit_ns {
+            scenario.time_limit_ns = limit;
+        }
         scenario.propagation = self.propagation.build(propagation_seed)?;
-        Ok((scenario, rx, measured_tx.expect("sender validated above")))
+        Ok((scenario, 0, measured_tx))
     }
 
     /// Runs one single-pair trial of the spec — build, run `packets` test
-    /// packets, count the sender's transmissions into the receiver trace,
-    /// analyze it — the one runner every spec-built trial goes through.
+    /// packets (or until the spec's time limit), count the sender's
+    /// transmissions into the receiver trace, analyze it — the one runner
+    /// every spec-built trial goes through.
     pub(crate) fn run_pair(
         &self,
         packets: u64,
@@ -591,6 +655,7 @@ impl ScenarioSpec {
             analysis: analyze(&trace, &expected_series()),
             result,
             rx,
+            tx,
         })
     }
 
@@ -746,6 +811,7 @@ impl Default for ScenarioSpec {
             capture_margin_db: 6.0,
             fec: None,
             packet_budget: 1,
+            time_limit_ns: None,
         }
     }
 }
@@ -807,6 +873,8 @@ pub(crate) struct PairTrial {
     pub result: TrialResult,
     /// The receiver's station id.
     pub rx: usize,
+    /// The measured sender's station id.
+    pub tx: usize,
 }
 
 /// Per-run metrics the sweep engine folds a spec run into.
@@ -886,6 +954,10 @@ impl Serialize for PropagationSpec {
         let mut s = serializer.serialize_struct("PropagationSpec", 2)?;
         s.serialize_field("model", &self.model)?;
         s.serialize_field("shadowing_sigma_db", &self.shadowing_sigma_db)?;
+        if let Some((offset_m, coeff)) = &self.reflector {
+            s.serialize_field("reflector_offset_m", offset_m)?;
+            s.serialize_field("reflection_coeff", coeff)?;
+        }
         s.end()
     }
 }
@@ -900,6 +972,9 @@ impl Serialize for StationSpec {
         s.serialize_field("quality_threshold", &self.quality_threshold)?;
         s.serialize_field("interval_ns", &self.interval_ns)?;
         s.serialize_field("frame_bytes", &self.frame_bytes)?;
+        if let Some(peer) = &self.peer {
+            s.serialize_field("peer", peer)?;
+        }
         s.end()
     }
 }
@@ -938,6 +1013,9 @@ impl Serialize for ScenarioSpec {
             s.serialize_field("fec", fec)?;
         }
         s.serialize_field("packet_budget", &self.packet_budget)?;
+        if let Some(limit) = &self.time_limit_ns {
+            s.serialize_field("time_limit_ns", limit)?;
+        }
         s.end()
     }
 }
@@ -1010,8 +1088,9 @@ pub(crate) fn check_keys(value: &Value, allowed: &[&str], what: &str) -> Result<
 
 impl ScenarioSpec {
     /// Rebuilds a spec from a parsed JSON value. Every key [`Self::to_json`]
-    /// writes is required (`fec` only when present), and no other key is
-    /// accepted, at any level.
+    /// writes is required (`fec`, `time_limit_ns`, a station's `peer` and
+    /// the reflector pair only when present), no other key is accepted, at
+    /// any level, and the station list must build.
     pub(crate) fn from_value(value: &Value) -> Result<ScenarioSpec, SpecError> {
         let what = "scenario spec";
         check_keys(
@@ -1025,6 +1104,7 @@ impl ScenarioSpec {
                 "capture_margin_db",
                 "fec",
                 "packet_budget",
+                "time_limit_ns",
             ],
             what,
         )?;
@@ -1048,10 +1128,28 @@ impl ScenarioSpec {
             material_from_name(&spec.walls.last().expect("just pushed").material)?;
         }
         let prop = want_object(value, "propagation", what)?;
-        check_keys(prop, &["model", "shadowing_sigma_db"], "propagation")?;
+        check_keys(
+            prop,
+            &[
+                "model",
+                "shadowing_sigma_db",
+                "reflector_offset_m",
+                "reflection_coeff",
+            ],
+            "propagation",
+        )?;
+        let reflector = match (prop.get("reflector_offset_m"), prop.get("reflection_coeff")) {
+            (None, None) => None,
+            (Some(_), Some(_)) => Some((
+                want_f64(prop, "reflector_offset_m", "propagation")?,
+                want_f64(prop, "reflection_coeff", "propagation")?,
+            )),
+            _ => return err("propagation: reflector_offset_m and reflection_coeff go together"),
+        };
         spec.propagation = PropagationSpec {
             model: want_str(prop, "model", "propagation")?.to_string(),
             shadowing_sigma_db: want_f64(prop, "shadowing_sigma_db", "propagation")?,
+            reflector,
         };
         spec.propagation.build(0)?;
         for station in want_array(value, "stations", what)? {
@@ -1065,6 +1163,7 @@ impl ScenarioSpec {
                     "quality_threshold",
                     "interval_ns",
                     "frame_bytes",
+                    "peer",
                 ],
                 "station",
             )?;
@@ -1078,6 +1177,10 @@ impl ScenarioSpec {
                     as u8,
                 interval_ns: want_u64(station, "interval_ns", "station")?,
                 frame_bytes: want_u64(station, "frame_bytes", "station")?.min(65_535) as u16,
+                peer: match station.get("peer") {
+                    None => None,
+                    Some(_) => Some(want_u64(station, "peer", "station")? as usize),
+                },
             });
         }
         for interferer in want_array(value, "interferers", what)? {
@@ -1111,6 +1214,10 @@ impl ScenarioSpec {
             });
         }
         spec.packet_budget = want_u64(value, "packet_budget", what)?;
+        if value.get("time_limit_ns").is_some() {
+            spec.time_limit_ns = Some(want_u64(value, "time_limit_ns", what)?);
+        }
+        spec.check_stations()?;
         Ok(spec)
     }
 }
@@ -1199,12 +1306,12 @@ mod tests {
 
     #[test]
     fn plan_round_trips_through_walls() {
-        let m = layouts::multiroom();
-        let spec = ScenarioSpec::pair("mr", (0.0, 0.0), (6.0, 6.5), 100).with_plan(&m.plan);
-        assert_eq!(spec.walls.len(), m.plan.walls().len());
+        let plan = layouts::multiroom();
+        let spec = ScenarioSpec::pair("mr", (0.0, 0.0), (6.0, 6.5), 100).with_plan(&plan);
+        assert_eq!(spec.walls.len(), plan.walls().len());
         let rebuilt = spec.floorplan().expect("builds");
-        assert_eq!(rebuilt.walls().len(), m.plan.walls().len());
-        for (a, b) in rebuilt.walls().iter().zip(m.plan.walls()) {
+        assert_eq!(rebuilt.walls().len(), plan.walls().len());
+        for (a, b) in rebuilt.walls().iter().zip(plan.walls()) {
             assert_eq!(a.material, b.material);
             assert!((a.segment.a.x - b.segment.a.x).abs() < 1e-9);
             assert!((a.segment.b.y - b.segment.b.y).abs() < 1e-9);

@@ -27,6 +27,9 @@ use wavelan_phy::scratch::RxScratch;
 /// ablate capture entirely.
 pub const CAPTURE_MARGIN_DB: f64 = 6.0;
 
+/// Default for [`Scenario::time_limit_ns`]: an hour of virtual time.
+const TIME_LIMIT_NS: u64 = 3_600_000_000_000;
+
 /// A complete experimental setup, ready to run.
 #[derive(Debug)]
 pub struct Scenario {
@@ -42,6 +45,10 @@ pub struct Scenario {
     pub ambient: Vec<AmbientSource>,
     /// Capture margin, dB (see [`CAPTURE_MARGIN_DB`]).
     pub capture_margin_db: f64,
+    /// Virtual-time bound of [`Scenario::run`], [`Scenario::run_in`] and
+    /// [`Scenario::run_streamed`], ns (an hour by default); it matters where
+    /// jammers starve the primary station of its quota.
+    pub time_limit_ns: u64,
     /// Master seed: same seed → bit-identical trial.
     pub seed: u64,
 }
@@ -64,6 +71,7 @@ impl ScenarioBuilder {
                 stations: Vec::new(),
                 ambient: Vec::new(),
                 capture_margin_db: CAPTURE_MARGIN_DB,
+                time_limit_ns: TIME_LIMIT_NS,
                 seed,
             },
         }
@@ -276,10 +284,10 @@ struct Runner<'s> {
 
 impl Scenario {
     /// Runs until station `primary` has completed `n_packets` transmissions,
-    /// or until an hour of virtual time elapses (whichever is first — the
-    /// cap matters for scenarios where the primary is starved by jammers).
+    /// or until [`Scenario::time_limit_ns`] of virtual time elapses,
+    /// whichever is first.
     pub fn run(&self, primary: StationId, n_packets: u64) -> TrialResult {
-        self.run_with_limit(primary, n_packets, 3_600_000_000_000)
+        self.run_with_limit(primary, n_packets, self.time_limit_ns)
     }
 
     /// [`Scenario::run`] with a caller-owned [`SimScratch`], so buffers and
@@ -290,7 +298,7 @@ impl Scenario {
         n_packets: u64,
         scratch: &mut SimScratch,
     ) -> TrialResult {
-        self.run_with_limit_in(primary, n_packets, 3_600_000_000_000, scratch)
+        self.run_with_limit_in(primary, n_packets, self.time_limit_ns, scratch)
     }
 
     /// Runs for a fixed amount of virtual time regardless of progress.
@@ -343,7 +351,7 @@ impl Scenario {
         scratch: &mut SimScratch,
         sink: &mut dyn TraceSink,
     ) -> TrialResult {
-        self.run_sunk(primary, n_packets, 3_600_000_000_000, &[], scratch, sink)
+        self.run_sunk(primary, n_packets, self.time_limit_ns, &[], scratch, sink)
     }
 
     /// The buffered trial: a [`BufferSink`] collects every record and the
