@@ -10,11 +10,6 @@
 //! zero damaged packets, while the in-band *spread-spectrum* phone — whose
 //! energy looks like wideband noise to the correlator — causes severe damage
 //! (Table 11).
-//!
-//! The paper also discusses (Section 8) extending WaveLAN with *multiple*
-//! spreading sequences for cell isolation; [`cross_correlation`] and
-//! [`SpreadingCode::family`] model such a code family (no artifact runs
-//! that extension study).
 
 use crate::baseband::Complex;
 
@@ -48,31 +43,6 @@ impl SpreadingCode {
             "spreading chips must be ±1"
         );
         SpreadingCode { chips }
-    }
-
-    /// Generates a family of `count` pseudo-random ±1 codes of length `len`,
-    /// seeded deterministically. Used by the CDMA extension experiments: the
-    /// paper notes "it is difficult to construct large sequence families which
-    /// simultaneously have low self-correlation and low cross-correlation".
-    /// A simple LFSR-style generator is intentionally *not* optimized for low
-    /// cross-correlation — the extension experiment measures the penalty.
-    pub fn family(count: usize, len: usize, seed: u64) -> Vec<SpreadingCode> {
-        let mut state = seed | 1;
-        let mut next_bit = move || {
-            // xorshift64*
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 63) & 1
-        };
-        (0..count)
-            .map(|_| {
-                let chips = (0..len)
-                    .map(|_| if next_bit() == 1 { 1 } else { -1 })
-                    .collect();
-                SpreadingCode { chips }
-            })
-            .collect()
     }
 
     /// Number of chips per symbol.
@@ -133,21 +103,6 @@ impl SpreadingCode {
             .sum();
         f64::from(sum) / n as f64
     }
-}
-
-/// Normalized cross-correlation of two equal-length codes at lag 0.
-///
-/// For ideal CDMA this would be 0; real finite families leak — the `cell`
-/// crate quantifies the resulting error floor.
-pub fn cross_correlation(a: &SpreadingCode, b: &SpreadingCode) -> f64 {
-    assert_eq!(a.len(), b.len(), "codes must have equal length");
-    let sum: i32 = a
-        .chips
-        .iter()
-        .zip(&b.chips)
-        .map(|(&x, &y)| i32::from(x) * i32::from(y))
-        .sum();
-    f64::from(sum) / a.len() as f64
 }
 
 #[cfg(test)]
@@ -237,47 +192,25 @@ mod tests {
     }
 
     #[test]
-    fn code_family_properties() {
-        let family = SpreadingCode::family(8, 11, 0xFEED);
-        assert_eq!(family.len(), 8);
-        for code in &family {
-            assert_eq!(code.len(), 11);
-        }
-        // Deterministic for a given seed.
-        let again = SpreadingCode::family(8, 11, 0xFEED);
-        assert_eq!(family, again);
-        // Different seed, different family.
-        assert_ne!(family, SpreadingCode::family(8, 11, 0xBEEF));
-    }
-
-    #[test]
-    fn cross_correlation_bounds() {
-        let family = SpreadingCode::family(6, 11, 1);
-        for i in 0..family.len() {
-            for j in 0..family.len() {
-                let xc = cross_correlation(&family[i], &family[j]);
-                assert!((-1.0..=1.0).contains(&xc));
-                if i == j {
-                    assert!((xc - 1.0).abs() < 1e-12);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn despread_with_wrong_code_leaves_noiselike_output() {
         // CDMA premise: a signal spread with code A despread with code B is
-        // attenuated by roughly the cross-correlation.
+        // attenuated by roughly their lag-0 cross-correlation.
         let mut rng = StdRng::seed_from_u64(9);
-        let family = SpreadingCode::family(2, 33, 77);
-        let (a, b) = (&family[0], &family[1]);
+        let a = SpreadingCode::new(vec![1, -1, -1, 1, 1, 1, -1, 1, -1, -1, 1]);
+        let b = SpreadingCode::new(vec![-1, -1, 1, 1, -1, 1, 1, 1, -1, 1, -1]);
         let symbols: Vec<Complex> = (0..1000)
             .map(|_| Complex::from_phase(rng.gen::<f64>() * std::f64::consts::TAU))
             .collect();
         let chips = a.spread(&symbols);
         let leaked = b.despread(&chips);
         let leak_power: f64 = leaked.iter().map(|s| s.norm_sq()).sum::<f64>() / leaked.len() as f64;
-        let xc = cross_correlation(a, b);
+        let xc = a
+            .chips()
+            .iter()
+            .zip(b.chips())
+            .map(|(&x, &y)| f64::from(x * y))
+            .sum::<f64>()
+            / a.len() as f64;
         assert!(
             (leak_power - xc * xc).abs() < 0.05,
             "leak {leak_power}, xc² {}",

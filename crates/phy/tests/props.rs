@@ -42,13 +42,13 @@ proptest! {
         prop_assert_eq!(DqpskDemodulator::new().demodulate_bytes(&symbols), data);
     }
 
-    /// Spreading/despreading is the identity for any code in the family.
+    /// Spreading/despreading is the identity for any ±1 chip code.
     #[test]
     fn spreading_identity(
-        seed in any::<u64>(),
+        chips in proptest::collection::vec(any::<bool>().prop_map(|b| if b { 1i8 } else { -1 }), 11),
         data in proptest::collection::vec(any::<u8>(), 1..64),
     ) {
-        let code = SpreadingCode::family(1, 11, seed | 1).remove(0);
+        let code = SpreadingCode::new(chips);
         let symbols = DqpskModulator::new().modulate_bytes(&data);
         let back = code.despread(&code.spread(&symbols));
         for (a, b) in symbols.iter().zip(&back) {
