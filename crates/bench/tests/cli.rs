@@ -167,6 +167,24 @@ fn misspelled_space_file_key_exits_two_naming_it() {
 }
 
 #[test]
+fn space_file_with_a_bad_peer_exits_two_naming_the_station() {
+    let mut space = wavelan_core::sweep::preset("oven-smoke").expect("preset");
+    space.base.stations[1].peer = Some(7);
+    let text = wavelan_analysis::json::to_string_pretty(&space);
+    let path = std::env::temp_dir().join("repro_cli_bad_peer_space.json");
+    std::fs::write(&path, text).expect("write");
+    let out = repro(&["sweep", "--space", path.to_str().expect("utf-8")]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        stderr(&out).contains("stations[1]: peer 7 out of range"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(out.stdout.is_empty(), "no sweep may run");
+}
+
+#[test]
 fn http_get_requires_a_real_url() {
     // Not a URL at all → usage error (2).
     let out = repro(&["--http-get", "not-a-url"]);

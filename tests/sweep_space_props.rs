@@ -3,12 +3,14 @@
 //! malformed space — arbitrary bytes, a truncated preset, or a preset with
 //! one field of the wrong type or an impossible value, or one key renamed,
 //! dropped or added — must come back as a typed `SpecError`, never a panic
-//! and never a silently accepted space. Each preset also round-trips
-//! through `parse` to its canonical form.
+//! and never a silently accepted space. The one exception: dropping an
+//! optional key (a station's `peer`, `time_limit_ns`) leaves a valid
+//! space. Each preset, and a space over Table 14's spec with every optional
+//! key set, also round-trips through `parse` to its canonical form.
 
 use proptest::prelude::*;
 use wavelan_analysis::json::{self, to_string_pretty, Value};
-use wavelan_core::sweep::{preset, ParameterSpace, PRESET_NAMES};
+use wavelan_core::sweep::{preset, Axis, ParameterSpace, Sampling, PRESET_NAMES};
 
 /// One step of a path into a JSON document.
 #[derive(Debug, Clone)]
@@ -100,21 +102,40 @@ fn mutations(node: &Value, key: &str) -> Vec<Value> {
     out
 }
 
-fn preset_texts() -> Vec<(&'static str, String)> {
-    PRESET_NAMES
+/// Optional spec keys: dropping one leaves a valid space.
+const OPTIONAL_KEYS: [&str; 2] = ["peer", "time_limit_ns"];
+
+/// A space over Table 14's spec, which names jammer peers and a time
+/// limit, with the propagation reflector pair added.
+fn table14_space() -> ParameterSpace {
+    let mut base = wavelan_core::find("table14").expect("table14").spec();
+    base.propagation.reflector = Some((6.0, -0.45));
+    ParameterSpace::new(
+        "table14-keys",
+        base,
+        Sampling::Grid,
+        vec![Axis::levels("stations[0].receive_threshold", &[3.0, 25.0])],
+    )
+}
+
+/// Every preset, plus [`table14_space`], as `(name, JSON text)`.
+fn space_texts() -> Vec<(&'static str, String)> {
+    let mut texts: Vec<_> = PRESET_NAMES
         .iter()
         .map(|&name| {
             let space = preset(name).expect("preset exists");
             (name, to_string_pretty(&space))
         })
-        .collect()
+        .collect();
+    texts.push(("table14-keys", to_string_pretty(&table14_space())));
+    texts
 }
 
 #[test]
 fn presets_round_trip_to_their_canonical_form() {
-    for (name, text) in preset_texts() {
-        let parsed = ParameterSpace::parse(&text).expect("preset parses");
-        let space = preset(name).expect("preset exists");
+    for (name, text) in space_texts() {
+        let parsed = ParameterSpace::parse(&text).expect("space parses");
+        let space = preset(name).unwrap_or_else(table14_space);
         assert_eq!(parsed.canonical_hash(), space.canonical_hash(), "{name}");
         // The canonical form is a fixpoint of serialize → parse.
         let again = ParameterSpace::parse(&to_string_pretty(&parsed)).expect("reparses");
@@ -124,7 +145,7 @@ fn presets_round_trip_to_their_canonical_form() {
 
 #[test]
 fn every_truncated_preset_is_rejected() {
-    for (name, text) in preset_texts() {
+    for (name, text) in space_texts() {
         let text = text.trim_end();
         for cut in 0..text.len() {
             assert!(
@@ -138,7 +159,7 @@ fn every_truncated_preset_is_rejected() {
 #[test]
 fn every_single_field_mutation_is_rejected() {
     let (mut checked, mut non_finite) = (0, 0);
-    for (name, text) in preset_texts() {
+    for (name, text) in space_texts() {
         let doc = json::parse(&text).expect("preset JSON parses");
         let mut paths = Vec::new();
         node_paths(&doc, &mut Vec::new(), "", &mut paths);
@@ -164,8 +185,8 @@ fn every_single_field_mutation_is_rejected() {
 
 #[test]
 fn every_key_rename_drop_and_addition_is_rejected() {
-    let mut checked = 0;
-    for (name, text) in preset_texts() {
+    let (mut checked, mut optional) = (0, 0);
+    for (name, text) in space_texts() {
         let doc = json::parse(&text).expect("preset JSON parses");
         let mut objects = Vec::new();
         object_paths(&doc, &mut Vec::new(), &mut objects);
@@ -195,7 +216,16 @@ fn every_key_rename_drop_and_addition_is_rejected() {
                     unreachable!()
                 };
                 e.remove(i);
-                rejects(dropped, format!("{key:?} dropped"));
+                if OPTIONAL_KEYS.contains(&key.as_str()) {
+                    let text = to_string_pretty(&dropped);
+                    assert!(
+                        ParameterSpace::parse(&text).is_ok(),
+                        "{name}: {path:?}: dropping the optional {key:?} was rejected"
+                    );
+                    optional += 1;
+                } else {
+                    rejects(dropped, format!("{key:?} dropped"));
+                }
             }
             let mut added = doc.clone();
             let Value::Object(e) = node_mut(&mut added, &path) else {
@@ -206,6 +236,8 @@ fn every_key_rename_drop_and_addition_is_rejected() {
         }
     }
     assert!(checked > 100, "only {checked} key mutations checked");
+    // Two jammer peers and the time limit.
+    assert_eq!(optional, 3, "optional-key drops checked");
 }
 
 proptest! {
@@ -220,11 +252,11 @@ proptest! {
     /// parsed — never a panic.
     #[test]
     fn spliced_presets_never_panic(
-        which in 0..PRESET_NAMES.len(),
+        which in 0..PRESET_NAMES.len() + 1,
         at_frac in 0.0f64..1.0,
         junk in proptest::collection::vec(any::<u8>(), 1..16),
     ) {
-        let (_, text) = &preset_texts()[which];
+        let (_, text) = &space_texts()[which];
         let at = (text.len() as f64 * at_frac) as usize;
         let mut bytes = text.as_bytes()[..at].to_vec();
         bytes.extend(&junk);
