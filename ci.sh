@@ -15,6 +15,11 @@ REPRO=./target/release/repro
 cargo fmt --all -- --check
 # Lint every target, test code included.
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc must build without warnings (broken or private intra-doc links).
+# The vendored stand-ins under vendor/ are workspace path dependencies, not
+# this project's code, so they are not linted.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
+    --exclude proptest --exclude rand --exclude serde --exclude serde_derive
 # Every test in every crate: goldens, determinism, the scenario and trace
 # conformance suites (buffered == streamed capture included), the property
 # suites (codec, store, framing, HTTP heads, FEC bit-identity), the

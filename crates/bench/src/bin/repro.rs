@@ -23,7 +23,7 @@
 //! scripted scenario names and the sweep preset names.
 //!
 //! `sweep` expands a declarative parameter space (`wavelan-core::sweep`)
-//! over a base [`ScenarioSpec`] and runs every point through the
+//! over a base [`ScenarioSpec`](wavelan_core::ScenarioSpec) and runs every point through the
 //! deterministic executor, folding the results into a ranked summary
 //! (best/worst configurations plus per-knob sensitivity). `--space` names
 //! a built-in preset (`--space list` prints them) or a JSON space file;

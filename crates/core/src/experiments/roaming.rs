@@ -8,7 +8,7 @@
 //! sequence, so the receive threshold is the only cell-forming tool, and
 //! the border zones between such pseudo-cells host exactly these clients.
 //!
-//! [`walk`] steps a client along a path between two threshold-isolated
+//! `walk` steps a client along a path between two threshold-isolated
 //! cells. At every position it runs a short trial in which the client sends
 //! to its best-heard base while the *other* cell runs its own internal
 //! traffic, and measures:

@@ -1,5 +1,5 @@
 //! The expectation vocabulary: how the corpus names a quantity inside a
-//! structured [`Report`](wavelan_analysis::Report) and what range the
+//! structured [`Report`] and what range the
 //! paper says it should land in.
 //!
 //! A [`Check`] is one falsifiable claim: a [`Quantity`] (a single cell, a

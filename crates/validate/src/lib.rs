@@ -9,7 +9,7 @@
 //! regressions but shatter on every legitimate output change and say
 //! nothing about closeness to the paper. This crate instead encodes the
 //! paper's Tables 2–14 and Figures 1–3 as a typed expectation corpus
-//! ([`corpus`]): each [`Check`](expect::Check) names a quantity inside a structured
+//! ([`corpus()`]): each [`Check`](expect::Check) names a quantity inside a structured
 //! [`Report`](wavelan_analysis::Report) (a cell, a difference, or a
 //! ratio — always scale-free) and the band the paper puts on it, with the
 //! tolerance calibration documented in EXPERIMENTS.md ("Fidelity"
