@@ -554,6 +554,7 @@ impl ScenarioSpec {
     ) -> Result<(Scenario, usize, usize), SpecError> {
         let measured_tx = self.check_stations()?;
         let outsiders: Vec<usize> = self.outsiders().collect();
+        let mut outsiders_built = 0;
         let mut b = ScenarioBuilder::new(scenario_seed);
         let mut extras = 0u8;
         let mut extra_endpoint = |foreign: bool| {
@@ -600,10 +601,8 @@ impl ScenarioSpec {
                 Role::Outsider => {
                     // Outsiders pair up: each chatters to the other at the
                     // conventional 9 ms / 13 ms intervals.
-                    let k = outsiders
-                        .iter()
-                        .position(|&o| o == id)
-                        .expect("an outsider");
+                    let k = outsiders_built;
+                    outsiders_built += 1;
                     let (interval_ns, tag) = if k % 2 == 0 {
                         (9_000_000, 200)
                     } else {
@@ -1225,9 +1224,7 @@ impl ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::competing::Table14;
     use crate::layouts;
-    use crate::registry::Experiment;
 
     fn oven_like() -> ScenarioSpec {
         let (plan, _, _) = layouts::hallway();
@@ -1244,103 +1241,6 @@ mod tests {
         let back = ScenarioSpec::from_value(&json::parse(&text).unwrap()).expect("parses");
         assert_eq!(spec, back);
         assert_eq!(text, back.to_json());
-    }
-
-    #[test]
-    fn optional_keys_round_trip_and_are_written_only_when_set() {
-        let mut spec = Table14.spec();
-        spec.propagation.reflector = Some((6.0, -0.45));
-        let text = spec.to_json();
-        for key in [
-            "\"peer\"",
-            "time_limit_ns",
-            "reflector_offset_m",
-            "reflection_coeff",
-        ] {
-            assert!(text.contains(key), "{key} missing");
-        }
-        let back = ScenarioSpec::from_value(&json::parse(&text).unwrap()).expect("parses");
-        assert_eq!(spec, back);
-        assert_eq!(text, back.to_json());
-        let plain = oven_like().to_json();
-        for key in [
-            "\"peer\"",
-            "time_limit_ns",
-            "reflector_offset_m",
-            "reflection_coeff",
-        ] {
-            assert!(!plain.contains(key), "{key} written while unset");
-        }
-    }
-
-    /// Parses `spec`'s JSON after `edit` has changed the parsed value.
-    fn parse_edited(
-        spec: &ScenarioSpec,
-        edit: impl Fn(&mut Value),
-    ) -> Result<ScenarioSpec, SpecError> {
-        let mut value = json::parse(&spec.to_json()).unwrap();
-        edit(&mut value);
-        ScenarioSpec::from_value(&value)
-    }
-
-    #[test]
-    fn malformed_peers_and_reflector_halves_are_rejected_at_parse_time() {
-        let cases: [(fn(&mut ScenarioSpec), &str); 5] = [
-            (
-                |s| s.stations[2].peer = Some(4),
-                "stations[2]: peer 4 out of range (len 4)",
-            ),
-            (
-                |s| s.stations[3].peer = Some(3),
-                "stations[3]: peer 3 is the station itself",
-            ),
-            (
-                |s| s.stations[0].interval_ns = 25_000_000,
-                "stations[0]: a sending receiver needs a peer",
-            ),
-            (
-                |s| {
-                    *s = s.clone().with_outsiders();
-                    s.stations[5].peer = Some(4);
-                },
-                "stations[5]: an outsider pairs with the next outsider and takes no peer",
-            ),
-            (
-                |s| {
-                    s.stations.truncate(2);
-                    s.stations.push(StationSpec::new(Role::Receiver, 9.0, 9.0));
-                    s.stations[2].interval_ns = 1_000_000;
-                },
-                "stations[2]: a sending receiver needs a peer",
-            ),
-        ];
-        for (edit, message) in cases {
-            let mut spec = Table14.spec();
-            edit(&mut spec);
-            let e = parse_edited(&spec, |_| {}).expect_err(message);
-            assert_eq!(e.0, message);
-            assert!(spec.build(1).is_err(), "{message}: builds");
-        }
-        let mut spec = Table14.spec();
-        spec.propagation.reflector = Some((6.0, -0.45));
-        for half in ["reflector_offset_m", "reflection_coeff"] {
-            let e = parse_edited(&spec, |value| {
-                let Value::Object(entries) = value else {
-                    unreachable!()
-                };
-                let prop = &mut entries
-                    .iter_mut()
-                    .find(|(k, _)| k == "propagation")
-                    .unwrap()
-                    .1;
-                let Value::Object(prop) = prop else {
-                    unreachable!()
-                };
-                prop.retain(|(k, _)| k != half);
-            })
-            .expect_err(half);
-            assert!(e.0.contains("go together"), "{e}");
-        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 
 use proptest::prelude::*;
 use wavelan_analysis::json::{self, to_string_pretty, Value};
+use wavelan_core::spec::Role;
 use wavelan_core::sweep::{preset, Axis, ParameterSpace, Sampling, PRESET_NAMES};
+use wavelan_core::ScenarioSpec;
 
 /// One step of a path into a JSON document.
 #[derive(Debug, Clone)]
@@ -238,6 +240,62 @@ fn every_key_rename_drop_and_addition_is_rejected() {
     assert!(checked > 100, "only {checked} key mutations checked");
     // Two jammer peers and the time limit.
     assert_eq!(optional, 3, "optional-key drops checked");
+}
+
+/// A malformed peer, a sending receiver without one, and one half of the
+/// reflector pair each come back as a `SpecError` naming the station or the
+/// pair; the station errors also fail `ScenarioSpec::build`.
+#[test]
+fn malformed_peers_and_reflector_halves_are_rejected_naming_them() {
+    type Edit = fn(&mut ScenarioSpec);
+    let cases: [(Edit, &str); 5] = [
+        (
+            |s| s.stations[2].peer = Some(4),
+            "stations[2]: peer 4 out of range (len 4)",
+        ),
+        (
+            |s| s.stations[3].peer = Some(3),
+            "stations[3]: peer 3 is the station itself",
+        ),
+        (
+            |s| s.stations[0].interval_ns = 25_000_000,
+            "stations[0]: a sending receiver needs a peer",
+        ),
+        (
+            |s| {
+                s.stations[2].role = Role::Outsider;
+                s.stations[3].role = Role::Outsider;
+                s.stations[2].peer = None;
+            },
+            "stations[3]: an outsider pairs with the next outsider and takes no peer",
+        ),
+        (
+            |s| {
+                s.stations[3].role = Role::Receiver;
+                s.stations[3].interval_ns = 1_000_000;
+                s.stations[3].peer = None;
+            },
+            "stations[3]: a sending receiver needs a peer",
+        ),
+    ];
+    for (edit, message) in cases {
+        let mut space = table14_space();
+        edit(&mut space.base);
+        let e = ParameterSpace::parse(&to_string_pretty(&space)).expect_err(message);
+        assert_eq!(e.0, message);
+        assert!(space.base.build(1).is_err(), "{message}: builds");
+    }
+    let doc = json::parse(&to_string_pretty(&table14_space())).expect("parses");
+    for half in ["reflector_offset_m", "reflection_coeff"] {
+        let mut mutated = doc.clone();
+        let propagation = [Step::Key("base".into()), Step::Key("propagation".into())];
+        let Value::Object(entries) = node_mut(&mut mutated, &propagation) else {
+            unreachable!("propagation is an object");
+        };
+        entries.retain(|(key, _)| key != half);
+        let e = ParameterSpace::parse(&to_string_pretty(&mutated)).expect_err(half);
+        assert!(e.0.contains("go together"), "{e}");
+    }
 }
 
 proptest! {
