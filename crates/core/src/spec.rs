@@ -525,18 +525,14 @@ impl ScenarioSpec {
                 _ => {}
             }
         }
-        if self.outsiders().count() % 2 == 1 {
+        let outsiders = self.stations.iter().filter(|s| s.role == Role::Outsider);
+        if outsiders.count() % 2 == 1 {
             return err("outsider stations must come in pairs");
         }
         self.stations
             .iter()
             .position(|s| s.role == Role::Sender)
             .ok_or_else(|| SpecError("a sender station is required".into()))
-    }
-
-    /// The indices of the outsider stations, in declaration order.
-    fn outsiders(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.stations.len()).filter(|&i| self.stations[i].role == Role::Outsider)
     }
 
     /// Builds the runnable scenario from its two seeds: `scenario_seed`
@@ -553,62 +549,26 @@ impl ScenarioSpec {
         propagation_seed: u64,
     ) -> Result<(Scenario, usize, usize), SpecError> {
         let measured_tx = self.check_stations()?;
-        let outsiders: Vec<usize> = self.outsiders().collect();
-        let mut outsiders_built = 0;
         let mut b = ScenarioBuilder::new(scenario_seed);
+        let mut pending_outsider: Option<usize> = None;
         let mut extras = 0u8;
-        let mut extra_endpoint = |foreign: bool| {
-            extras += 1;
-            if foreign {
-                Endpoint::foreign(100 + extras)
-            } else {
-                Endpoint::station(2 + extras)
-            }
-        };
         for (id, station) in self.stations.iter().enumerate() {
-            let peer = station.peer.unwrap_or(0);
-            let position = station.position();
-            let interval_ns = station.interval_ns;
+            let (position, peer) = (station.position(), station.peer.unwrap_or(0));
             let mut config = match station.role {
-                Role::Receiver => {
-                    let endpoint = if id == 0 {
-                        test_receiver()
-                    } else {
-                        extra_endpoint(true)
-                    };
-                    let mut config = StationConfig::receiver(endpoint, position);
-                    config.record_trace = id == 0;
-                    if interval_ns > 0 {
-                        config.traffic = Traffic::Periodic { peer, interval_ns };
-                    }
-                    config
+                Role::Receiver if id == 0 => StationConfig::receiver(test_receiver(), position),
+                Role::Sender if id == measured_tx => {
+                    StationConfig::sender(test_sender(), position, peer)
                 }
-                Role::Sender => {
-                    let endpoint = if id == measured_tx {
-                        test_sender()
-                    } else {
-                        extra_endpoint(false)
-                    };
-                    let mut config = StationConfig::sender(endpoint, position, peer);
-                    config.traffic = if interval_ns == 0 {
-                        Traffic::Saturate { peer }
-                    } else {
-                        Traffic::Periodic { peer, interval_ns }
-                    };
-                    config
-                }
-                Role::Jammer => StationConfig::jammer(extra_endpoint(true), position, peer),
                 Role::Outsider => {
                     // Outsiders pair up: each chatters to the other at the
                     // conventional 9 ms / 13 ms intervals.
-                    let k = outsiders_built;
-                    outsiders_built += 1;
-                    let (interval_ns, tag) = if k % 2 == 0 {
-                        (9_000_000, 200)
-                    } else {
-                        (13_000_000, 201)
+                    let (peer, interval_ns, tag) = match pending_outsider.take() {
+                        None => {
+                            pending_outsider = Some(id);
+                            (id + 1, 9_000_000, 200)
+                        }
+                        Some(first) => (first, 13_000_000, 201),
                     };
-                    let peer = outsiders[k ^ 1];
                     let mut config = StationConfig::sender(Endpoint::foreign(tag), position, peer);
                     config.network_id = NetworkId(0x0B5D);
                     config.frame = FrameKind::Chatter;
@@ -616,7 +576,29 @@ impl ScenarioSpec {
                     b.station(config);
                     continue;
                 }
+                // Extra stations take the next endpoint: a station address
+                // for a sender, a foreign one for a jammer or a silent
+                // receiver.
+                role => {
+                    extras += 1;
+                    let foreign = Endpoint::foreign(100 + extras);
+                    match role {
+                        Role::Sender => {
+                            StationConfig::sender(Endpoint::station(2 + extras), position, peer)
+                        }
+                        Role::Jammer => StationConfig::jammer(foreign, position, peer),
+                        _ => StationConfig {
+                            record_trace: false,
+                            ..StationConfig::receiver(foreign, position)
+                        },
+                    }
+                }
             };
+            match (station.role, station.interval_ns) {
+                (Role::Jammer, _) | (Role::Receiver, 0) => {}
+                (Role::Sender, 0) => config.traffic = Traffic::Saturate { peer },
+                (_, interval_ns) => config.traffic = Traffic::Periodic { peer, interval_ns },
+            }
             config.thresholds = station.thresholds();
             config.frame = station.frame();
             b.station(config);
