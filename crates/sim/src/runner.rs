@@ -298,7 +298,7 @@ impl Scenario {
         n_packets: u64,
         scratch: &mut SimScratch,
     ) -> TrialResult {
-        self.run_with_limit_in(primary, n_packets, self.time_limit_ns, scratch)
+        self.run_inner(primary, n_packets, self.time_limit_ns, &[], scratch)
     }
 
     /// Runs for a fixed amount of virtual time regardless of progress.
@@ -309,19 +309,7 @@ impl Scenario {
     /// The general form: stop when `primary` completes `n_packets`
     /// transmissions or virtual time passes `limit_ns`.
     pub fn run_with_limit(&self, primary: StationId, n_packets: u64, limit_ns: u64) -> TrialResult {
-        let mut scratch = SimScratch::new();
-        self.run_with_limit_in(primary, n_packets, limit_ns, &mut scratch)
-    }
-
-    /// [`Scenario::run_with_limit`] with a caller-owned [`SimScratch`].
-    pub fn run_with_limit_in(
-        &self,
-        primary: StationId,
-        n_packets: u64,
-        limit_ns: u64,
-        scratch: &mut SimScratch,
-    ) -> TrialResult {
-        self.run_inner(primary, n_packets, limit_ns, &[], scratch)
+        self.run_inner(primary, n_packets, limit_ns, &[], &mut SimScratch::new())
     }
 
     /// Runs a **scripted** trial: the directive table is merged into the
