@@ -201,7 +201,7 @@ pub(crate) fn run_with(scale: Scale, seed: u64, exec: &Executor) -> CompetingRes
     let packets = scale.packets(PAPER_PACKETS);
     let shared = trial_seed(EXPERIMENT_ID, 0, seed);
     let base = Table14.spec();
-    let trials: [(bool, u8, u64); 3] = [
+    let configs: [(bool, u8, u64); 3] = [
         // Without interference, then with it.
         (false, 25, packets),
         (true, 25, packets),
@@ -210,7 +210,7 @@ pub(crate) fn run_with(scale: Scale, seed: u64, exec: &Executor) -> CompetingRes
         (true, 3, packets.min(500)),
     ];
     let mut trials = exec.map_with(
-        trials.to_vec(),
+        configs.to_vec(),
         SimScratch::new,
         |scratch, _, (jammers, threshold, quota)| {
             run_trial(&base, jammers, threshold, quota, shared, scratch)

@@ -131,12 +131,11 @@ impl Experiment for HiddenTerminal {
         // victim hears both transmitters, the transmitters cannot hear each
         // other — the textbook hidden-terminal geometry, at the study's
         // default thresholds ("operated without thresholding"). The hidden
-        // transmitter keeps the *default* carrier threshold and saturates
-        // toward its own silent far peer (station 3), so its packets are not
-        // part of the test series. Shadowing is off and the run is bounded
-        // at 60 s of virtual time (the ablated run crawls). Sweeps can walk
-        // the capture margin (`capture_margin_db`) or the hidden station's
-        // position.
+        // transmitter saturates toward its own silent far peer (station 3),
+        // so its packets are not part of the test series. Shadowing is off
+        // and the run is bounded at 60 s of virtual time (the ablated run
+        // crawls). Sweeps can walk the capture margin (`capture_margin_db`)
+        // or the hidden station's position.
         let mut hidden = StationSpec::new(Role::Jammer, -190.0, 40.0);
         hidden.receive_threshold = 3;
         hidden.peer = Some(3);
