@@ -48,6 +48,11 @@ fi
 "$REPRO" --scenario list
 "$REPRO" --scenario walk-by --scale smoke > "$OUT/SCENARIO_WALKBY.txt"
 cmp "$OUT/SCENARIO_WALKBY.txt" tests/golden/scenario_walkby_smoke.txt
+# Every library scenario must also hold its requires at reduced scale
+# (`repro --scenario` exits 1 on a failed require; `set -e` fails CI).
+for scenario in capture-chatter equal-power walk-by oven-sweep dense-cell; do
+    "$REPRO" --scenario "$scenario" --scale reduced --seed 1996 > "$OUT/SCENARIO_REDUCED_$scenario.txt"
+done
 
 # Parameter-sweep gate: the smoke preset's JSON document is pinned against
 # its golden file (ranking, sensitivity, per-point seeds — any drift in

@@ -1,20 +1,20 @@
 //! Compilation of a [`ScenarioScript`] into a runnable trial: graph
-//! validation, the canonical-order toposort, static time elaboration, and
-//! lowering onto the `wavelan-sim` directive timetable.
+//! validation, the canonical-order toposort, static time elaboration, the
+//! spec build, and lowering onto the `wavelan-sim` directive timetable.
 //!
 //! Determinism contract: compilation is a pure function of the script's
-//! *content*. Ready events fire in the canonical order of
-//! `Action::priority` with ties broken by event name, so permuting the
-//! declaration order of a script changes nothing — not the firing order,
-//! not the station ids, not a single directive.
+//! *content*. Station ids are spec indices, and ready events fire in the
+//! canonical order of `Action::priority` with ties broken by event name, so
+//! permuting the declaration order of a script's events changes nothing —
+//! not the firing order, not a single directive.
 
 use super::error::ScenarioError;
-use super::model::{Action, Knob, Require, Role, ScenarioScript, StationSpec};
+use super::model::{Action, Require, ScenarioScript};
+use crate::spec::Role;
 use std::collections::{BTreeMap, HashMap};
-use wavelan_sim::station::{FrameKind, Traffic};
+use wavelan_sim::station::Traffic;
 use wavelan_sim::{
-    Directive, DirectiveOp, Point, Scenario as SimScenario, ScenarioBuilder, StationConfig,
-    StationId,
+    Directive, DirectiveOp, Point, Scenario as SimScenario, StationConfig, StationId,
 };
 
 /// Virtual time every scenario runs past its last scheduled event before it
@@ -43,8 +43,7 @@ pub struct CompiledScenario {
     pub(crate) directives: Vec<Directive>,
     pub(crate) probes: Vec<Probe>,
     pub(crate) requires: Vec<Require>,
-    /// Station names, indexed by [`StationId`] (ids are assigned in canonical
-    /// firing order, so they are declaration-permutation-stable too).
+    /// Station names, indexed by [`StationId`] (the spec's station order).
     pub(crate) station_names: Vec<String>,
     pub(crate) limit_ns: u64,
     /// Event names in the order they fired during elaboration.
@@ -59,8 +58,10 @@ impl CompiledScenario {
 }
 
 impl ScenarioScript {
-    /// Validates the script and compiles it to a runnable trial. Every
-    /// failure is a typed [`ScenarioError`] naming the offending event.
+    /// Validates the script, builds its spec at the script's seed
+    /// ([`ScenarioSpec::build`](crate::spec::ScenarioSpec::build)) and
+    /// compiles it to a runnable trial. Every failure is a typed
+    /// [`ScenarioError`] naming what is at fault.
     pub fn compile(&self) -> Result<CompiledScenario, ScenarioError> {
         // --- Graph validation -------------------------------------------
         let mut index_of: HashMap<&str, usize> = HashMap::new();
@@ -129,33 +130,21 @@ impl ScenarioScript {
             return Err(ScenarioError::Cycle { events: stuck });
         }
 
-        // --- Pass 1: bind station names to ids (firing order) -----------
-        let mut station_names: Vec<String> = Vec::new();
-        for &i in &fire_order {
-            let e = &self.events[i];
-            match &e.action {
-                Action::Place { station, .. } => {
-                    if start_ns[i] != 0 {
-                        return Err(ScenarioError::LatePlacement {
-                            event: e.name.clone(),
-                        });
-                    }
-                    if station_names.iter().any(|n| n == station) {
-                        return Err(ScenarioError::DuplicateStation {
-                            event: e.name.clone(),
-                            station: station.clone(),
-                        });
-                    }
-                    station_names.push(station.clone());
-                }
-                Action::PlaceInterferer { .. } if start_ns[i] != 0 => {
-                    return Err(ScenarioError::LatePlacement {
-                        event: e.name.clone(),
-                    });
-                }
-                _ => {}
+        // --- Station names and the spec build ---------------------------
+        if self.stations.len() != self.spec.stations.len() {
+            return Err(ScenarioError::StationNames {
+                names: self.stations.len(),
+                stations: self.spec.stations.len(),
+            });
+        }
+        for (i, name) in self.stations.iter().enumerate() {
+            if self.stations[..i].contains(name) {
+                return Err(ScenarioError::DuplicateStation {
+                    station: name.clone(),
+                });
             }
         }
+        let station_names = &self.stations;
         let station_id = |name: &str, context: String| -> Result<StationId, ScenarioError> {
             station_names
                 .iter()
@@ -165,26 +154,10 @@ impl ScenarioScript {
                     station: name.to_string(),
                 })
         };
+        let (mut sim, _, _) = self.spec.build(self.seed).map_err(ScenarioError::Spec)?;
+        let mut positions: Vec<Point> = sim.stations.iter().map(|s| s.pos).collect();
 
-        // --- Pass 2: build station configs (all places are known now, so
-        // peers can point forward) ---------------------------------------
-        let mut builder = ScenarioBuilder::new(self.seed);
-        let mut configs: Vec<Option<StationConfig>> = vec![None; station_names.len()];
-        let mut positions: Vec<Point> = vec![Point::new(0.0, 0.0); station_names.len()];
-        let mut records_trace: Vec<bool> = vec![false; station_names.len()];
-        for &i in &fire_order {
-            if let Action::Place { station, spec } = &self.events[i].action {
-                let ctx = format!("event {:?}", self.events[i].name);
-                let id = station_id(station, ctx.clone())?;
-                let config = station_config(spec, |peer| station_id(peer, ctx.clone()))?;
-                positions[id] = config.pos;
-                records_trace[id] = config.record_trace;
-                configs[id] = Some(config);
-            }
-        }
-
-        // --- Pass 3: lower the remaining events to directives -----------
-        let mut shadowing_override: Option<f64> = None;
+        // --- Lower the events to directives -----------------------------
         let mut directives: Vec<Directive> = Vec::new();
         let mut probes: Vec<Probe> = Vec::new();
 
@@ -193,25 +166,6 @@ impl ScenarioScript {
             let at_ns = start_ns[i];
             let ctx = || format!("event {:?}", e.name);
             match &e.action {
-                Action::Place { .. } => {}
-                Action::PlaceInterferer { source } => {
-                    builder.ambient(*source);
-                }
-                Action::SetKnob {
-                    knob: Knob::ShadowingSigmaDb(sigma),
-                } => {
-                    if at_ns != 0 {
-                        return Err(ScenarioError::KnobNotScriptable {
-                            event: e.name.clone(),
-                            knob: "shadowing_sigma_db",
-                            detail: format!(
-                                "propagation is frozen once the trial starts; this knob \
-                                 would fire at t={at_ns} ns, it must fire at t=0"
-                            ),
-                        });
-                    }
-                    shadowing_override = Some(*sigma);
-                }
                 Action::Move {
                     station,
                     to,
@@ -255,13 +209,21 @@ impl ScenarioScript {
                     spacing_ns,
                 } => {
                     let id = station_id(station, ctx())?;
-                    let cfg = configs[id].as_ref().expect("placed before use");
-                    if !matches!(cfg.traffic, Traffic::Scripted { .. }) {
-                        return Err(ScenarioError::NotScripted {
-                            event: e.name.clone(),
-                            station: station.clone(),
-                        });
-                    }
+                    // A transmit event turns a spec sender into one that
+                    // sends only what the script hands it.
+                    let config = &mut sim.stations[id];
+                    config.traffic = match (self.spec.stations[id].role, config.traffic) {
+                        (
+                            Role::Sender,
+                            Traffic::Periodic { peer, .. } | Traffic::Saturate { peer },
+                        ) => Traffic::Scripted { peer },
+                        _ => {
+                            return Err(ScenarioError::NotSender {
+                                event: e.name.clone(),
+                                station: station.clone(),
+                            })
+                        }
+                    };
                     directives.push(Directive {
                         at_ns,
                         op: DirectiveOp::Enqueue {
@@ -276,8 +238,8 @@ impl ScenarioScript {
                     validate_require(
                         require,
                         format!("assert event {:?}", e.name),
-                        &station_names,
-                        &records_trace,
+                        station_names,
+                        &sim.stations,
                     )?;
                     let snapshot_id = probes.len();
                     directives.push(Directive {
@@ -297,29 +259,19 @@ impl ScenarioScript {
             validate_require(
                 require,
                 format!("require {:?}", require.name),
-                &station_names,
-                &records_trace,
+                station_names,
+                &sim.stations,
             )?;
-        }
-
-        // Stations enter the sim in id order (= canonical firing order of
-        // their place events).
-        for config in configs.into_iter() {
-            builder.station(config.expect("every bound name has a config"));
-        }
-        let mut sim = builder.build();
-        if let Some(sigma) = shadowing_override {
-            sim.propagation.shadowing_sigma_db = sigma;
         }
 
         let limit_ns = end_ns.iter().copied().max().unwrap_or(0) + DRAIN_NS;
         Ok(CompiledScenario {
-            name: self.name.clone(),
+            name: self.spec.name.clone(),
             sim,
             directives,
             probes,
             requires: self.requires.clone(),
-            station_names,
+            station_names: self.stations.clone(),
             limit_ns,
             fire_order: fire_order
                 .into_iter()
@@ -342,45 +294,8 @@ fn event_duration(action: &Action) -> u64 {
             spacing_ns,
             ..
         } => packets.saturating_mul(*spacing_ns),
-        Action::Place { .. }
-        | Action::PlaceInterferer { .. }
-        | Action::SetKnob { .. }
-        | Action::Assert { .. } => 0,
+        Action::Assert { .. } => 0,
     }
-}
-
-/// Lowers a [`StationSpec`] to a sim [`StationConfig`].
-fn station_config(
-    spec: &StationSpec,
-    mut station_id: impl FnMut(&str) -> Result<StationId, ScenarioError>,
-) -> Result<StationConfig, ScenarioError> {
-    let mut config = match &spec.role {
-        Role::Receiver => StationConfig::receiver(spec.endpoint, spec.pos),
-        Role::Chatterer { peer, interval_ns } => {
-            let peer = station_id(peer)?;
-            let mut c = StationConfig::sender(spec.endpoint, spec.pos, peer);
-            c.traffic = Traffic::Periodic {
-                peer,
-                interval_ns: *interval_ns,
-            };
-            c.frame = FrameKind::Chatter;
-            c
-        }
-        Role::Jammer { peer } => StationConfig::jammer(spec.endpoint, spec.pos, station_id(peer)?),
-        Role::Scripted { peer } => {
-            let peer = station_id(peer)?;
-            let mut c = StationConfig::sender(spec.endpoint, spec.pos, peer);
-            c.traffic = Traffic::Scripted { peer };
-            c
-        }
-    };
-    if let Some(thresholds) = spec.thresholds {
-        config.thresholds = thresholds;
-    }
-    if let Some(bytes) = spec.frame_bytes {
-        config.frame = FrameKind::Sized { bytes };
-    }
-    Ok(config)
 }
 
 /// Checks every station a quantity references: known name, and a recorded
@@ -389,7 +304,7 @@ fn validate_require(
     require: &Require,
     context: String,
     station_names: &[String],
-    records_trace: &[bool],
+    stations: &[StationConfig],
 ) -> Result<(), ScenarioError> {
     for (name, needs_trace) in require.quantity.station_refs() {
         let Some(id) = station_names.iter().position(|n| n == name) else {
@@ -398,7 +313,7 @@ fn validate_require(
                 station: name.to_string(),
             });
         };
-        if needs_trace && !records_trace[id] {
+        if needs_trace && !stations[id].record_trace {
             return Err(ScenarioError::NeedsTrace {
                 context,
                 station: name.to_string(),

@@ -1,8 +1,10 @@
-//! Typed failures of scenario compilation. Every variant names the
-//! offending event or require — scripts fail with diagnoses, never panics.
+//! Typed failures of scenario compilation. Every variant names what is at
+//! fault — an event, a station, a require or the spec — so scripts fail
+//! with diagnoses, never panics.
 //! A condition that does not hold at run time is not an error: it is a
 //! failed [`super::run::Judgment`].
 
+use crate::spec::SpecError;
 use std::fmt;
 
 /// Why a scenario script could not be compiled.
@@ -25,41 +27,33 @@ pub enum ScenarioError {
         /// The events stuck in (or behind) the cycle, in name order.
         events: Vec<String>,
     },
-    /// Two `place` events declare the same station name.
+    /// The station name list and the spec's station list differ in length.
+    StationNames {
+        /// Names the script gives.
+        names: usize,
+        /// Stations the spec declares.
+        stations: usize,
+    },
+    /// Two spec stations share a script name.
     DuplicateStation {
-        /// The place event at fault.
-        event: String,
         /// The repeated station name.
         station: String,
     },
-    /// An event or require references a station no `place` event declares.
+    /// An event or require references a station the script does not name.
     UnknownStation {
         /// The referencing event or require name.
         context: String,
         /// The unknown station name.
         station: String,
     },
-    /// A `place` (or `place_interferer`) event would fire after time 0 —
-    /// stations and ambient sources must exist before the trial starts.
-    LatePlacement {
-        /// The misplaced event.
-        event: String,
-    },
-    /// A knob was turned at a time its model cannot honour (for example
-    /// shadowing σ after time 0: propagation is frozen once the trial runs).
-    KnobNotScriptable {
-        /// The set_knob event at fault.
-        event: String,
-        /// Which knob.
-        knob: &'static str,
-        /// Why it cannot fire here.
-        detail: String,
-    },
-    /// A `transmit` event targets a station that is not [`super::Role::Scripted`].
-    NotScripted {
+    /// The spec does not build.
+    Spec(SpecError),
+    /// A `transmit` event targets a station that is not a spec
+    /// [`Role::Sender`](crate::spec::Role::Sender).
+    NotSender {
         /// The transmit event at fault.
         event: String,
-        /// The mis-roled station.
+        /// The station.
         station: String,
     },
     /// A quantity needs a receive trace but the named station records none.
@@ -90,29 +84,20 @@ impl fmt::Display for ScenarioError {
                     events.join(", ")
                 )
             }
-            ScenarioError::DuplicateStation { event, station } => {
-                write!(f, "event {event:?} re-places station {station:?}")
+            ScenarioError::StationNames { names, stations } => {
+                write!(f, "{names} station names for {stations} spec stations")
+            }
+            ScenarioError::DuplicateStation { station } => {
+                write!(f, "station name {station:?} is given twice")
             }
             ScenarioError::UnknownStation { context, station } => {
                 write!(f, "{context} references unknown station {station:?}")
             }
-            ScenarioError::LatePlacement { event } => {
+            ScenarioError::Spec(e) => write!(f, "spec: {e}"),
+            ScenarioError::NotSender { event, station } => {
                 write!(
                     f,
-                    "placement event {event:?} would fire after t=0; places cannot happen after time-advancing events"
-                )
-            }
-            ScenarioError::KnobNotScriptable {
-                event,
-                knob,
-                detail,
-            } => {
-                write!(f, "event {event:?} cannot set knob {knob}: {detail}")
-            }
-            ScenarioError::NotScripted { event, station } => {
-                write!(
-                    f,
-                    "transmit event {event:?} targets station {station:?}, whose role is not scripted"
+                    "transmit event {event:?} targets station {station:?}, which is not a sender"
                 )
             }
             ScenarioError::NeedsTrace { context, station } => {

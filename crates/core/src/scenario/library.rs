@@ -1,22 +1,22 @@
 //! The named scenario library: the hand-wired MAC/capture choreography of
 //! earlier PRs re-expressed as event-DAG scripts, plus the new scripted
 //! studies (mobile-interferer walk-by, microwave duty-cycle × packet-length
-//! sweep, dense-cell capture matrix).
+//! sweep, dense-cell capture matrix). Each script's stations and
+//! interferers are a [`ScenarioSpec`] in the registry's vocabulary.
 //!
 //! Every entry here is reachable as `repro --scenario <name>`; the matrix
 //! scenarios fan their cells out through the deterministic [`Executor`], so
 //! `--jobs 1` and `--jobs 8` produce bit-identical reports.
 
-use super::model::{Action, Cmp, Knob, Quantity, Require, Role, ScenarioScript, StationSpec};
+use super::model::{Action, Cmp, Quantity, Require, ScenarioScript};
 use super::run::{Judgment, ScenarioOutcome};
 use crate::executor::{trial_seed, Executor};
+use crate::spec::{InterfererSpec, PropagationSpec, Role, ScenarioSpec, StationSpec};
 use crate::Scale;
 use wavelan_analysis::report::{Cell, Column, Table};
 use wavelan_analysis::{Block, Report};
 use wavelan_mac::Thresholds;
-use wavelan_net::testpkt::Endpoint;
-use wavelan_phy::interference::{DutyCycle, InterferenceKind};
-use wavelan_sim::{AmbientSource, Emitter, Point, SimScratch};
+use wavelan_sim::{Point, SimScratch};
 
 /// Seed-stream ids of the scenario suite (disjoint from the registry's
 /// experiment streams by convention: experiments use low ids).
@@ -31,11 +31,20 @@ const TEST_SPACING_NS: u64 = 6_100_000;
 
 /// Section 7.4's threshold-25 tuning: deaf to distant chatter, still
 /// carrier-sensing nearby stations.
-pub fn threshold_25() -> Thresholds {
-    Thresholds {
-        receive_level: 25,
-        quality: 1,
-    }
+pub const THRESHOLD_25: u8 = 25;
+
+/// The receiver/sender pair every library scenario starts from: `rx` at the
+/// origin and `tx` at `(tx_x_ft, 0)` on the open floor, with shadowing off
+/// so the propagation seed draws nothing. `packets` becomes the spec's
+/// packet budget, which a script does not read: its transmit events say
+/// what the sender sends.
+fn open_pair(name: &str, tx_x_ft: f64, packets: u64) -> ScenarioSpec {
+    ScenarioSpec::pair(name, (0.0, 0.0), (tx_x_ft, 0.0), packets).with_propagation(
+        PropagationSpec {
+            shadowing_sigma_db: 0.0,
+            ..PropagationSpec::indoor()
+        },
+    )
 }
 
 /// Every scenario name `repro --scenario` accepts.
@@ -55,7 +64,7 @@ pub const SCENARIO_NAMES: &[&str] = &[
 /// form of the Section 7.4 capture conformance test.
 ///
 /// A receiver at the origin, a scripted sender 7 ft away, and a foreign
-/// chatterer 395 ft away whose ARP-style frames the receiver's default
+/// chatterer 395 ft away whose 512-byte frames the receiver's default
 /// threshold still locks. With `sender_threshold` = 25 the sender is deaf
 /// to the chatter and transmits over it; every test packet then captures
 /// the receiver away from whatever chatter frame it was locked on
@@ -63,55 +72,19 @@ pub const SCENARIO_NAMES: &[&str] = &[
 /// *hears* the chatter and defers instead — transmissions never overlap and
 /// the first require (`chatter-overlapped`) fails: that is the PR 4
 /// mutual-CSMA-deferral regression, now an explicit ground-truth condition.
-pub fn capture_chatter(seed: u64, scale: Scale, sender_threshold: Thresholds) -> ScenarioScript {
+pub fn capture_chatter(seed: u64, scale: Scale, sender_threshold: u8) -> ScenarioScript {
     let n = scale.packets(600);
-    let mut s = ScenarioScript::new("capture-chatter", seed);
-    s.event(
-        "place-rx",
-        &[],
-        Action::Place {
-            station: "rx".into(),
-            spec: StationSpec::new(Endpoint::station(1), Point::feet(0.0, 0.0), Role::Receiver),
-        },
-    );
-    s.event(
-        "place-tx",
-        &[],
-        Action::Place {
-            station: "tx".into(),
-            spec: StationSpec::new(
-                Endpoint::station(2),
-                Point::feet(7.0, 0.0),
-                Role::Scripted { peer: "rx".into() },
-            )
-            .thresholds(sender_threshold),
-        },
-    );
-    s.event(
-        "place-chatter",
-        &[],
-        Action::Place {
-            station: "chatter".into(),
-            spec: StationSpec::new(
-                Endpoint::foreign(7),
-                Point::feet(395.0, 0.0),
-                Role::Chatterer {
-                    peer: "rx".into(),
-                    interval_ns: 3_000_000,
-                },
-            ),
-        },
-    );
-    s.event(
-        "freeze-shadowing",
-        &[],
-        Action::SetKnob {
-            knob: Knob::ShadowingSigmaDb(0.0),
-        },
-    );
+    let mut spec = open_pair("capture-chatter", 7.0, n);
+    spec.stations[1].receive_threshold = sender_threshold;
+    let chatter = StationSpec {
+        interval_ns: 3_000_000,
+        frame_bytes: 512,
+        ..StationSpec::new(Role::Sender, 395.0, 0.0)
+    };
+    let mut s = ScenarioScript::new(spec.with_station(chatter), &["rx", "tx", "chatter"], seed);
     s.event(
         "send",
-        &["place-rx", "place-tx", "place-chatter"],
+        &[],
         Action::Transmit {
             station: "tx".into(),
             packets: n,
@@ -168,49 +141,19 @@ pub fn capture_chatter(seed: u64, scale: Scale, sender_threshold: Thresholds) ->
 /// captures the receiver from the other (capture needs a ≥ 6 dB edge the
 /// symmetric geometry cannot supply), so no delivered packet is truncated.
 pub fn equal_power(seed: u64) -> ScenarioScript {
-    let mut s = ScenarioScript::new("equal-power", seed);
-    s.event(
-        "place-rx",
-        &[],
-        Action::Place {
-            station: "rx".into(),
-            spec: StationSpec::new(Endpoint::station(1), Point::feet(0.0, 0.0), Role::Receiver),
-        },
-    );
-    s.event(
-        "place-j1",
-        &[],
-        Action::Place {
-            station: "j1".into(),
-            spec: StationSpec::new(
-                Endpoint::station(2),
-                Point::feet(10.0, 0.0),
-                Role::Jammer { peer: "j2".into() },
-            ),
-        },
-    );
-    s.event(
-        "place-j2",
-        &[],
-        Action::Place {
-            station: "j2".into(),
-            spec: StationSpec::new(
-                Endpoint::foreign(3),
-                Point::feet(0.0, 10.0),
-                Role::Jammer { peer: "j1".into() },
-            ),
-        },
-    );
-    s.event(
-        "freeze-shadowing",
-        &[],
-        Action::SetKnob {
-            knob: Knob::ShadowingSigmaDb(0.0),
-        },
-    );
+    // j1 is a saturating sender with a jammer's deaf threshold.
+    let mut spec = open_pair("equal-power", 10.0, 1);
+    spec.stations[1].interval_ns = 0;
+    spec.stations[1].receive_threshold = Thresholds::deaf().receive_level;
+    spec.stations[1].peer = Some(2);
+    let j2 = StationSpec {
+        peer: Some(1),
+        ..StationSpec::new(Role::Jammer, 0.0, 10.0)
+    };
+    let mut s = ScenarioScript::new(spec.with_station(j2), &["rx", "j1", "j2"], seed);
     s.event(
         "contend",
-        &["place-rx", "place-j1", "place-j2"],
+        &[],
         Action::Wait {
             duration_ns: 500_000_000,
         },
@@ -255,50 +198,13 @@ pub fn equal_power(seed: u64) -> ScenarioScript {
 /// one timeline).
 pub(crate) fn walk_by(seed: u64, scale: Scale) -> ScenarioScript {
     let n = scale.packets(600);
-    let mut s = ScenarioScript::new("walk-by", seed);
-    s.event(
-        "place-rx",
-        &[],
-        Action::Place {
-            station: "rx".into(),
-            spec: StationSpec::new(Endpoint::station(1), Point::feet(0.0, 0.0), Role::Receiver),
-        },
-    );
-    s.event(
-        "place-tx",
-        &[],
-        Action::Place {
-            station: "tx".into(),
-            spec: StationSpec::new(
-                Endpoint::station(2),
-                Point::feet(7.0, 0.0),
-                Role::Scripted { peer: "rx".into() },
-            )
-            .thresholds(threshold_25()),
-        },
-    );
-    s.event(
-        "place-walker",
-        &[],
-        Action::Place {
-            station: "walker".into(),
-            spec: StationSpec::new(
-                Endpoint::foreign(9),
-                Point::feet(200.0, 10.0),
-                Role::Jammer { peer: "rx".into() },
-            ),
-        },
-    );
-    s.event(
-        "freeze-shadowing",
-        &[],
-        Action::SetKnob {
-            knob: Knob::ShadowingSigmaDb(0.0),
-        },
-    );
+    let mut spec = open_pair("walk-by", 7.0, n);
+    spec.stations[1].receive_threshold = THRESHOLD_25;
+    let walker = StationSpec::new(Role::Jammer, 200.0, 10.0);
+    let mut s = ScenarioScript::new(spec.with_station(walker), &["rx", "tx", "walker"], seed);
     s.event(
         "send",
-        &["place-rx", "place-tx", "place-walker"],
+        &[],
         Action::Transmit {
             station: "tx".into(),
             packets: n,
@@ -307,7 +213,7 @@ pub(crate) fn walk_by(seed: u64, scale: Scale) -> ScenarioScript {
     );
     s.event(
         "settle",
-        &["place-rx", "place-tx", "place-walker"],
+        &[],
         Action::Wait {
             duration_ns: 600_000_000,
         },
@@ -428,58 +334,21 @@ pub(crate) fn oven_cell_packets(scale: Scale) -> u64 {
 /// Leith's microwave-oven characterization). The judged quantity is the
 /// paper's error-free delivery rate.
 pub(crate) fn oven_cell(seed: u64, cell: OvenCell, packets: u64) -> ScenarioScript {
-    let mut s = ScenarioScript::new("oven-sweep", seed);
-    s.event(
-        "place-rx",
-        &[],
-        Action::Place {
-            station: "rx".into(),
-            spec: StationSpec::new(Endpoint::station(1), Point::feet(0.0, 0.0), Role::Receiver),
-        },
-    );
-    s.event(
-        "place-tx",
-        &[],
-        Action::Place {
-            station: "tx".into(),
-            spec: StationSpec::new(
-                Endpoint::station(2),
-                Point::feet(7.0, 0.0),
-                Role::Scripted { peer: "rx".into() },
-            )
-            .frame_bytes(cell.body_bytes),
-        },
-    );
-    s.event(
-        "freeze-shadowing",
-        &[],
-        Action::SetKnob {
-            knob: Knob::ShadowingSigmaDb(0.0),
-        },
-    );
-    if cell.duty_percent > 0 {
-        // A 60 Hz magnetron half-cycle: 16.5 ms period at 2 Mb/s = 33,000
-        // bit-times, on for duty% of it.
-        let period_bits = 33_000;
-        s.event(
-            "place-oven",
-            &[],
-            Action::PlaceInterferer {
-                source: AmbientSource {
-                    kind: InterferenceKind::WidebandInBand,
-                    duty: DutyCycle::Burst {
-                        period_bits,
-                        on_bits: period_bits * u64::from(cell.duty_percent) / 100,
-                    },
-                    burst_sigma_db: 0.0,
-                    emitter: Emitter::FixedPower(OVEN_POWER_DBM),
-                },
-            },
-        );
-    }
+    let mut spec = open_pair("oven-sweep", 7.0, packets);
+    spec.stations[1].frame_bytes = cell.body_bytes;
+    // A 60 Hz magnetron half-cycle: 16.5 ms period at 2 Mb/s = 33,000
+    // bit-times, on for duty% of it (0% builds no source at all).
+    let duty = f64::from(cell.duty_percent);
+    let spec = spec.with_interferer(InterfererSpec::burst(
+        "wideband",
+        OVEN_POWER_DBM,
+        duty,
+        33_000,
+    ));
+    let mut s = ScenarioScript::new(spec, &["rx", "tx"], seed);
     s.event(
         "send",
-        &["place-rx", "place-tx"],
+        &[],
         Action::Transmit {
             station: "tx".into(),
             packets,
@@ -566,50 +435,13 @@ pub(crate) fn dense_cell_packets(scale: Scale) -> u64 {
 /// is settled by the 6 dB capture margin alone — delivery of the test
 /// series measures how far capture protects a strong link (Section 7.4).
 pub(crate) fn dense_cell(seed: u64, cell: DenseCell, packets: u64) -> ScenarioScript {
-    let mut s = ScenarioScript::new("dense-cell", seed);
-    s.event(
-        "place-rx",
-        &[],
-        Action::Place {
-            station: "rx".into(),
-            spec: StationSpec::new(Endpoint::station(1), Point::feet(0.0, 0.0), Role::Receiver),
-        },
-    );
-    s.event(
-        "place-tx",
-        &[],
-        Action::Place {
-            station: "tx".into(),
-            spec: StationSpec::new(
-                Endpoint::station(2),
-                Point::feet(cell.near_ft, 0.0),
-                Role::Scripted { peer: "rx".into() },
-            )
-            .thresholds(threshold_25()),
-        },
-    );
-    s.event(
-        "place-rival",
-        &[],
-        Action::Place {
-            station: "rival".into(),
-            spec: StationSpec::new(
-                Endpoint::foreign(8),
-                Point::feet(-cell.far_ft, 0.0),
-                Role::Jammer { peer: "rx".into() },
-            ),
-        },
-    );
-    s.event(
-        "freeze-shadowing",
-        &[],
-        Action::SetKnob {
-            knob: Knob::ShadowingSigmaDb(0.0),
-        },
-    );
+    let mut spec = open_pair("dense-cell", cell.near_ft, packets);
+    spec.stations[1].receive_threshold = THRESHOLD_25;
+    let rival = StationSpec::new(Role::Jammer, -cell.far_ft, 0.0);
+    let mut s = ScenarioScript::new(spec.with_station(rival), &["rx", "tx", "rival"], seed);
     s.event(
         "send",
-        &["place-rx", "place-tx", "place-rival"],
+        &[],
         Action::Transmit {
             station: "tx".into(),
             packets,
@@ -670,7 +502,7 @@ pub fn run_named(name: &str, seed: u64, scale: Scale, exec: &Executor) -> Option
         "capture-chatter" => Some(single_run(
             "capture-chatter",
             "Section 7.4 (capture conformance)",
-            capture_chatter(trial_seed(STREAM_CAPTURE, 0, seed), scale, threshold_25()),
+            capture_chatter(trial_seed(STREAM_CAPTURE, 0, seed), scale, THRESHOLD_25),
         )),
         "equal-power" => Some(single_run(
             "equal-power",
@@ -990,13 +822,14 @@ pub(crate) fn dense_cell_matrix(seed: u64, scale: Scale, exec: &Executor) -> Sce
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+    use wavelan_analysis::json;
 
     /// Every script the library runs: the three single runs and every oven
     /// and dense-cell matrix cell.
     fn library_scripts() -> Vec<ScenarioScript> {
         let scale = Scale::Smoke;
         let mut scripts = vec![
-            capture_chatter(1, scale, threshold_25()),
+            capture_chatter(1, scale, THRESHOLD_25),
             equal_power(1),
             walk_by(1, scale),
         ];
@@ -1005,30 +838,27 @@ mod tests {
         scripts
     }
 
+    #[test]
+    fn every_library_spec_round_trips_through_spec_json() {
+        for script in library_scripts() {
+            let text = script.spec.to_json();
+            let parsed = json::parse(&text).expect("spec JSON parses");
+            let back = ScenarioSpec::from_value(&parsed)
+                .unwrap_or_else(|e| panic!("{}: {e}", script.spec.name));
+            assert_eq!(back, script.spec, "{}", script.spec.name);
+        }
+    }
+
     // The matches below are exhaustive on purpose: a new variant does not
     // compile until it gets an arm (and a name in the test's `vocabulary`),
     // and the test then fails until some library scenario uses it.
 
     fn action_name(action: &Action) -> &'static str {
         match action {
-            Action::Place { .. } => "place",
-            Action::PlaceInterferer { .. } => "place_interferer",
-            Action::SetKnob {
-                knob: Knob::ShadowingSigmaDb(_),
-            } => "set_knob(shadowing_sigma_db)",
             Action::Move { .. } => "move",
             Action::Transmit { .. } => "transmit",
             Action::Wait { .. } => "wait",
             Action::Assert { .. } => "assert",
-        }
-    }
-
-    fn role_name(role: &Role) -> &'static str {
-        match role {
-            Role::Receiver => "receiver",
-            Role::Chatterer { .. } => "chatterer",
-            Role::Jammer { .. } => "jammer",
-            Role::Scripted { .. } => "scripted",
         }
     }
 
@@ -1052,29 +882,16 @@ mod tests {
             seen.extend(script.requires.iter().map(|r| quantity_name(&r.quantity)));
             for event in &script.events {
                 seen.insert(action_name(&event.action));
-                match &event.action {
-                    Action::Place { spec, .. } => {
-                        seen.insert(role_name(&spec.role));
-                    }
-                    Action::Assert { require } => {
-                        seen.insert(quantity_name(&require.quantity));
-                    }
-                    _ => {}
+                if let Action::Assert { require } = &event.action {
+                    seen.insert(quantity_name(&require.quantity));
                 }
             }
         }
         let vocabulary = [
-            "place",
-            "place_interferer",
-            "set_knob(shadowing_sigma_db)",
             "move",
             "transmit",
             "wait",
             "assert",
-            "receiver",
-            "chatterer",
-            "jammer",
-            "scripted",
             "transmitted",
             "delivered",
             "truncated",

@@ -1,25 +1,33 @@
-//! The declarative scenario value model: typed events on a happens-after
-//! DAG, plus the `require` conditions judged after the run.
+//! The declarative scenario value model: a [`ScenarioSpec`] setup, a name
+//! per spec station, typed events on a happens-after DAG, and the `require`
+//! conditions judged after the run.
 //!
-//! A [`ScenarioScript`] is data, not code: a set of named [`EventSpec`]s
-//! (each an [`Action`] plus the names of the events it happens after) and a
-//! list of [`Require`] conditions. Compilation ([`super::compile`]) checks
-//! the graph, fires ready events in a pinned canonical order, and lowers
-//! them onto the `wavelan-sim` directive timetable; running judges every
-//! `require` with structured diagnostics.
+//! A [`ScenarioScript`] is data, not code. The spec says who is where —
+//! receiver, senders, jammers, outsiders, interferers, propagation — exactly
+//! as it does for a registry artifact; the script adds only the
+//! choreography: named [`EventSpec`]s (each an [`Action`] plus the names of
+//! the events it happens after) and a list of [`Require`] conditions.
+//! Compilation ([`super::compile`]) builds the spec, checks the graph, fires
+//! ready events in a pinned canonical order, and lowers them onto the
+//! `wavelan-sim` directive timetable; running judges every `require` with
+//! structured diagnostics.
 
-use wavelan_mac::Thresholds;
-use wavelan_net::testpkt::Endpoint;
-use wavelan_sim::{AmbientSource, Point};
+use crate::spec::ScenarioSpec;
+use wavelan_sim::Point;
 
-/// A complete declarative scenario: events on a happens-after DAG plus the
-/// post-quiescence `require` conditions.
+/// A complete declarative scenario: a spec with one name per station,
+/// events on a happens-after DAG, and the post-quiescence `require`
+/// conditions.
 #[derive(Debug, Clone)]
 pub struct ScenarioScript {
-    /// Scenario name (used in diagnostics and reports).
-    pub name: String,
-    /// Master seed: same seed + same DAG ⇒ bit-identical trace.
+    /// Master seed, from which the spec builds: same seed + same DAG ⇒
+    /// bit-identical trace.
     pub seed: u64,
+    /// The setup; its name names the scenario in diagnostics and reports.
+    pub spec: ScenarioSpec,
+    /// The script-scoped name of each spec station, in spec order (the
+    /// handles events and requires use).
+    pub stations: Vec<String>,
     /// The event DAG.
     pub events: Vec<EventSpec>,
     /// Conditions judged against the final state.
@@ -27,12 +35,14 @@ pub struct ScenarioScript {
 }
 
 impl ScenarioScript {
-    /// An empty script. Every script runs on the open floor and drains for
-    /// 50 ms after its last event (see [`super::compile`]).
-    pub fn new(name: impl Into<String>, seed: u64) -> ScenarioScript {
+    /// A script over `spec` with no events, naming its stations in spec
+    /// order. It drains for 50 ms after its last event (see
+    /// [`super::compile`]).
+    pub fn new(spec: ScenarioSpec, stations: &[&str], seed: u64) -> ScenarioScript {
         ScenarioScript {
-            name: name.into(),
             seed,
+            spec,
+            stations: stations.iter().map(|s| s.to_string()).collect(),
             events: Vec::new(),
             requires: Vec::new(),
         }
@@ -80,25 +90,6 @@ pub struct EventSpec {
 /// The typed actions an event can perform.
 #[derive(Debug, Clone)]
 pub enum Action {
-    /// Introduce a station. Must fire at virtual time 0 (places cannot
-    /// happen after time-advancing events).
-    Place {
-        /// Script-scoped station name (the handle `require`s use).
-        station: String,
-        /// The station's identity, position, and behaviour.
-        spec: StationSpec,
-    },
-    /// Introduce an ambient (non-WaveLAN) interference source. Must fire at
-    /// virtual time 0.
-    PlaceInterferer {
-        /// The source.
-        source: AmbientSource,
-    },
-    /// Turn a model knob.
-    SetKnob {
-        /// The knob and its new value.
-        knob: Knob,
-    },
     /// Move a station to `to`. With `duration_ns > 0` the station walks
     /// there linearly in `steps` hops; the event completes on arrival.
     Move {
@@ -111,11 +102,12 @@ pub enum Action {
         /// Interpolation hops for a timed walk (min 1).
         steps: u32,
     },
-    /// Hand `packets` frames to a scripted station, one every `spacing_ns`.
-    /// The event completes when the last frame has been handed over (airtime
-    /// drains during subsequent waits and the scenario drain).
+    /// Hand `packets` frames to a spec sender, one every `spacing_ns`. The
+    /// sender then sends only what transmit events hand it. The event
+    /// completes when the last frame has been handed over (airtime drains
+    /// during subsequent waits and the scenario drain).
     Transmit {
-        /// The scripted station.
+        /// The sender.
         station: String,
         /// Number of frames.
         packets: u64,
@@ -138,93 +130,17 @@ pub enum Action {
 
 impl Action {
     /// Canonical firing priority when several events are ready at once:
-    /// places → interferers → knobs → moves → transmits → waits → asserts,
-    /// ties broken by event *name* (not declaration order, so permuting the
-    /// declaration of a script never changes the trace).
+    /// moves → transmits → waits → asserts, ties broken by event *name*
+    /// (not declaration order, so permuting the declaration of a script
+    /// never changes the trace).
     pub(crate) fn priority(&self) -> u8 {
         match self {
-            Action::Place { .. } => 0,
-            Action::PlaceInterferer { .. } => 1,
-            Action::SetKnob { .. } => 2,
-            Action::Move { .. } => 3,
-            Action::Transmit { .. } => 4,
-            Action::Wait { .. } => 5,
-            Action::Assert { .. } => 6,
+            Action::Move { .. } => 0,
+            Action::Transmit { .. } => 1,
+            Action::Wait { .. } => 2,
+            Action::Assert { .. } => 3,
         }
     }
-}
-
-/// A station declaration inside a [`Action::Place`].
-#[derive(Debug, Clone)]
-pub struct StationSpec {
-    /// Link/IP identity.
-    pub endpoint: Endpoint,
-    /// Initial position.
-    pub pos: Point,
-    /// Behavioural role.
-    pub role: Role,
-    /// Receive/quality thresholds (None = the role's default).
-    pub thresholds: Option<Thresholds>,
-    /// Ethernet body size for this station's frames, bytes (None = the
-    /// role's default frame format).
-    pub frame_bytes: Option<u16>,
-}
-
-impl StationSpec {
-    /// A spec with the role's default thresholds and frame format.
-    pub fn new(endpoint: Endpoint, pos: Point, role: Role) -> StationSpec {
-        StationSpec {
-            endpoint,
-            pos,
-            role,
-            thresholds: None,
-            frame_bytes: None,
-        }
-    }
-
-    /// Overrides the thresholds.
-    pub(crate) fn thresholds(mut self, thresholds: Thresholds) -> StationSpec {
-        self.thresholds = Some(thresholds);
-        self
-    }
-
-    /// Overrides the frame body size.
-    pub(crate) fn frame_bytes(mut self, bytes: u16) -> StationSpec {
-        self.frame_bytes = Some(bytes);
-        self
-    }
-}
-
-/// What a placed station does on its own.
-#[derive(Debug, Clone)]
-pub enum Role {
-    /// Quiet, trace-recording receiver (the study's receiver laptop).
-    Receiver,
-    /// Periodic foreign chatterer (ARP-style broadcast frames).
-    Chatterer {
-        /// Destination station name.
-        peer: String,
-        /// Application interval, ns.
-        interval_ns: u64,
-    },
-    /// Deaf saturating jammer (Section 7.4's "transmit continuously").
-    Jammer {
-        /// Destination station name.
-        peer: String,
-    },
-    /// Sends only when a [`Action::Transmit`] event hands it frames.
-    Scripted {
-        /// Destination station name.
-        peer: String,
-    },
-}
-
-/// A scriptable model knob.
-#[derive(Debug, Clone)]
-pub enum Knob {
-    /// Lognormal shadowing σ, dB. Compile-time only: the propagation model
-    /// is frozen once the trial starts, so this knob must fire at time 0.
-    ShadowingSigmaDb(f64),
 }
 
 /// A judged condition: `quantity cmp bound`.

@@ -18,7 +18,9 @@
 //! its trials from its artifact's spec by editing fields; a station's
 //! optional `peer`, a later silent receiver, a sending receiver, the time
 //! limit and the propagation reflector cover the competing-unit,
-//! hidden-terminal, receive-threshold and related-work setups.
+//! hidden-terminal, receive-threshold and related-work setups. Scenario
+//! scripts ([`crate::scenario`]) build their stations from a spec too, and
+//! add only the event choreography.
 //! `ScenarioSpec::run_in` runs a spec at a [`Scale`] and folds the analysis
 //! into a small [`SpecMetrics`] record the sweep summary ranks on.
 
@@ -560,12 +562,15 @@ impl ScenarioSpec {
                     StationConfig::sender(test_sender(), position, peer)
                 }
                 Role::Outsider => {
-                    // Outsiders pair up: each chatters to the other at the
-                    // conventional 9 ms / 13 ms intervals.
+                    // Outsiders pair up in declaration order: each chatters
+                    // to the other at the conventional 9 ms / 13 ms
+                    // intervals. `check_stations` guarantees the partner.
                     let (peer, interval_ns, tag) = match pending_outsider.take() {
                         None => {
                             pending_outsider = Some(id);
-                            (id + 1, 9_000_000, 200)
+                            let after = &self.stations[id + 1..];
+                            let gap = after.iter().position(|s| s.role == Role::Outsider);
+                            (id + 1 + gap.expect("outsiders pair up"), 9_000_000, 200)
                         }
                         Some(first) => (first, 13_000_000, 201),
                     };
@@ -1283,6 +1288,20 @@ mod tests {
         let lonely = ScenarioSpec::pair("odd", (0.0, 0.0), (7.0, 0.0), 100)
             .with_station(StationSpec::new(Role::Outsider, -430.0, 60.0));
         assert!(lonely.build(1).is_err());
+    }
+
+    #[test]
+    fn outsiders_pair_with_each_other_across_other_stations() {
+        let spec = ScenarioSpec::pair("split", (0.0, 0.0), (7.0, 0.0), 100)
+            .with_station(StationSpec::new(Role::Outsider, -430.0, 60.0))
+            .with_station(StationSpec::new(Role::Jammer, 45.0, 0.0))
+            .with_station(StationSpec::new(Role::Outsider, -540.0, 80.0));
+        let (scenario, _, _) = spec.build(1).expect("builds");
+        let peer = |id: usize| match scenario.stations[id].traffic {
+            Traffic::Periodic { peer, .. } => peer,
+            other => panic!("station {id} is not chattering: {other:?}"),
+        };
+        assert_eq!((peer(2), peer(4)), (4, 2));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   the same distance never capture the receiver from each other (capture
 //!   needs a ≥ 6 dB edge), so nothing is truncated.
 
-use wavelan_core::scenario::library::{capture_chatter, equal_power, threshold_25};
+use wavelan_core::scenario::library::{capture_chatter, equal_power, THRESHOLD_25};
 use wavelan_core::scenario::run::ScenarioOutcome;
 use wavelan_core::Scale;
 
@@ -37,7 +37,7 @@ fn assert_passed(outcome: &ScenarioOutcome, seed: u64) {
 #[test]
 fn capture_chatter_conformance_across_seeds() {
     for seed in SEEDS {
-        let outcome = capture_chatter(seed, Scale::Smoke, threshold_25())
+        let outcome = capture_chatter(seed, Scale::Smoke, THRESHOLD_25)
             .compile()
             .expect("library script compiles")
             .run();

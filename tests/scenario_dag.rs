@@ -17,12 +17,10 @@
 //!   (`chatter-overlapped`, `overlap_count > 0`) now fails loudly instead
 //!   of letting the capture numbers pass vacuously.
 
-use wavelan_core::scenario::library::{capture_chatter, run_named, threshold_25};
-use wavelan_core::scenario::ScenarioScript;
-use wavelan_core::scenario::{Action, Cmp, Quantity, Role, StationSpec};
-use wavelan_core::{Executor, Scale};
+use wavelan_core::scenario::library::{capture_chatter, run_named, THRESHOLD_25};
+use wavelan_core::scenario::{Action, Cmp, Quantity, Require, ScenarioScript};
+use wavelan_core::{Executor, Scale, ScenarioSpec};
 use wavelan_mac::Thresholds;
-use wavelan_net::testpkt::Endpoint;
 use wavelan_sim::Point;
 
 const SEEDS: [u64; 3] = [3, 41, 1996];
@@ -57,80 +55,65 @@ fn new_scenarios_render_identically_on_one_and_eight_workers() {
     }
 }
 
-/// A small five-event script whose DAG admits several valid firing orders;
-/// `perm` only changes the *declaration* order.
+/// A small five-event script over a spec-built pair whose DAG admits
+/// several valid firing orders; `perm` only changes the *declaration*
+/// order.
 fn permutable_script(seed: u64, perm: &[usize; 5]) -> ScenarioScript {
-    let mut s = ScenarioScript::new("permutable", seed);
-    type Declare = Box<dyn Fn(&mut ScenarioScript)>;
-    let declares: [Declare; 5] = [
-        Box::new(|s: &mut ScenarioScript| {
-            s.event(
-                "place-rx",
-                &[],
-                Action::Place {
-                    station: "rx".into(),
-                    spec: StationSpec::new(
-                        Endpoint::station(1),
-                        Point::feet(0.0, 0.0),
-                        Role::Receiver,
-                    ),
-                },
-            );
-        }),
-        Box::new(|s: &mut ScenarioScript| {
-            s.event(
-                "place-tx",
-                &[],
-                Action::Place {
-                    station: "tx".into(),
-                    spec: StationSpec::new(
-                        Endpoint::station(2),
-                        Point::feet(7.0, 0.0),
-                        Role::Scripted { peer: "rx".into() },
-                    ),
-                },
-            );
-        }),
-        Box::new(|s: &mut ScenarioScript| {
-            s.event(
-                "send",
-                &["place-rx", "place-tx"],
-                Action::Transmit {
-                    station: "tx".into(),
-                    packets: 20,
-                    spacing_ns: 6_100_000,
-                },
-            );
-        }),
-        Box::new(|s: &mut ScenarioScript| {
-            s.event(
-                "cool-down",
-                &["send"],
-                Action::Wait {
-                    duration_ns: 10_000_000,
-                },
-            );
-        }),
-        Box::new(|s: &mut ScenarioScript| {
-            s.event(
-                "check",
-                &["cool-down"],
-                Action::Assert {
-                    require: wavelan_core::scenario::Require::new(
-                        "some-delivery",
-                        Quantity::Delivered {
-                            receiver: "rx".into(),
-                            from: Some("tx".into()),
-                        },
-                        Cmp::Ge,
-                        1.0,
-                    ),
-                },
-            );
-        }),
+    let spec = ScenarioSpec::pair("permutable", (0.0, 0.0), (7.0, 0.0), 20);
+    let mut s = ScenarioScript::new(spec, &["rx", "tx"], seed);
+    let events: [(&str, &[&str], Action); 5] = [
+        (
+            "nudge-tx",
+            &[],
+            Action::Move {
+                station: "tx".into(),
+                to: Point::feet(7.5, 0.0),
+                duration_ns: 0,
+                steps: 1,
+            },
+        ),
+        (
+            "settle",
+            &[],
+            Action::Wait {
+                duration_ns: 2_000_000,
+            },
+        ),
+        (
+            "send",
+            &["settle"],
+            Action::Transmit {
+                station: "tx".into(),
+                packets: 20,
+                spacing_ns: 6_100_000,
+            },
+        ),
+        (
+            "cool-down",
+            &["send"],
+            Action::Wait {
+                duration_ns: 10_000_000,
+            },
+        ),
+        (
+            "check",
+            &["cool-down", "nudge-tx"],
+            Action::Assert {
+                require: Require::new(
+                    "some-delivery",
+                    Quantity::Delivered {
+                        receiver: "rx".into(),
+                        from: Some("tx".into()),
+                    },
+                    Cmp::Ge,
+                    1.0,
+                ),
+            },
+        ),
     ];
     for &i in perm {
-        declares[i](&mut s);
+        let (name, after, action) = &events[i];
+        s.event(name, after, action.clone());
     }
     s.require(
         "all-sent",
@@ -181,7 +164,7 @@ fn fire_order_and_outcome_survive_declaration_permutation() {
 fn deaf_sender_transmits_over_chatter_hearing_sender_fails_the_overlap_require() {
     // Threshold 25: the sender cannot hear 395 ft chatter, transmits over
     // it, and every require — overlap included — holds.
-    let deaf = capture_chatter(1996, Scale::Smoke, threshold_25())
+    let deaf = capture_chatter(1996, Scale::Smoke, THRESHOLD_25)
         .compile()
         .expect("compiles");
     let outcome = deaf.run();
@@ -189,7 +172,7 @@ fn deaf_sender_transmits_over_chatter_hearing_sender_fails_the_overlap_require()
 
     // Default thresholds: the sender hears the chatter and defers (the PR 4
     // mutual-CSMA-deferral shape). The first require must catch it by name.
-    let hearing = capture_chatter(1996, Scale::Smoke, Thresholds::default())
+    let hearing = capture_chatter(1996, Scale::Smoke, Thresholds::default().receive_level)
         .compile()
         .expect("compiles");
     let outcome = hearing.run();

@@ -1,42 +1,24 @@
 //! Malformed-scenario paths: every way a script can be wrong produces a
-//! typed [`ScenarioError`] naming the offending event or condition — never
-//! a panic, and never a silently-ignored event.
+//! typed [`ScenarioError`] naming the offending event, station or
+//! condition — never a panic, and never a silently-ignored event.
 
-use wavelan_core::scenario::{
-    Action, Cmp, Quantity, Require, Role, ScenarioError, ScenarioScript, StationSpec,
-};
-use wavelan_net::testpkt::Endpoint;
-use wavelan_sim::Point;
+use wavelan_core::scenario::{Action, Cmp, Quantity, Require, ScenarioError, ScenarioScript};
+use wavelan_core::spec::Role;
+use wavelan_core::ScenarioSpec;
 
-fn place(s: &mut ScenarioScript, event: &str, station: &str, sender: bool) {
-    let role = if sender {
-        Role::Scripted { peer: "rx".into() }
-    } else {
-        Role::Receiver
-    };
-    let endpoint = if sender {
-        Endpoint::station(2)
-    } else {
-        Endpoint::station(1)
-    };
-    s.event(
-        event,
-        &[],
-        Action::Place {
-            station: station.into(),
-            spec: StationSpec::new(
-                endpoint,
-                Point::feet(if sender { 7.0 } else { 0.0 }, 0.0),
-                role,
-            ),
-        },
-    );
+/// The smallest spec: receiver `rx` at the origin, sender `tx` 7 ft away.
+fn pair_spec(name: &str) -> ScenarioSpec {
+    ScenarioSpec::pair(name, (0.0, 0.0), (7.0, 0.0), 5)
+}
+
+/// A script over [`pair_spec`] with no events yet.
+fn pair_script(name: &str, seed: u64) -> ScenarioScript {
+    ScenarioScript::new(pair_spec(name), &["rx", "tx"], seed)
 }
 
 #[test]
 fn cyclic_dag_is_a_typed_error_naming_the_stuck_events() {
-    let mut s = ScenarioScript::new("cyclic", 1);
-    place(&mut s, "place-rx", "rx", false);
+    let mut s = pair_script("cyclic", 1);
     s.event("a", &["b"], Action::Wait { duration_ns: 1 });
     s.event("b", &["a"], Action::Wait { duration_ns: 1 });
     let err = s.compile().expect_err("a ↔ b can never fire");
@@ -50,9 +32,9 @@ fn cyclic_dag_is_a_typed_error_naming_the_stuck_events() {
 
 #[test]
 fn cycle_error_does_not_blame_fireable_events() {
-    // place-rx has no dependencies: it fires fine; only the cycle is stuck.
-    let mut s = ScenarioScript::new("cyclic-partial", 1);
-    place(&mut s, "place-rx", "rx", false);
+    // warm-up has no dependencies: it fires fine; only the cycle is stuck.
+    let mut s = pair_script("cyclic-partial", 1);
+    s.event("warm-up", &[], Action::Wait { duration_ns: 1 });
     s.event("spin-1", &["spin-2"], Action::Wait { duration_ns: 1 });
     s.event("spin-2", &["spin-1"], Action::Wait { duration_ns: 1 });
     match s.compile().expect_err("cycle") {
@@ -63,11 +45,10 @@ fn cycle_error_does_not_blame_fireable_events() {
 
 #[test]
 fn assert_on_unknown_station_names_the_assert_event() {
-    let mut s = ScenarioScript::new("ghost-assert", 1);
-    place(&mut s, "place-rx", "rx", false);
+    let mut s = pair_script("ghost-assert", 1);
     s.event(
         "check-ghost",
-        &["place-rx"],
+        &[],
         Action::Assert {
             require: Require::new(
                 "ghost-delivered",
@@ -94,7 +75,7 @@ fn assert_on_unknown_station_names_the_assert_event() {
 
 #[test]
 fn unknown_dependency_names_both_ends_of_the_edge() {
-    let mut s = ScenarioScript::new("dangling", 1);
+    let mut s = pair_script("dangling", 1);
     s.event("late", &["never-declared"], Action::Wait { duration_ns: 1 });
     match s.compile().expect_err("dangling edge") {
         ScenarioError::UnknownDependency { event, dependency } => {
@@ -106,38 +87,77 @@ fn unknown_dependency_names_both_ends_of_the_edge() {
 }
 
 #[test]
-fn transmit_from_unscripted_station_is_rejected() {
-    let mut s = ScenarioScript::new("not-scripted", 1);
-    place(&mut s, "place-rx", "rx", false);
-    s.event(
-        "push",
-        &["place-rx"],
-        Action::Transmit {
-            station: "rx".into(),
-            packets: 1,
-            spacing_ns: 1_000,
-        },
-    );
-    match s
-        .compile()
-        .expect_err("receiver cannot be scripted-transmitting")
-    {
-        ScenarioError::NotScripted { event, station } => {
-            assert_eq!(event, "push");
-            assert_eq!(station, "rx");
+fn station_names_must_match_the_spec_stations_one_to_one() {
+    for names in [&["rx"][..], &["rx", "tx", "extra"][..]] {
+        let s = ScenarioScript::new(pair_spec("miscounted"), names, 1);
+        match s.compile().expect_err("one name per spec station") {
+            ScenarioError::StationNames {
+                names: given,
+                stations,
+            } => assert_eq!((given, stations), (names.len(), 2)),
+            other => panic!("expected StationNames, got {other:?}"),
         }
-        other => panic!("expected NotScripted, got {other:?}"),
+    }
+}
+
+#[test]
+fn duplicate_station_name_is_rejected() {
+    let s = ScenarioScript::new(pair_spec("twins"), &["rx", "rx"], 1);
+    match s.compile().expect_err("two stations named rx") {
+        ScenarioError::DuplicateStation { station } => assert_eq!(station, "rx"),
+        other => panic!("expected DuplicateStation, got {other:?}"),
+    }
+}
+
+#[test]
+fn spec_that_does_not_build_is_a_typed_error() {
+    let mut spec = pair_spec("sender-first");
+    spec.stations.swap(0, 1);
+    let s = ScenarioScript::new(spec, &["tx", "rx"], 1);
+    match s.compile().expect_err("the receiver must come first") {
+        ScenarioError::Spec(e) => assert!(e.0.contains("receiver"), "{e}"),
+        other => panic!("expected Spec, got {other:?}"),
+    }
+}
+
+#[test]
+fn transmit_from_unscripted_station_is_rejected() {
+    // Only a spec sender can be scripted: neither the receiver nor a
+    // jammer (which transmits, but saturating on its own) can.
+    let mut spec = pair_spec("not-a-sender");
+    let mut jammer = spec.stations[1].clone();
+    jammer.role = Role::Jammer;
+    spec.stations.push(jammer);
+    for target in ["rx", "jam"] {
+        let mut s = ScenarioScript::new(spec.clone(), &["rx", "tx", "jam"], 1);
+        s.event(
+            "push",
+            &[],
+            Action::Transmit {
+                station: target.into(),
+                packets: 1,
+                spacing_ns: 1_000,
+            },
+        );
+        match s
+            .compile()
+            .expect_err("only a sender transmits scripted frames")
+        {
+            ScenarioError::NotSender { event, station } => {
+                assert_eq!(event, "push");
+                assert_eq!(station, target);
+            }
+            other => panic!("expected NotSender, got {other:?}"),
+        }
     }
 }
 
 #[test]
 fn unsatisfiable_require_fails_with_the_condition_spelled_out() {
-    let mut s = ScenarioScript::new("impossible", 1996);
-    place(&mut s, "place-rx", "rx", false);
-    place(&mut s, "place-tx", "tx", true);
+    let mut s = pair_script("impossible", 1996);
     s.event(
         "send",
-        &["place-rx", "place-tx"],
+        &[],
         Action::Transmit {
             station: "tx".into(),
             packets: 5,
